@@ -2,11 +2,12 @@
 
 Two size sweeps, both deterministic per seed: the trust suite screens a
 fixed-width returned ranking against growing universe sizes with the
-indexed strategy (expected near-linear in the universe size), and the
-DP suite times ``maximize_merge_dp`` on explicit total-order bases
-(expected near-quadratic in the ranking length).  Timings are medians
-over ``runs`` repetitions of cold calls; the trust index cache is
-cleared before every repetition so each run pays the full index build.
+indexed strategy (logarithmic in the universe size, so the key count
+dominates), and the DP suite times ``maximize_merge_dp`` on explicit
+total-order bases (expected near-quadratic in the ranking length).
+Timings are medians over ``runs`` repetitions of cold calls; the
+per-universe pivot cache is cleared before every repetition so each
+run pays the full closed-form search.
 
 Results are plain ``(size, millis)`` rows, written as a two-column CSV
 with header ``m,millis``.
@@ -23,7 +24,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 
 from .core import BiasFunction, WeakOrder
 from .merge import maximize_merge_dp
-from .trust import _trust_index, detect_trustworthy
+from .trust import _floor_pivot, detect_trustworthy
 from .utility import UtilityContext, UtilityKind
 
 __all__ = [
@@ -76,7 +77,7 @@ def run_trust_suite(
         ctx = UtilityContext(universe_size=size, top_k=min(top_k, size), bias=bias)
         samples = []
         for _ in range(runs):
-            _trust_index.cache_clear()
+            _floor_pivot.cache_clear()
             started = time.perf_counter()
             detect_trustworthy(beta, ctx, strategy="indexed")
             samples.append(time.perf_counter() - started)

@@ -474,21 +474,11 @@ _VERIFY_CHECKS: tuple[tuple[str, Callable[[int], list[str]]], ...] = (
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     seed = args.seed
-    # The delta* sweeps hit the (expected) multiplicity warning on most
-    # grid points; keep stderr readable while the checks run.
-    influence_logger = logging.getLogger("coiquery.influence")
-    previous_level = influence_logger.level
-    influence_logger.setLevel(logging.ERROR)
-    try:
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                outcomes = list(
-                    pool.map(lambda item: item[1](seed), _VERIFY_CHECKS)
-                )
-        else:
-            outcomes = [check(seed) for _, check in _VERIFY_CHECKS]
-    finally:
-        influence_logger.setLevel(previous_level)
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(lambda item: item[1](seed), _VERIFY_CHECKS))
+    else:
+        outcomes = [check(seed) for _, check in _VERIFY_CHECKS]
     checks = {
         name: {"ok": not problems, "disagreements": problems}
         for (name, _), problems in zip(_VERIFY_CHECKS, outcomes)

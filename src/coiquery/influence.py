@@ -89,7 +89,7 @@ def delta_star_for_gap(
     thresholds to be monotone (prechecked once per universe size and
     cached) and falls back to the linear scan otherwise.  The covering
     condition routinely holds for a run of consecutive separations;
-    multiplicity is reported through a log warning and the full set is
+    multiplicity is logged at DEBUG level and the full set is
     available from :func:`delta_star_solutions`.
     """
     if universe_size < 2:
@@ -114,7 +114,7 @@ def delta_star_for_gap(
         if first >= beyond:
             return None
         if beyond - first > 1:
-            logger.warning(
+            logger.debug(
                 "%d separations cover bias gap %s at universe size %d; "
                 "returning the smallest",
                 beyond - first,
@@ -131,7 +131,7 @@ def delta_star_for_gap(
             if solution is None:
                 solution = i + 1
     if hits > 1:
-        logger.warning(
+        logger.debug(
             "%d separations cover bias gap %s at universe size %d; "
             "returning the smallest",
             hits,

@@ -10,10 +10,27 @@ alternative bias, inside the configured bias range, that would make its
 placement strategic.
 
 Two detection strategies are provided.  The scan walks the feasible
-table per key; the indexed strategy builds integer threshold arrays
-once per universe size and answers each key with a binary search plus a
-suffix-minimum lookup.  Both return identical trustworthy/flagged
+table per key; the indexed strategy searches the closed form directly,
+with O(log z) integer evaluations per universe size and at most one
+binary search per key.  Both return identical trustworthy/flagged
 partitions, though they may exhibit different witness separations.
+
+The indexed strategy rests on three monotonicity facts.  Write
+``gap = G(d) / S(d)`` and ``shift = H(d) / S(d)`` over their shared
+scale and cross-multiply each forward difference, e.g.
+``G(d+1) S(d) - G(d) S(d+1)``.  Substituting ``d = 1 + u`` and
+``z = d + 2 + t`` (``u, t >= 0`` exactly when ``1 <= d < d + 1 < z``)
+makes every difference a polynomial in ``u, t`` with nonnegative
+coefficients and a positive constant term.  So ``gap`` strictly
+increases in ``d``, ``shift`` never increases (it strictly decreases),
+and ``gap - shift`` strictly increases.  The feasible separations
+(``shift < gap``) therefore form a suffix ``[d0, z - 1]``, on which the
+window floor ``max(gap - 1, shift)`` is V-shaped: it follows ``shift``
+down to the crossing ``c`` where ``gap - 1 >= shift`` first holds,
+then ``gap - 1`` up, so its rightmost minimum (the *pivot*) is at
+``c - 1`` or ``c``.  A key needs ``gap > bias - range_high``, again a
+suffix; its floor minimum is the pivot's when the pivot lies in it,
+and otherwise sits at the suffix's first separation.
 
 The module also measures pairwise indifference: given two rankings that
 differ by exchanging two keys, the bias shift that would leave a
@@ -29,11 +46,10 @@ flag.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .core import BiasFunction, ConfigurationError, DomainError, Key, WeakOrder
 from .utility import UtilityContext
@@ -49,8 +65,6 @@ __all__ = [
     "gsd_values",
     "pairwise_indifference",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class GapThresholds(NamedTuple):
@@ -156,66 +170,52 @@ class TrustReport:
         return {"trustworthy": list(self.trustworthy), "flagged": flagged}
 
 
-class _TrustIndex(NamedTuple):
-    """Integer threshold arrays for the binary-search detection path.
+class _Window(NamedTuple):
+    """A feasible separation with its gap and window floor."""
 
-    Window endpoints at one separation share the raw scale, so each
-    entry stores unreduced numerators plus that scale; all comparisons
-    cross-multiply.  Built straight from the integer kernels to keep
-    million-sized universes cheap (no Fraction normalization per entry).
-    """
-
-    separations: tuple[int, ...]
-    gap_num: tuple[int, ...]
-    low_num: tuple[int, ...]
-    scale: tuple[int, ...]
-    # Suffix minima of the window floor, as (numerator, scale, index).
-    floor_num: tuple[int, ...]
-    floor_scale: tuple[int, ...]
-    floor_at: tuple[int, ...]
+    separation: int
+    gap: Fraction
+    floor: Fraction  # max(gap - 1, shift)
 
 
-@lru_cache(maxsize=4)
-def _trust_index(universe_size: int) -> _TrustIndex | None:
-    """Build the per-universe index, or None when gaps are not monotone."""
-    separations: list[int] = []
-    gap_num: list[int] = []
-    low_num: list[int] = []
-    scale: list[int] = []
-    for separation in range(1, universe_size):
-        gap, shift, denom = _threshold_numerators(universe_size, separation)
-        if shift >= gap:  # infeasible: window floor meets the ceiling
-            continue
-        separations.append(separation)
-        gap_num.append(gap)
-        low_num.append(max(gap - denom, shift))
-        scale.append(denom)
-    for i in range(1, len(separations)):
-        # gap[i-1] <= gap[i], cross-multiplied (scales positive).
-        if gap_num[i - 1] * scale[i] > gap_num[i] * scale[i - 1]:
-            logger.warning(
-                "gap thresholds not monotone at universe size %d; "
-                "falling back to the scan strategy",
-                universe_size,
-            )
-            return None
-    floor_num = [0] * len(separations)
-    floor_scale = [1] * len(separations)
-    floor_at = [0] * len(separations)
-    best: tuple[int, int, int] | None = None
-    for i in range(len(separations) - 1, -1, -1):
-        if best is None or low_num[i] * best[1] < best[0] * scale[i]:
-            best = (low_num[i], scale[i], i)
-        floor_num[i], floor_scale[i], floor_at[i] = best
-    return _TrustIndex(
-        tuple(separations),
-        tuple(gap_num),
-        tuple(low_num),
-        tuple(scale),
-        tuple(floor_num),
-        tuple(floor_scale),
-        tuple(floor_at),
+def _window(universe_size: int, separation: int) -> _Window:
+    gap, shift, scale = _threshold_numerators(universe_size, separation)
+    return _Window(
+        separation, Fraction(gap, scale), Fraction(max(gap - scale, shift), scale)
     )
+
+
+def _first_where(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
+    """Least d in ``[lo, hi)`` where a monotone ``holds`` is true, else hi."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@lru_cache(maxsize=16)
+def _floor_pivot(universe_size: int) -> _Window | None:
+    """Rightmost minimum of the window floor, or None if nothing is feasible."""
+    z = universe_size
+
+    def feasible(d: int) -> bool:
+        gap, shift, _ = _threshold_numerators(z, d)
+        return shift < gap
+
+    def crossed(d: int) -> bool:
+        gap, shift, scale = _threshold_numerators(z, d)
+        return gap - scale >= shift
+
+    first = _first_where(1, z, feasible)
+    if first == z:
+        return None
+    crossing = _first_where(first, z, crossed)
+    # Crossing first, so that min keeps the rightmost separation on ties.
+    candidates = [d for d in (crossing, crossing - 1) if first <= d < z]
+    return min((_window(z, d) for d in candidates), key=lambda w: w.floor)
 
 
 def _scan_witnesses(
@@ -236,37 +236,32 @@ def _scan_witnesses(
 
 def _indexed_witness(
     bias_value: Fraction,
-    index: _TrustIndex,
+    universe_size: int,
+    pivot: _Window | None,
     range_low: Fraction,
     range_high: Fraction,
 ) -> TrustWitness | None:
-    if range_low >= range_high or not index.separations:
+    if range_low >= range_high or pivot is None:
         return None
-    # Need gap > bias_value - range_high; gaps are monotone, so the
-    # qualifying separations form a suffix found by binary search.
+    # Need gap > cut; the separations that qualify form a suffix.  When
+    # the pivot is in it, its floor is the suffix minimum; otherwise the
+    # suffix starts right of the pivot, where the floor increases.
     cut = bias_value - range_high
-    lo, hi = 0, len(index.separations)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if index.gap_num[mid] * cut.denominator > cut.numerator * index.scale[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo == len(index.separations):
+    window = pivot
+    if not pivot.gap > cut:
+
+        def clears(d: int) -> bool:
+            gap, _, scale = _threshold_numerators(universe_size, d)
+            return gap * cut.denominator > cut.numerator * scale
+
+        at = _first_where(pivot.separation + 1, universe_size, clears)
+        if at == universe_size:
+            return None
+        window = _window(universe_size, at)
+    if not window.floor < bias_value - range_low:
         return None
-    # Within the suffix, any window floor below bias_value - range_low
-    # witnesses a flag; the suffix minimum decides in O(1).
-    need = bias_value - range_low
-    if not (
-        index.floor_num[lo] * need.denominator
-        < need.numerator * index.floor_scale[lo]
-    ):
-        return None
-    at = index.floor_at[lo]
     return TrustWitness(
-        index.separations[at],
-        bias_value - Fraction(index.gap_num[at], index.scale[at]),
-        bias_value - Fraction(index.low_num[at], index.scale[at]),
+        window.separation, bias_value - window.gap, bias_value - window.floor
     )
 
 
@@ -295,17 +290,16 @@ def detect_trustworthy(
         strategy = "scan" if exhaustive or ctx.universe_size <= 4096 else "indexed"
     range_low, range_high = ctx.bias.lower, ctx.bias.upper
     assert range_low is not None and range_high is not None  # BiasFunction derives bounds
-    index = _trust_index(ctx.universe_size) if strategy == "indexed" else None
-    if strategy == "indexed" and index is None:
-        strategy = "scan"
+    pivot = _floor_pivot(ctx.universe_size) if strategy == "indexed" else None
     table = feasible_delta_table(ctx.universe_size) if strategy == "scan" else ()
     trustworthy: list[Key] = []
     flagged: dict[Key, tuple[TrustWitness, ...]] = {}
     for key in beta.keys():
         bias_value = ctx.bias(key)
         if strategy == "indexed":
-            assert index is not None
-            witness = _indexed_witness(bias_value, index, range_low, range_high)
+            witness = _indexed_witness(
+                bias_value, ctx.universe_size, pivot, range_low, range_high
+            )
             witnesses: tuple[TrustWitness, ...] = (witness,) if witness else ()
         else:
             witnesses = tuple(

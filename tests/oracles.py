@@ -8,10 +8,11 @@ and obvious; speed lives in the package, trust lives here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
-from coiquery import UtilityContext
+from coiquery import TrustWitness, UtilityContext
 
 
 # --------------------------------------------------------------------------- #
@@ -117,6 +118,37 @@ def _has_displacement_witness(value, z, low, high) -> bool:
             if floor < displacement <= gap:
                 return True
     return False
+
+
+@functools.lru_cache(maxsize=8)
+def _feasible_windows(z: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
+    """``(delta, gap, floor)`` for every separation whose window is nonempty."""
+    windows = []
+    for delta in range(1, z):
+        gap, shift = closed_form_gap_shift(z, delta)
+        floor = max(gap - 1, shift)
+        if floor < gap:
+            windows.append((delta, gap, floor))
+    return tuple(windows)
+
+
+def trust_witness_oracle(value, z: int, low, high) -> TrustWitness | None:
+    """The indexed detector's witness, found by scanning every separation.
+
+    Among the feasible separations whose gap exceeds ``value - high``,
+    take the least window floor, the rightmost one on ties; it witnesses
+    a flag when that floor is below ``value - low``.
+    """
+    if not low < high:
+        return None
+    best = None
+    for delta, gap, floor in _feasible_windows(z):
+        if gap > value - high and (best is None or floor <= best[2]):
+            best = (delta, gap, floor)
+    if best is None or not best[2] < value - low:
+        return None
+    delta, gap, floor = best
+    return TrustWitness(delta, value - gap, value - floor)
 
 
 # --------------------------------------------------------------------------- #

@@ -7,7 +7,6 @@ independent of each other; a failure here blocks a release.
 
 from __future__ import annotations
 
-import logging
 import random
 import time
 from fractions import Fraction
@@ -94,18 +93,12 @@ def test_trust_filter_matches_the_instance_aware_baseline():
 
 
 def test_separation_solver_strategies_agree_across_the_bias_sweep():
-    influence_logger = logging.getLogger("coiquery.influence")
-    previous = influence_logger.level
-    influence_logger.setLevel(logging.ERROR)
-    try:
-        for z in range(2, 129):
-            for cents in range(-600, 601):
-                gap = Fraction(cents, 100)
-                binary = delta_star_for_gap(gap, z, strategy="binary")
-                linear = delta_star_for_gap(gap, z, strategy="linear")
-                assert binary == linear, (z, gap)
-    finally:
-        influence_logger.setLevel(previous)
+    for z in range(2, 129):
+        for cents in range(-600, 601):
+            gap = Fraction(cents, 100)
+            binary = delta_star_for_gap(gap, z, strategy="binary")
+            linear = delta_star_for_gap(gap, z, strategy="linear")
+            assert binary == linear, (z, gap)
 
 
 def test_generated_queries_are_satisfied_by_their_own_intent():

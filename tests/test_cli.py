@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from coiquery import (
 from coiquery.cli import AnalysisConfig, load_config, run_command
 from coiquery.equilibrium import commission_game
 from coiquery.utility import UtilityKind
+from oracles import closed_form_gap_shift
 
 
 def _round_trip(payload):
@@ -216,6 +218,44 @@ def test_trust_output_flag_writes_a_file(tmp_path, mixed_config):
     )
     assert code == 0
     assert json.loads(out.read_text())["trustworthy"] == ["c"]
+
+
+def test_trust_command_answers_a_huge_universe_at_once(tmp_path, capsys):
+    z = 100_000_000_000
+    upper = 3 * z // 10
+    biases = {"a": 0, "b": upper, "c": 5 * z // 10}  # c: the default, above range
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "z": z,
+                "k": 80,
+                "bias": {
+                    "entries": {"a": 0, "b": upper},
+                    "default": biases["c"],
+                    "lower": 0,
+                    "upper": upper,
+                },
+            }
+        )
+    )
+    beta = _write_order(tmp_path, "beta.json", [["a"], ["b"], ["c"]])
+    started = time.perf_counter()
+    code = run_command(["trust", "--config", str(config), "--beta", str(beta)])
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    # Every window floor is at least the positive shift, so a zero-bias
+    # key cannot move below the range's lower end.
+    assert report["trustworthy"] == ["a"]
+    assert [entry["key"] for entry in report["flagged"]] == ["b", "c"]
+    for entry in report["flagged"]:
+        value = biases[entry["key"]]
+        gap, shift = closed_form_gap_shift(z, entry["delta"])
+        floor = max(gap - 1, shift)
+        assert floor < gap
+        assert max(value - gap, 0) < min(value - floor, upper)
+        assert entry["interval"] == [float(value - gap), float(value - floor)]
 
 
 # --------------------------------------------------------------------------- #

@@ -79,26 +79,19 @@ def test_query_json_round_trip():
 
 
 def test_threshold_windows_at_z_ten():
-    quiet = logging.getLogger("coiquery.influence")
-    level = quiet.level
-    quiet.setLevel(logging.ERROR)
-    try:
-        assert delta_star_for_gap(Fraction(1, 2), 10) == 1
-        assert delta_star_for_gap(2, 10) == 5
-        assert delta_star_for_gap(10, 10) is None
-        assert delta_star_for_gap(0, 10) == 1
-        assert delta_star_for_gap(Fraction(-1, 4), 10) == 1
-        assert delta_star_for_gap(-2, 10) is None
-    finally:
-        quiet.setLevel(level)
+    assert delta_star_for_gap(Fraction(1, 2), 10) == 1
+    assert delta_star_for_gap(2, 10) == 5
+    assert delta_star_for_gap(10, 10) is None
+    assert delta_star_for_gap(0, 10) == 1
+    assert delta_star_for_gap(Fraction(-1, 4), 10) == 1
+    assert delta_star_for_gap(-2, 10) is None
 
 
 def test_bias_gap_is_subject_minus_rival():
     bias = BiasFunction({"s": Fraction(1)})
-    with _quiet_influence():
-        assert delta_star("s", "r", bias, 4) == 2
-        # swapped roles give gap -1, below every window
-        assert delta_star("r", "s", bias, 4) is None
+    assert delta_star("s", "r", bias, 4) == 2
+    # swapped roles give gap -1, below every window
+    assert delta_star("r", "s", bias, 4) is None
     shallow = BiasFunction({"s": Fraction(1, 4)})
     assert delta_star("r", "s", shallow, 4) == 1  # gap -1/4 is in the first window
 
@@ -107,37 +100,37 @@ def test_all_solutions_listed_ascending_and_smallest_returned():
     bias = BiasFunction({"s": Fraction(1)})
     solutions = delta_star_solutions("s", "r", bias, 4)
     assert solutions == (2, 3)
-    with _quiet_influence():
-        assert delta_star("s", "r", bias, 4) == solutions[0]
+    assert delta_star("s", "r", bias, 4) == solutions[0]
 
 
 def test_returned_separation_satisfies_its_window():
     rng = random.Random(3)
-    with _quiet_influence():
-        for _ in range(200):
-            z = rng.randint(2, 64)
-            gap = Fraction(rng.randint(-40, 40), 10)
-            result = delta_star_for_gap(gap, z)
-            linear = delta_star_for_gap(gap, z, strategy="linear")
-            assert result == linear
-            if result is None:
-                for separation in range(1, z):
-                    window = gsd_values(z, separation)
-                    assert not (window.gap - 1 < gap <= window.gap)
-            else:
-                window = gsd_values(z, result)
-                assert window.gap - 1 < gap <= window.gap
+    for _ in range(200):
+        z = rng.randint(2, 64)
+        gap = Fraction(rng.randint(-40, 40), 10)
+        result = delta_star_for_gap(gap, z)
+        linear = delta_star_for_gap(gap, z, strategy="linear")
+        assert result == linear
+        if result is None:
+            for separation in range(1, z):
+                window = gsd_values(z, separation)
+                assert not (window.gap - 1 < gap <= window.gap)
+        else:
+            window = gsd_values(z, result)
+            assert window.gap - 1 < gap <= window.gap
 
 
 def test_multiplicity_is_surfaced_as_a_warning(caplog):
-    with caplog.at_level(logging.WARNING, logger="coiquery.influence"):
+    with caplog.at_level(logging.DEBUG, logger="coiquery.influence"):
         assert delta_star_for_gap(1, 4) == 2
     assert any(
-        "2 separations" in record.message and "smallest" in record.message
+        "2 separations" in record.message
+        and "smallest" in record.message
+        and record.levelno == logging.DEBUG
         for record in caplog.records
     )
     caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="coiquery.influence"):
+    with caplog.at_level(logging.DEBUG, logger="coiquery.influence"):
         assert delta_star_for_gap(0, 10) == 1
     assert not caplog.records
 
@@ -145,19 +138,6 @@ def test_multiplicity_is_surfaced_as_a_warning(caplog):
 def test_unknown_strategy_rejected():
     with pytest.raises(ConfigurationError):
         delta_star_for_gap(1, 10, strategy="??")
-
-
-class _quiet_influence:
-    """Silence the multiplicity warning inside a with-block."""
-
-    def __enter__(self):
-        self.logger = logging.getLogger("coiquery.influence")
-        self.level = self.logger.level
-        self.logger.setLevel(logging.ERROR)
-
-    def __exit__(self, *exc):
-        self.logger.setLevel(self.level)
-        return False
 
 
 # --------------------------------------------------------------------------- #
@@ -168,8 +148,7 @@ class _quiet_influence:
 def test_forward_constraint_kept_when_the_intent_already_separates_enough():
     intent = WeakOrder.total(["e2", "eA", "e3", "eB"])
     bias = BiasFunction({"e2": Fraction(1)})
-    with _quiet_influence():
-        query = build_delta_query(intent, bias, 4)
+    query = build_delta_query(intent, bias, 4)
     assert RelativeRankConstraint("e2", "e3", 2) in query.constraints
     assert RelativeRankConstraint("eA", "e2", -1) in query.constraints
     assert query.satisfied_by(intent)
@@ -204,23 +183,22 @@ def test_equal_biases_pin_the_full_intent_order():
 
 def test_built_queries_are_satisfied_by_their_intent():
     rng = random.Random(41)
-    with _quiet_influence():
-        for _ in range(100):
-            z = rng.randint(2, 10)
-            keys = [f"e{i}" for i in range(1, z + 1)]
-            rng.shuffle(keys)
-            blocks = []
-            start = 0
-            while start < len(keys):
-                width = rng.randint(1, len(keys) - start)
-                blocks.append(keys[start : start + width])
-                start += width
-            intent = WeakOrder.of(*blocks)
-            bias = BiasFunction(
-                {k: Fraction(rng.randint(0, 30), 10) for k in keys}
-            )
-            query = build_delta_query(intent, bias, z)
-            assert query.satisfied_by(intent)
+    for _ in range(100):
+        z = rng.randint(2, 10)
+        keys = [f"e{i}" for i in range(1, z + 1)]
+        rng.shuffle(keys)
+        blocks = []
+        start = 0
+        while start < len(keys):
+            width = rng.randint(1, len(keys) - start)
+            blocks.append(keys[start : start + width])
+            start += width
+        intent = WeakOrder.of(*blocks)
+        bias = BiasFunction(
+            {k: Fraction(rng.randint(0, 30), 10) for k in keys}
+        )
+        query = build_delta_query(intent, bias, z)
+        assert query.satisfied_by(intent)
 
 
 # --------------------------------------------------------------------------- #

@@ -19,7 +19,12 @@ from coiquery import (
     gsd_values,
     pairwise_indifference,
 )
-from oracles import closed_form_gap_shift, trust_baseline_flags
+from coiquery.trust import _floor_pivot, _threshold_numerators
+from oracles import (
+    closed_form_gap_shift,
+    trust_baseline_flags,
+    trust_witness_oracle,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -115,6 +120,41 @@ def test_feasible_entries_follow_the_strict_window_rule():
                 assert entry.bias_low < entry.bias_high
 
 
+def _forward_differences(z, d):
+    """Cross-multiplied forward differences of gap, shift and gap - shift.
+
+    Each is positive exactly when the quantity increases from d to d + 1.
+    """
+    gap, shift, scale = _threshold_numerators(z, d)
+    gap_next, shift_next, scale_next = _threshold_numerators(z, d + 1)
+    return (
+        gap_next * scale - gap * scale_next,
+        shift_next * scale - shift * scale_next,
+        (gap_next - shift_next) * scale - (gap - shift) * scale_next,
+    )
+
+
+def test_forward_differences_have_nonnegative_coefficients():
+    sympy = pytest.importorskip("sympy")
+    u, t = sympy.symbols("u t")
+    d = 1 + u
+    for difference, sign in zip(_forward_differences(d + 2 + t, d), (1, -1, 1)):
+        poly = sympy.Poly(sympy.expand(sign * difference), u, t)
+        assert all(coefficient >= 0 for coefficient in poly.coeffs())
+        assert poly.coeff_monomial(1) > 0
+
+
+def test_monotonicity_facts_hold_on_sampled_large_universes():
+    rng = random.Random(29)
+    for _ in range(200):
+        z = rng.randint(3, 10**12)
+        for d in {1, z - 2, rng.randint(1, z - 2), rng.randint(1, min(z - 2, 10**4))}:
+            gap_up, shift_up, excess_up = _forward_differences(z, d)
+            assert gap_up > 0
+            assert shift_up <= 0
+            assert excess_up > 0
+
+
 # --------------------------------------------------------------------------- #
 # The trust filter
 # --------------------------------------------------------------------------- #
@@ -202,6 +242,30 @@ def test_scan_and_indexed_strategies_partition_identically():
         indexed = detect_trustworthy(beta, ctx, strategy="indexed")
         assert scan.trustworthy == indexed.trustworthy
         assert set(scan.flagged) == set(indexed.flagged)
+
+
+def test_indexed_witness_matches_the_scan_oracle_exactly():
+    rng = random.Random(23)
+    universes = [2, 3, 4, 10, 97, 4096, 4097, 20_000]
+    universes += [rng.randint(5, 4096) for _ in range(4)]
+    universes += [rng.randint(4098, 19_999) for _ in range(2)]
+    searched = 0
+    for z in universes:
+        high = Fraction(rng.choice([3, max(1, 3 * z // 10)]))
+        keys = [f"e{i}" for i in range(1, 9)]
+        entries = {k: Fraction(rng.randint(0, int(high) * 10), 10) for k in keys[:4]}
+        # Keys without an entry take a default above the range, so some
+        # need a gap past the pivot's and exercise the per-key search.
+        default = high + Fraction(rng.randint(1, 10 * z), 20)
+        bias = BiasFunction(entries, default=default, lower=Fraction(0), upper=high)
+        ctx = UtilityContext(z, z, bias)
+        report = detect_trustworthy(WeakOrder.total(keys), ctx, strategy="indexed")
+        for key in keys:
+            expected = trust_witness_oracle(bias(key), z, Fraction(0), high)
+            assert report.flagged.get(key) == ((expected,) if expected else None)
+            assert (key in report.trustworthy) == (expected is None)
+            searched += expected is not None and bias(key) - high >= _floor_pivot(z).gap
+    assert searched > 0
 
 
 def test_report_partitions_the_returned_keys():
