@@ -49,7 +49,6 @@ import logging
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -59,6 +58,7 @@ from .core import (
     AttributeDomain,
     BiasFunction,
     ConfigurationError,
+    InfeasibleQueryError,
     QueryAnalysisError,
     RankDomain,
     WeakOrder,
@@ -83,8 +83,6 @@ from .trust import detect_trustworthy, gsd_values
 from .utility import UtilityContext, UtilityKind
 
 __all__ = ["AnalysisConfig", "load_config", "main", "run_command"]
-
-logger = logging.getLogger("coiquery.cli")
 
 
 # --------------------------------------------------------------------------- #
@@ -149,6 +147,17 @@ def _parse_kind(data: dict, key: str, fallback: UtilityKind) -> UtilityKind:
         raise ConfigurationError(f"unknown utility kind {raw!r}") from exc
 
 
+def _integer(
+    data: dict, key: str, default: int | None = None, name: str = ""
+) -> int | None:
+    """``data.get(key, default)`` if it is an int (not a bool), or None
+    with a None default (an optional setting); else a ConfigurationError."""
+    value = data.get(key, default)
+    if type(value) is int or (value is None and default is None):
+        return value
+    raise ConfigurationError(f"{name or key} must be an integer, got {value!r}")
+
+
 def load_config(path: str) -> AnalysisConfig:
     """Parse and validate a configuration file (shape in module docs)."""
     data = _read_json(path)
@@ -168,7 +177,7 @@ def load_config(path: str) -> AnalysisConfig:
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"malformed attribute entry: {exc}") from exc
 
-    universe_size = data.get("z")
+    universe_size = _integer(data, "z")
     if universe_size is None:
         if domain is None:
             raise ConfigurationError("config needs either z or attributes")
@@ -196,22 +205,23 @@ def load_config(path: str) -> AnalysisConfig:
     limits = data.get("limits", {})
     if not isinstance(limits, dict):
         raise ConfigurationError("limits must be an object")
+    buckets = data.get("buckets", [])
+    if not isinstance(buckets, list):
+        raise ConfigurationError("buckets must be a list")
     return AnalysisConfig(
-        universe_size=int(universe_size),
-        top_k=int(data.get("k", universe_size)),
+        universe_size=universe_size,
+        top_k=_integer(data, "k", universe_size),
         bias=bias,
-        omitted_rank=data.get("omitted_rank"),
+        omitted_rank=_integer(data, "omitted_rank"),
         kind_user=_parse_kind(data, "kind_user", UtilityKind.QUADRATIC_USER),
         kind_source=_parse_kind(
             data, "kind_source", UtilityKind.QUADRATIC_SOURCE_BIASED
         ),
-        seed=int(data.get("seed", 0)),
-        enumeration_limit=int(limits.get("enumeration", 12)),
-        merge_brute_limit=int(limits.get("merge_brute", 14)),
+        seed=_integer(data, "seed", 0),
+        enumeration_limit=_integer(limits, "enumeration", 12, "limits.enumeration"),
+        merge_brute_limit=_integer(limits, "merge_brute", 14, "limits.merge_brute"),
         domain=domain,
-        buckets=tuple(
-            BucketSpec.from_jsonable(b) for b in data.get("buckets", ())
-        ),
+        buckets=tuple(BucketSpec.from_jsonable(b) for b in buckets),
     )
 
 
@@ -290,8 +300,6 @@ def _cmd_equilibrium(args: argparse.Namespace) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> str:
-    if args.jobs and args.jobs > 1:
-        logger.info("bench always runs sequentially for timing fidelity")
     sizes = None
     if args.m:
         try:
@@ -426,8 +434,16 @@ def _check_query_soundness(seed: int) -> list[str]:
         query = build_delta_query(intent, bias, size)
         if not query.satisfied_by(intent):
             problems.append(f"delta query unsatisfied by its intent, trial {trial}")
-        elif not query.satisfied_by(base_query(query)):
-            problems.append(f"base ranking violates its query, trial {trial}")
+            continue
+        try:
+            if not query.satisfied_by(base_query(query)):
+                problems.append(f"base ranking violates its query, trial {trial}")
+        except InfeasibleQueryError as exc:
+            biases = {key: str(bias(key)) for key in sorted(keys)}
+            problems.append(
+                f"no base ranking for trial {trial} ({exc}): intent "
+                f"{intent.as_lists()}, biases {biases}, z={size}"
+            )
     return problems
 
 
@@ -473,16 +489,8 @@ _VERIFY_CHECKS: tuple[tuple[str, Callable[[int], list[str]]], ...] = (
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    seed = args.seed
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(lambda item: item[1](seed), _VERIFY_CHECKS))
-    else:
-        outcomes = [check(seed) for _, check in _VERIFY_CHECKS]
-    checks = {
-        name: {"ok": not problems, "disagreements": problems}
-        for (name, _), problems in zip(_VERIFY_CHECKS, outcomes)
-    }
+    outcomes = {name: check(args.seed) for name, check in _VERIFY_CHECKS}
+    checks = {name: {"ok": not p, "disagreements": p} for name, p in outcomes.items()}
     all_ok = all(entry["ok"] for entry in checks.values())
     return {"checks": checks, "ok": all_ok}, 0 if all_ok else 1
 
@@ -531,12 +539,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--runs", type=int, default=5)
     bench.add_argument("--top-k", type=int, default=80, dest="top_k")
     bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--output")
 
     verify = commands.add_parser("verify", help="run oracle cross-checks")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--output")
 
     return parser

@@ -5,7 +5,11 @@ order inside the run from the source; the source then best-responds to
 the run's posterior mean instead of each position.  Because the
 expected user utility of a merged run depends only on the run itself,
 the best merge reformulation decomposes over interval partitions and a
-quadratic-time dynamic program finds it exactly.
+quadratic-time dynamic program finds it exactly.  The DP reads one
+integer table holding twelve times every interval score, for all four
+user/source utility pairs and any base; ``interval_score`` is the
+exact-rational reference for one interval, used by the brute-force
+oracle and the tests.
 
 The module also provides the super-rank relation (the partial order of
 admissible reformulations: coarsen ties, never reverse order, append
@@ -26,7 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from operator import add
+from typing import NamedTuple
 
 from .core import DomainError, Key, WeakOrder
 from .influence import base_query, build_delta_query
@@ -224,88 +229,93 @@ def interval_score(
     return total
 
 
-def _run_dp(
-    block_count: int, score: Callable[[int, int], object]
-) -> tuple[object, list[tuple[int, int]]]:
-    """Interval-partition DP; ties prefer the larger interval start."""
-    best: list = [0] * (block_count + 1)
-    parent = [0] * (block_count + 1)
-    for j in range(1, block_count + 1):
-        top = None
-        arg = j
-        for i in range(j, 0, -1):  # descending: first strict max keeps largest i
-            value = best[i - 1] + score(i, j)
-            if top is None or value > top:
-                top = value
-                arg = i
+def _run_dp(table: list[int], stride: int) -> tuple[int, list[tuple[int, int]]]:
+    """Interval-partition DP over a flat score table (cell i, j at
+    ``i * stride + j``); ties prefer the larger interval start."""
+    best = [0] * stride
+    parent = [0] * stride
+    for j in range(1, stride):
+        # best[i - 1] + score(i, j) for i = 1..j; the strided slice is column j.
+        values = list(map(add, best, table[stride + j : j * stride + j + 1 : stride]))
+        top = max(values)
         best[j] = top
-        parent[j] = arg
+        parent[j] = j - values[::-1].index(top)  # largest i reaching the max
     intervals = []
-    j = block_count
+    j = stride - 1
     while j >= 1:
         i = parent[j]
         intervals.append((i, j))
         j = i - 1
     intervals.reverse()
-    return best[block_count], intervals
+    return best[-1], intervals
 
 
-def _quadratic_score12_table(base: WeakOrder, ctx: UtilityContext) -> list[int]:
-    """All interval scores times 12, as integers, for a total-order base.
+def _score12_table(base: WeakOrder, ctx: UtilityContext) -> list[int]:
+    """Every interval score times 12, as integers, at ``i * (blocks + 1) + j``.
 
-    Twelve times the block expected utility of one tuple is
-    ``-(n^2 - 1) - 3 (i + j - 2 rank)^2`` for span i..j of width n and
-    assigned rank ``rank``; the assigned rank depends only on the
-    tuple's bias and the span midpoint, so one pass per diagonal
-    (constant i + j) with a prefix sum yields every interval in O(1).
+    A member's per-tuple value depends only on the merged span's doubled
+    midpoint ``s = low + high``, its width ``n`` and the member's own
+    bias.  Twelve times it is ``-(n^2 - 1) - 3 (s - 2 r)^2`` under the
+    quadratic user utility and ``-6 s r`` under the product one, where
+    ``r`` is the response: the assigned rank, or the omitted rank past
+    top-k.  So one pass over the positions per ``s``, with a prefix sum,
+    yields every interval with that ``s`` in O(1); intervals are found
+    through position -> starting / ending block lookups.  The assigned
+    rank mirrors ``posterior._assigned_rank`` in cross-multiplied
+    integers, which ``interval_score`` (the exact reference) checks.
     """
-    keys = [block[0] for block in base.blocks]
+    keys = [key for block in base.blocks for key in block]
     size = len(keys)
+    stride = len(base.blocks) + 1
+    starts = [0] * (size + 1)  # position -> block starting there, else 0
+    ends = [0] * (size + 1)  # position -> block ending there, else 0
+    for index, (low, high) in enumerate(_position_spans(base), 1):
+        starts[low] = index
+        ends[high] = index
     z = ctx.universe_size
     top_k = ctx.top_k
     omitted = ctx.omitted_rank
-    bias_num = []
-    bias_den = []
-    for key in keys:
-        value = ctx.bias(key)
-        bias_num.append(value.numerator)
-        bias_den.append(value.denominator)
-    table = [0] * ((size + 1) * (size + 1))
+    quadratic_user = ctx.kind_user is UtilityKind.QUADRATIC_USER
+    quadratic_source = ctx.kind_source is UtilityKind.QUADRATIC_SOURCE_BIASED
+    # (2 * numerator, denominator) of each position's bias
+    biases = [(2 * b.numerator, b.denominator) for b in map(ctx.bias, keys)]
+    table = [0] * (stride * stride)
     prefix = [0] * (size + 1)
-    for diagonal in range(2, 2 * size + 1):
-        for p in range(1, size + 1):
-            bn, bd = bias_num[p - 1], bias_den[p - 1]
-            # Assigned rank: project (diagonal/2 - bias) onto 1..z with
-            # the user-favorable tie rule, all cross-multiplied.
-            tn = diagonal * bd - 2 * bn
-            td = 2 * bd
-            floor = tn // td
-            low = 1 if floor < 1 else z if floor > z else floor
-            cand = floor + 1
-            high = 1 if cand < 1 else z if cand > z else cand
-            if low == high:
-                rank = low
-            else:
-                low_err = abs(low * td - tn)
-                high_err = abs(high * td - tn)
-                if low_err < high_err:
-                    rank = low
-                elif high_err < low_err:
-                    rank = high
-                elif abs(2 * low - diagonal) <= abs(2 * high - diagonal):
-                    rank = low
+    for s in range(2, 2 * size + 1):
+        # An indifferent product source defers to the user: rank 1 under a
+        # product user, else s/2 projected onto 1..z (lower on a tie).
+        indifferent = min(s // 2, z) if quadratic_user else 1
+        total = 0
+        for p, (bias2, den) in enumerate(biases, 1):
+            tn = s * den - bias2  # target s/2 - bias, over 2 * den
+            if quadratic_source:
+                # Project onto 1..z: nearest rank, then nearest to s/2, then lower.
+                floor, rem = divmod(tn, 2 * den)
+                if floor < 1:
+                    rank = 1
+                elif floor >= z:
+                    rank = z
+                elif rem < den or (rem == den and s <= 2 * floor + 1):
+                    rank = floor
                 else:
-                    rank = high
-            response = rank if rank <= top_k else omitted
-            gap = diagonal - 2 * response
-            prefix[p] = prefix[p - 1] + 3 * gap * gap
-        start_low = max(1, diagonal - size)
-        for i in range(start_low, diagonal // 2 + 1):
-            j = diagonal - i
-            width = j - i + 1
-            table[i * (size + 1) + j] = -width * (width * width - 1) - (
-                prefix[j] - prefix[i - 1]
-            )
+                    rank = floor + 1
+            else:
+                rank = z if tn > 0 else 1 if tn < 0 else indifferent
+            if rank > top_k:
+                rank = omitted
+            if quadratic_user:
+                gap = s - 2 * rank
+                total += 3 * gap * gap
+            else:
+                total += 6 * s * rank
+            prefix[p] = total
+        for low in range(max(1, s - size), s // 2 + 1):
+            i = starts[low]
+            j = ends[s - low]
+            if i and j:
+                width = s - 2 * low + 1
+                cubic = width * (width * width - 1) if quadratic_user else 0
+                table[i * stride + j] = -cubic - (prefix[s - low] - prefix[low - 1])
     return table
 
 
@@ -317,7 +327,9 @@ def _resolve_base(
     return base_query(build_delta_query(intent, ctx.bias, ctx.universe_size))
 
 
-def _assemble(base: WeakOrder, intervals: list[tuple[int, int]], opt) -> MergeResult:
+def _assemble(
+    base: WeakOrder, intervals: list[tuple[int, int]], opt: Fraction
+) -> MergeResult:
     blocks = []
     for start, end in intervals:
         merged: tuple[Key, ...] = ()
@@ -327,7 +339,7 @@ def _assemble(base: WeakOrder, intervals: list[tuple[int, int]], opt) -> MergeRe
     return MergeResult(
         WeakOrder(tuple(blocks)),
         IntervalPartition(tuple(intervals)),
-        opt if isinstance(opt, Fraction) else Fraction(opt),
+        opt,
     )
 
 
@@ -338,38 +350,19 @@ def maximize_merge_dp(
 
     When no base is supplied it is derived from the intent via the
     constraint-query pipeline (which reduces to the intent's own order
-    under equal biases).  Quadratic utility pairs on a total-order base
-    take an integer fast path; anything else scores intervals in exact
-    rational arithmetic.  Equal-value splits keep the larger interval
-    start, so zero-gain merges are never introduced.
+    under equal biases).  Every utility pair and base shape is scored
+    by one integer table of twelve times each interval score
+    (``_score12_table``), O(m^2) to fill and O(m^2) to solve.
+    Equal-value splits keep the larger interval start, so zero-gain
+    merges are never introduced.
     """
     resolved = _resolve_base(intent, ctx, base)
-    block_count = len(resolved.blocks)
-    if block_count == 0:
+    if not resolved.blocks:
         raise DomainError("base ranking is empty")
-    fast = (
-        ctx.kind_user is UtilityKind.QUADRATIC_USER
-        and ctx.kind_source is UtilityKind.QUADRATIC_SOURCE_BIASED
-        and all(len(block) == 1 for block in resolved.blocks)
+    opt12, intervals = _run_dp(
+        _score12_table(resolved, ctx), len(resolved.blocks) + 1
     )
-    if fast:
-        table = _quadratic_score12_table(resolved, ctx)
-        stride = block_count + 1
-        opt12, intervals = _run_dp(
-            block_count, lambda i, j: table[i * stride + j]
-        )
-        return _assemble(resolved, intervals, Fraction(opt12, 12))
-    cache: dict[tuple[int, int], Fraction] = {}
-
-    def score(i: int, j: int) -> Fraction:
-        found = cache.get((i, j))
-        if found is None:
-            found = interval_score(i, j, ctx, resolved)
-            cache[(i, j)] = found
-        return found
-
-    opt, intervals = _run_dp(block_count, score)
-    return _assemble(resolved, intervals, opt)
+    return _assemble(resolved, intervals, Fraction(opt12, 12))
 
 
 def brute_force_merge_opt(
@@ -381,8 +374,8 @@ def brute_force_merge_opt(
 ) -> MergeResult:
     """Enumeration oracle: score all 2^(m-1) contiguous partitions.
 
-    Scores come from the exact rational path regardless of utility
-    kind, making this independent of the DP's integer fast path.  The
+    Scores come from ``interval_score`` in exact rational arithmetic,
+    making this independent of the DP's integer score table.  The
     tie rule matches the DP: among equal-value partitions the sequence
     of interval starts, read from the last interval backward, is
     lexicographically largest.

@@ -287,6 +287,38 @@ def test_configuration_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"z": "abc"},
+        {"z": 4, "k": "x"},
+        {"z": 4, "buckets": 5},
+        {"z": 4, "omitted_rank": "x"},
+        {"z": 4, "limits": {"enumeration": "x"}},
+        {"z": True},
+    ],
+)
+def test_malformed_config_values_exit_two(tmp_path, capsys, document):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    beta = _write_order(tmp_path, "beta.json", [["a"]])
+    code = run_command(["trust", "--config", str(config), "--beta", str(beta)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "configuration error" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_verify_reports_a_query_without_base_ranking(capsys):
+    # Trial 3 of seed 3 is a tied intent whose delta query no total order meets.
+    code = run_command(["verify", "--seed", "3"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    problems = report["checks"]["query_soundness"]["disagreements"]
+    assert any("for trial 3 (" in problem for problem in problems)
+
+
 def test_analysis_errors_exit_one(tmp_path, capsys):
     intents = [f"t{i}" for i in range(7)]
     queries = [f"q{i}" for i in range(10)]

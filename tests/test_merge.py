@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,7 +22,7 @@ from coiquery import (
     is_super_rank,
     maximize_merge_dp,
 )
-from coiquery.merge import _quadratic_score12_table
+from coiquery.merge import _score12_table
 from oracles import brute_block_utility, iter_coarsenings, iter_weak_orders
 
 
@@ -296,28 +297,51 @@ def test_dp_never_loses_to_the_identity_partition():
         assert result.opt_value >= identity
 
 
+_USER_KINDS = (UtilityKind.QUADRATIC_USER, UtilityKind.PRODUCT_USER)
+_SOURCE_KINDS = (
+    UtilityKind.QUADRATIC_SOURCE_BIASED,
+    UtilityKind.PRODUCT_SOURCE_BIASED,
+)
+
+
+def _random_instance(rng, kind_user, kind_source, max_size):
+    """A random base (each key ties with the one before it w.p. 0.3) and context.
+
+    Bias denominators of 1 and 2 put span midpoints exactly on a bias,
+    which reaches the indifferent branch of a product source.
+    """
+    size = rng.randint(1, max_size)
+    keys = [f"e{i}" for i in range(1, size + 1)]
+    blocks: list[list[str]] = []
+    for key in keys:
+        if blocks and rng.random() < 0.3:
+            blocks[-1].append(key)
+        else:
+            blocks.append([key])
+    denominator = rng.choice((1, 2, 10))
+    bias = BiasFunction(
+        {
+            k: Fraction(rng.randint(-denominator, 2 * size * denominator), denominator)
+            for k in keys
+        }
+    )
+    z = rng.randint(size, size + 2)
+    ctx = UtilityContext(
+        z,
+        rng.randint(1, z),
+        bias,
+        kind_user=kind_user,
+        kind_source=kind_source,
+    )
+    return WeakOrder.of(*blocks), ctx
+
+
 def test_dp_matches_brute_force_on_random_instances():
     rng = random.Random(43)
-    for _ in range(30):
-        size = rng.randint(2, 8)
-        keys = [f"e{i}" for i in range(1, size + 1)]
-        intent = WeakOrder.total(keys)
-        if rng.random() < 0.5:
-            ctx = _quad_ctx(
-                {k: Fraction(rng.randint(-25, 25), 10) for k in keys}, z=size
-            )
-        else:
-            ctx = UtilityContext(
-                size,
-                max(1, size - 1),
-                BiasFunction(
-                    {k: Fraction(rng.randint(0, 25), 10) for k in keys}
-                ),
-                kind_user=UtilityKind.PRODUCT_USER,
-                kind_source=UtilityKind.PRODUCT_SOURCE_BIASED,
-            )
-        dp = maximize_merge_dp(intent, ctx, base=intent)
-        brute = brute_force_merge_opt(intent, ctx, base=intent)
+    for kind_user, kind_source, _ in product(_USER_KINDS, _SOURCE_KINDS, range(25)):
+        base, ctx = _random_instance(rng, kind_user, kind_source, 8)
+        dp = maximize_merge_dp(base, ctx, base=base)
+        brute = brute_force_merge_opt(base, ctx, base=base)
         assert dp.opt_value == brute.opt_value
         assert dp.partition.intervals == brute.partition.intervals
 
@@ -331,21 +355,14 @@ def test_dp_handles_tied_base_blocks():
     assert dp.partition.intervals == brute.partition.intervals
 
 
-def test_fast_integer_path_reproduces_exact_interval_scores():
+def test_integer_table_reproduces_exact_interval_scores():
     rng = random.Random(53)
-    for _ in range(25):
-        size = rng.randint(1, 10)
-        keys = [f"e{i}" for i in range(1, size + 1)]
-        base = WeakOrder.total(keys)
-        ctx = _quad_ctx(
-            {k: Fraction(rng.randint(-30, 30), 10) for k in keys},
-            z=size,
-            top_k=rng.randint(1, size),
-        )
-        table = _quadratic_score12_table(base, ctx)
-        stride = size + 1
-        for start in range(1, size + 1):
-            for end in range(start, size + 1):
+    for kind_user, kind_source, _ in product(_USER_KINDS, _SOURCE_KINDS, range(60)):
+        base, ctx = _random_instance(rng, kind_user, kind_source, 10)
+        table = _score12_table(base, ctx)
+        stride = len(base.blocks) + 1
+        for start in range(1, stride):
+            for end in range(start, stride):
                 assert Fraction(table[start * stride + end], 12) == interval_score(
                     start, end, ctx, base
                 )
