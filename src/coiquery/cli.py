@@ -7,8 +7,8 @@ influence    build the difference-constraint query for an intent, with
              its base ranking and ranking-set classification
 maximize     run the merge dynamic program (optionally against the
              brute-force oracle)
-equilibrium  analyze a finite game: witness search plus exhaustive
-             pure-equilibrium enumeration
+equilibrium  analyze a finite game: witness search plus every
+             pure equilibrium, found among the source's best replies
 bench        timing sweeps (trust filter or merge DP) as CSV
 verify       reduced oracle cross-checks; nonzero exit on disagreement
 
@@ -43,6 +43,7 @@ explicit ``bias`` object takes precedence over rules.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import logging
@@ -500,7 +501,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 # --------------------------------------------------------------------------- #
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="coiquery",
         description="Conflict-of-interest query analyses over ranked results.",

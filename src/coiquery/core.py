@@ -90,7 +90,7 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     """
     try:
         return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigurationError(f"not a rational value: {value!r}") from exc
 
 

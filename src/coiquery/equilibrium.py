@@ -5,8 +5,11 @@ submits a query, and the source answers with an interpretation.  This
 module builds small explicit games (notably the two-intent commission
 game), searches for the aligned-preference witness that characterizes
 influential communication between set-equivalent intents, enumerates
-all pure-strategy equilibria by brute force, and classifies each as
-non-influential, influential, or fully influential.
+all pure-strategy equilibria, and classifies each as non-influential,
+influential, or fully influential.  The enumeration visits only the
+source's best replies to each user strategy, found once per set of
+intents sharing a query; every source map that is not a best reply
+fails the source's condition anyway.
 
 Conventions
 -----------
@@ -152,18 +155,35 @@ class FiniteGame:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> FiniteGame:
+        """Parse a game document, rejecting what :meth:`as_jsonable` never writes.
+
+        Labels must be lists of strings, payoffs lists of rows and the
+        prior a list, with numbers or decimal strings as entries (never
+        booleans), and ``set_equivalent`` a JSON boolean.
+        """
         try:
-            return cls.build(
-                [str(x) for x in data["intents"]],
-                [str(x) for x in data["queries"]],
-                [str(x) for x in data["interpretations"]],
-                data["payoff_user"],
-                data["payoff_source"],
-                data["prior"],
-                bool(data.get("set_equivalent", False)),
-            )
+            labels = [data["intents"], data["queries"], data["interpretations"]]
+            matrices = [data["payoff_user"], data["payoff_source"]]
+            prior = data["prior"]
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"malformed game document: {exc}") from exc
+        if not all(
+            isinstance(values, list) and all(isinstance(x, str) for x in values)
+            for values in labels
+        ):
+            raise ConfigurationError("game labels must be lists of strings")
+        if not isinstance(prior, list) or not all(
+            isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            for rows in matrices
+        ):
+            raise ConfigurationError("payoffs must be lists of rows, the prior a list")
+        entries = itertools.chain(prior, *matrices[0], *matrices[1])
+        if any(isinstance(x, bool) for x in entries):
+            raise ConfigurationError("payoff and prior entries must be numbers")
+        set_equivalent = data.get("set_equivalent", False)
+        if not isinstance(set_equivalent, bool):
+            raise ConfigurationError("set_equivalent must be true or false")
+        return cls.build(*labels, *matrices, prior, set_equivalent)
 
 
 def commission_game(commission, loss) -> FiniteGame:
@@ -278,6 +298,19 @@ def _validate_pair(pair: StrategyPair, game: FiniteGame) -> None:
         raise ConfigurationError("source strategy plays an unknown interpretation")
 
 
+def _best_replies(game: FiniteGame, belief: Mapping[str, Fraction]) -> tuple[str, ...]:
+    """Interpretations maximizing the source's expected payoff, in label order."""
+    value = {
+        b: sum(
+            (belief[t] * game.source_payoff(t, b) for t in game.intents),
+            start=Fraction(0),
+        )
+        for b in game.interpretations
+    }
+    best = max(value.values())
+    return tuple(b for b in game.interpretations if value[b] == best)
+
+
 def _is_equilibrium(pair: StrategyPair, game: FiniteGame) -> bool:
     for intent in game.intents:
         achieved = game.user_payoff(intent, pair.source[pair.user[intent]])
@@ -286,27 +319,11 @@ def _is_equilibrium(pair: StrategyPair, game: FiniteGame) -> bool:
             for alternative in game.queries
         ):
             return False
-    for query in game.queries:
-        posterior = bayes_posterior(game, pair.user, query)
-        chosen = pair.source[query]
-        achieved = sum(
-            (
-                posterior[intent] * game.source_payoff(intent, chosen)
-                for intent in game.intents
-            ),
-            start=Fraction(0),
-        )
-        for alternative in game.interpretations:
-            value = sum(
-                (
-                    posterior[intent] * game.source_payoff(intent, alternative)
-                    for intent in game.intents
-                ),
-                start=Fraction(0),
-            )
-            if value > achieved:
-                return False
-    return True
+    return all(
+        pair.source[query]
+        in _best_replies(game, bayes_posterior(game, pair.user, query))
+        for query in game.queries
+    )
 
 
 def classify_equilibrium(
@@ -326,6 +343,15 @@ def classify_equilibrium(
     _validate_pair(pair, game)
     if not _is_equilibrium(pair, game):
         raise DomainError("strategy pair is not an equilibrium of the game")
+    return _classify(pair, game, rankings)
+
+
+def _classify(
+    pair: StrategyPair,
+    game: FiniteGame,
+    rankings: Mapping[str, WeakOrder] | None,
+) -> EquilibriumClass:
+    """:func:`classify_equilibrium` for a pair already known to be an equilibrium."""
     on_path = {
         intent: pair.source[pair.user[intent]] for intent in game.intents
     }
@@ -350,10 +376,21 @@ def enumerate_pure_equilibria(
 ) -> list[ClassifiedEquilibrium]:
     """All pure-strategy equilibria, classified, in deterministic order.
 
-    Iterates every pure profile (user maps in query-label order crossed
-    with source maps in interpretation-label order) and keeps the ones
-    passing both best-response checks.  Refuses games whose profile
-    space exceeds a million.
+    The order is that of every pure profile: user maps in query-label
+    order, each crossed with source maps in interpretation-label order.
+    Only the source's best replies are visited, though.  Under a fixed
+    user strategy the posterior at a query depends only on the set of
+    intents sending it, so the best replies at a query are computed
+    once per sender set (at most 2^|T| per call, exact) and the source
+    maps searched are the product of the per-query best sets, each in
+    label order -- a subsequence of the full product in the same order.
+    A profile is kept when no intent gains by switching queries.
+
+    Cost: |Q|^|T| user maps times the number of best-reply profiles of
+    each, plus one best-set evaluation per sender set.  A source that is
+    indifferent everywhere makes every profile a candidate, so the worst
+    case is still the full |Q|^|T|·|B|^|Q|; games whose profile count
+    exceeds a million are refused for that reason.
     """
     profile_count = len(game.queries) ** len(game.intents) * len(
         game.interpretations
@@ -362,17 +399,38 @@ def enumerate_pure_equilibria(
         raise DomainError(
             f"{profile_count} pure profiles exceed the enumeration cap"
         )
+    slot = {query: index for index, query in enumerate(game.queries)}
+    # Per intent, each interpretation's user payoff as its dense rank:
+    # the deviation check compares one intent's payoffs only.
+    user_rank = []
+    for intent in game.intents:
+        levels = sorted({game.user_payoff(intent, b) for b in game.interpretations})
+        user_rank.append(
+            {b: levels.index(game.user_payoff(intent, b)) for b in game.interpretations}
+        )
+    best_by_senders: dict[int, tuple[str, ...]] = {}
     found: list[ClassifiedEquilibrium] = []
     for user_choice in itertools.product(game.queries, repeat=len(game.intents)):
         user = dict(zip(game.intents, user_choice))
-        for source_choice in itertools.product(
-            game.interpretations, repeat=len(game.queries)
-        ):
-            pair = StrategyPair(user, dict(zip(game.queries, source_choice)))
-            if _is_equilibrium(pair, game):
+        sent = [slot[query] for query in user_choice]
+        senders = [0] * len(game.queries)
+        for bit, index in enumerate(sent):
+            senders[index] |= 1 << bit
+        replies = []
+        for query, mask in zip(game.queries, senders):
+            if mask not in best_by_senders:
+                best_by_senders[mask] = _best_replies(
+                    game, bayes_posterior(game, user, query)
+                )
+            replies.append(best_by_senders[mask])
+        for source_choice in itertools.product(*replies):
+            if all(
+                ranks[source_choice[index]]
+                == max(map(ranks.__getitem__, source_choice))
+                for ranks, index in zip(user_rank, sent)
+            ):
+                pair = StrategyPair(user, dict(zip(game.queries, source_choice)))
                 found.append(
-                    ClassifiedEquilibrium(
-                        pair, classify_equilibrium(pair, game, rankings=rankings)
-                    )
+                    ClassifiedEquilibrium(pair, _classify(pair, game, rankings))
                 )
     return found

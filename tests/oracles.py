@@ -209,3 +209,107 @@ def has_intent_independent_response(z: int, bias_value) -> bool:
     """Whether one response is optimal no matter what the intent was."""
     sets = source_response_sets_over_intents(z, bias_value)
     return bool(frozenset.intersection(*sets))
+
+
+# --------------------------------------------------------------------------- #
+# Pure equilibria by brute force
+# --------------------------------------------------------------------------- #
+
+
+def pure_equilibria_oracle(game, rankings=None):
+    """Every pure profile of ``game`` checked longhand, in enumeration order.
+
+    User maps in query-label order, each crossed with every source map
+    in interpretation-label order; a profile is kept when no query's
+    answer can be improved under its posterior (the prior when its
+    senders carry no prior mass) and no intent gains by switching
+    queries.  Returns ``(user, source, classification value)`` triples.
+    """
+    found = []
+    for user_choice in itertools.product(game.queries, repeat=len(game.intents)):
+        user = dict(zip(game.intents, user_choice))
+        for source_choice in itertools.product(
+            game.interpretations, repeat=len(game.queries)
+        ):
+            source = dict(zip(game.queries, source_choice))
+            if _source_never_gains(game, user, source) and _user_never_gains(
+                game, user, source
+            ):
+                found.append(
+                    (user, source, _classification(game, user, source, rankings))
+                )
+    return found
+
+
+def _posterior(game, user, query):
+    senders = [t for t in game.intents if user[t] == query]
+    mass = sum((game.prior[t] for t in senders), Fraction(0))
+    if mass == 0:
+        return dict(game.prior)
+    return {
+        t: game.prior[t] / mass if t in senders else Fraction(0)
+        for t in game.intents
+    }
+
+
+def _source_never_gains(game, user, source):
+    for query in game.queries:
+        belief = _posterior(game, user, query)
+
+        def expected(interpretation):
+            total = Fraction(0)
+            for t in game.intents:
+                total += belief[t] * game.payoff_source[(t, interpretation)]
+            return total
+
+        chosen = expected(source[query])
+        for interpretation in game.interpretations:
+            if expected(interpretation) > chosen:
+                return False
+    return True
+
+
+def _user_never_gains(game, user, source):
+    for t in game.intents:
+        current = game.payoff_user[(t, source[user[t]])]
+        for query in game.queries:
+            if game.payoff_user[(t, source[query])] > current:
+                return False
+    return True
+
+
+def _classification(game, user, source, rankings):
+    responses = {t: source[user[t]] for t in game.intents}
+    if len(set(responses.values())) < 2:
+        return "NonInfluential"
+    if rankings is None:
+        return "Influential"
+    for t, response in responses.items():
+        if not _longhand_super_rank(rankings[t].blocks, rankings[response].blocks):
+            return "Influential"
+    return "FullyInfluential"
+
+
+def _longhand_super_rank(candidate_blocks, base_blocks):
+    """Super-rank test on raw blocks: base ties kept, order never reversed,
+    new keys strictly below every base key."""
+
+    def ranks(blocks):
+        table, position = {}, 1
+        for block in blocks:
+            for key in block:
+                table[key] = position
+            position += len(block)
+        return table
+
+    candidate, base = ranks(candidate_blocks), ranks(base_blocks)
+    if not set(base) <= set(candidate):
+        return False
+    for a in base:
+        for b in base:
+            if base[a] == base[b] and candidate[a] != candidate[b]:
+                return False
+            if base[a] < base[b] and candidate[a] > candidate[b]:
+                return False
+    deepest = max(candidate[key] for key in base)
+    return all(candidate[key] > deepest for key in set(candidate) - set(base))

@@ -319,6 +319,31 @@ def test_verify_reports_a_query_without_base_ranking(capsys):
     assert any("for trial 3 (" in problem for problem in problems)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"set_equivalent": "false"},
+        {"set_equivalent": 0},
+        {"intents": "ab"},
+        {"queries": [1, 2]},
+        {"prior": [True, 0]},
+        {"payoff_user": [[True, 0], [0, 2]]},
+        {"payoff_source": ["02", "20"]},
+        {"prior": [float("inf"), 0]},
+        {"interpretations": None},
+    ],
+)
+def test_malformed_game_values_exit_two(tmp_path, capsys, change):
+    document = dict(commission_game(1, 2).as_jsonable(), **change)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(document))
+    code = run_command(["equilibrium", "--game", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "configuration error" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_analysis_errors_exit_one(tmp_path, capsys):
     intents = [f"t{i}" for i in range(7)]
     queries = [f"q{i}" for i in range(10)]

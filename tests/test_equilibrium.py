@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import pure_equilibria_oracle
 
 from coiquery import (
     ConfigurationError,
@@ -218,6 +220,98 @@ def test_every_enumerated_profile_survives_longhand_deviation_checks():
         found = enumerate_pure_equilibria(game)
         for item in found:
             assert _is_equilibrium_longhand(item.pair, game)
+
+
+def _triples(found):
+    return [
+        (item.pair.user, item.pair.source, item.classification.value)
+        for item in found
+    ]
+
+
+def _random_game(rng, shape, variant):
+    """A random game of ``shape``; ``variant`` picks the payoff and prior kind.
+
+    ``integer``: payoffs in [-2, 2]; ``zero_prior``: the same, but the
+    first intent has no prior mass; ``fractional``: payoffs and priors in
+    thirds and sixths, so expected values tie; ``flat``: all payoffs
+    equal, so every profile is a candidate.
+    """
+    intents, queries, answers = shape
+    if variant == "fractional":
+        values = [Fraction(n, 6) for n in (-3, -2, 0, 2, 3)]
+    elif variant == "flat":
+        values = [Fraction(1, 3)]
+    else:
+        values = list(range(-2, 3))
+
+    def payoffs():
+        return [[rng.choice(values) for _ in range(answers)] for _ in range(intents)]
+
+    if variant == "fractional":
+        weights = [rng.choice((1, 2, 3)) for _ in range(intents)]
+    else:
+        low = 0 if variant == "zero_prior" else 1
+        weights = [rng.randint(low, 4) for _ in range(intents)]
+        if variant == "zero_prior":
+            weights[0] = 0
+            weights[-1] = max(weights[-1], 1)
+    total = sum(weights)
+    return FiniteGame.build(
+        [f"t{i}" for i in range(intents)],
+        [f"q{i}" for i in range(queries)],
+        [f"b{i}" for i in range(answers)],
+        payoffs(),
+        payoffs(),
+        [Fraction(w, total) for w in weights],
+    )
+
+
+_ORACLE_SHAPES = list(itertools.product((1, 2, 3), repeat=3)) + [
+    (4, 2, 2),
+    (2, 4, 2),
+    (2, 2, 4),
+    (4, 3, 2),
+    (3, 2, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "shape", _ORACLE_SHAPES, ids=lambda shape: "x".join(map(str, shape))
+)
+def test_enumeration_matches_the_brute_force_oracle(shape):
+    rng = random.Random("".join(map(str, shape)))
+    for variant in ("integer", "zero_prior", "fractional", "flat"):
+        for _ in range(3):
+            game = _random_game(rng, shape, variant)
+            assert _triples(enumerate_pure_equilibria(game)) == (
+                pure_equilibria_oracle(game)
+            ), (shape, variant)
+
+
+def test_enumeration_matches_the_oracle_with_rankings():
+    one, two = WeakOrder.total(["a", "b"]), WeakOrder.total(["b", "a"])
+    pool = [
+        one,
+        two,
+        WeakOrder.of(["a", "b"]),
+        WeakOrder.total(["a", "b", "c"]),
+        WeakOrder.of(["b"], ["a"], ["c"]),
+    ]
+    reflexive = {"tau": one, "tau_prime": two, "beta_prime": one, "beta": two}
+    cases = [(commission_game(1, 2), reflexive), (commission_game(0, 3), reflexive)]
+    rng = random.Random(67)
+    for shape, variant in [((2, 2, 3), "integer"), ((3, 3, 2), "zero_prior")] * 30:
+        game = _random_game(rng, shape, variant)
+        labels = game.intents + game.interpretations
+        cases.append((game, {label: rng.choice(pool) for label in labels}))
+    classes = set()
+    for game, rankings in cases:
+        expected = pure_equilibria_oracle(game, rankings)
+        found = enumerate_pure_equilibria(game, rankings=rankings)
+        assert _triples(found) == expected
+        classes.update(entry[2] for entry in expected)
+    assert classes == {"NonInfluential", "Influential", "FullyInfluential"}
 
 
 def test_classification_requires_an_equilibrium():
