@@ -379,17 +379,21 @@ def _check_dp_against_brute(seed: int) -> list[str]:
     return problems
 
 
-def _check_delta_star_strategies(seed: int) -> list[str]:
+def _check_delta_star(seed: int) -> list[str]:
     problems = []
     for z in (8, 32):
+        windows = [gsd_values(z, separation).gap for separation in range(1, z)]
         for quarter in range(-12, 13):
             gap = Fraction(quarter, 4)
-            binary = delta_star_for_gap(gap, z, strategy="binary")
-            linear = delta_star_for_gap(gap, z, strategy="linear")
-            if binary != linear:
+            solved = delta_star_for_gap(gap, z)
+            scanned = next(
+                (d for d, top in enumerate(windows, 1) if top - 1 < gap <= top),
+                None,
+            )
+            if solved != scanned:
                 problems.append(
-                    f"delta* strategy mismatch z={z} gap={gap}: "
-                    f"binary={binary} linear={linear}"
+                    f"delta* mismatch z={z} gap={gap}: "
+                    f"solved={solved} scanned={scanned}"
                 )
     return problems
 
@@ -482,7 +486,7 @@ _VERIFY_CHECKS: tuple[tuple[str, Callable[[int], list[str]]], ...] = (
     ("region_means", _check_region_means),
     ("gap_invariant", _check_gap_invariant),
     ("merge_dp", _check_dp_against_brute),
-    ("delta_star", _check_delta_star_strategies),
+    ("delta_star", _check_delta_star),
     ("trust_strategies", _check_trust_strategies),
     ("query_soundness", _check_query_soundness),
     ("equilibrium_iff", _check_equilibrium_iff),

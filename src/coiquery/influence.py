@@ -8,6 +8,14 @@ a conjunctive query guaranteed to hold on the intent, classifies the
 query's ranking set (empty, singleton, multiple), and picks the
 canonical base ranking used by the merge optimizer.
 
+The separation is solved in closed form: the gap threshold strictly
+increases in the separation (proven in :mod:`coiquery.trust`), so the
+covering separations are the run between two bisections over its
+integer numerators, O(log z) evaluations with no per-universe table.
+Caches live for one call only: :func:`build_delta_query` solves each
+distinct integer gap numerator once and shares one memo of threshold
+evaluations among those solves.
+
 Conventions
 -----------
 A constraint ``(subject, rival, min_gap)`` means
@@ -23,7 +31,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
@@ -60,131 +68,91 @@ logger = logging.getLogger(__name__)
 # --------------------------------------------------------------------------- #
 
 
-@lru_cache(maxsize=None)
-def _gap_kernel(universe_size: int) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    """Gap-threshold numerators and scales per separation, plus monotonicity."""
-    numerators: list[int] = []
-    scales: list[int] = []
-    for separation in range(1, universe_size):
-        gap, _, scale = _threshold_numerators(universe_size, separation)
-        numerators.append(gap)
-        scales.append(scale)
-    monotone = all(
-        numerators[i - 1] * scales[i] < numerators[i] * scales[i - 1]
-        for i in range(1, len(numerators))
-    )
-    return tuple(numerators), tuple(scales), monotone
+def _covering_separations(
+    universe_size: int, numerator: int, denominator: int, evaluated: dict
+) -> range:
+    """Separations covering the gap ``numerator / denominator``, ascending.
+
+    A separation covers ``x`` when ``threshold - 1 < x <= threshold``.
+    The threshold strictly increases in the separation (proven in the
+    :mod:`coiquery.trust` docstring), so these are the separations from
+    the first reaching ``x`` up to, excluding, the first reaching
+    ``x + 1``: two bisections over ``1..universe_size - 1``, each ending
+    at ``universe_size`` when nothing reaches its target.  ``evaluated``
+    memoizes ``separation -> (gap numerator, scale)``; the top midpoints
+    are the same for every gap, so a memo shared by the solves over one
+    universe turns most probes into lookups.
+    """
+    if universe_size < 2:
+        raise DomainError("separation solving needs a universe of size >= 2")
+    bounds = []
+    for target in (numerator, numerator + denominator):
+        lo, hi = 1, universe_size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            threshold = evaluated.get(mid)
+            if threshold is None:
+                gap, _, scale = _threshold_numerators(universe_size, mid)
+                threshold = evaluated[mid] = (gap, scale)
+            if threshold[0] * denominator >= target * threshold[1]:
+                hi = mid
+            else:
+                lo = mid + 1
+        bounds.append(lo)
+    return range(*bounds)
+
+
+def _smallest_covering(
+    universe_size: int, numerator: int, denominator: int, evaluated: dict
+) -> int | None:
+    """The least covering separation, with multiplicity logged at DEBUG."""
+    covering = _covering_separations(universe_size, numerator, denominator, evaluated)
+    if not covering:
+        return None
+    if len(covering) > 1 and logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "%d separations cover bias gap %s at universe size %d; "
+            "returning the smallest",
+            len(covering),
+            Fraction(numerator, denominator),
+            universe_size,
+        )
+    return covering[0]
 
 
 def delta_star_for_gap(
-    gap: int | float | str | Fraction,
-    universe_size: int,
-    strategy: str = "binary",
+    gap: int | float | str | Fraction, universe_size: int
 ) -> int | None:
     """Smallest separation whose threshold covers a given bias gap.
 
     Solves ``gap_threshold(separation) - 1 < gap <= gap_threshold``
     over separations ``1..universe_size - 1``; returns None when no
-    separation qualifies.  The binary strategy requires the gap
-    thresholds to be monotone (prechecked once per universe size and
-    cached) and falls back to the linear scan otherwise.  The covering
+    separation qualifies.  The threshold is evaluated in closed form
+    and strictly increases in the separation, so two bisections over
+    its integer numerators give the answer in O(log z) evaluations and
+    O(log z) memory, whatever the universe size.  The covering
     condition routinely holds for a run of consecutive separations;
     multiplicity is logged at DEBUG level and the full set is
     available from :func:`delta_star_solutions`.
     """
-    if universe_size < 2:
-        raise DomainError("separation solving needs a universe of size >= 2")
-    if strategy not in ("linear", "binary"):
-        raise ConfigurationError(f"unknown solving strategy: {strategy!r}")
     value = as_fraction(gap)
-    numerators, scales, monotone = _gap_kernel(universe_size)
-    qn, qd = value.numerator, value.denominator
-    if strategy == "binary" and not monotone:
-        logger.warning(
-            "gap thresholds not monotone at universe size %d; using linear scan",
-            universe_size,
-        )
-        strategy = "linear"
-    if strategy == "binary":
-        # First separation with threshold >= gap, then first with
-        # threshold >= gap + 1; the solutions are exactly the indices
-        # in between, so the width doubles as the multiplicity count.
-        first = _least_at_or_above(numerators, scales, qn, qd)
-        beyond = _least_at_or_above(numerators, scales, qn + qd, qd)
-        if first >= beyond:
-            return None
-        if beyond - first > 1:
-            logger.debug(
-                "%d separations cover bias gap %s at universe size %d; "
-                "returning the smallest",
-                beyond - first,
-                value,
-                universe_size,
-            )
-        return first + 1
-    solution: int | None = None
-    hits = 0
-    for i in range(len(numerators)):
-        scale = scales[i]
-        if (numerators[i] - scale) * qd < qn * scale <= numerators[i] * qd:
-            hits += 1
-            if solution is None:
-                solution = i + 1
-    if hits > 1:
-        logger.debug(
-            "%d separations cover bias gap %s at universe size %d; "
-            "returning the smallest",
-            hits,
-            value,
-            universe_size,
-        )
-    return solution
-
-
-def _least_at_or_above(
-    numerators: tuple[int, ...], scales: tuple[int, ...], qn: int, qd: int
-) -> int:
-    """First index whose threshold is >= qn/qd, assuming monotone thresholds."""
-    lo, hi = 0, len(numerators)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if numerators[mid] * qd >= qn * scales[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _smallest_covering(universe_size, value.numerator, value.denominator, {})
 
 
 def delta_star_solutions(
-    subject: Key,
-    rival: Key,
-    bias: BiasFunction,
-    universe_size: int,
+    subject: Key, rival: Key, bias: BiasFunction, universe_size: int
 ) -> tuple[int, ...]:
     """Every separation covering the pair's bias gap, ascending."""
-    if universe_size < 2:
-        raise DomainError("separation solving needs a universe of size >= 2")
     value = bias(subject) - bias(rival)
-    numerators, scales, _ = _gap_kernel(universe_size)
-    qn, qd = value.numerator, value.denominator
-    return tuple(
-        i + 1
-        for i in range(len(numerators))
-        if (numerators[i] - scales[i]) * qd < qn * scales[i] <= numerators[i] * qd
-    )
+    numerator, denominator = value.numerator, value.denominator
+    return tuple(_covering_separations(universe_size, numerator, denominator, {}))
 
 
 def delta_star(
-    subject: Key,
-    rival: Key,
-    bias: BiasFunction,
-    universe_size: int,
-    strategy: str = "binary",
+    subject: Key, rival: Key, bias: BiasFunction, universe_size: int
 ) -> int | None:
     """Separation protecting subject against rival's bias advantage."""
-    return delta_star_for_gap(
-        bias(subject) - bias(rival), universe_size, strategy
-    )
+    return delta_star_for_gap(bias(subject) - bias(rival), universe_size)
 
 
 # --------------------------------------------------------------------------- #
@@ -262,18 +230,17 @@ class DeltaQuery:
 
     @classmethod
     def from_jsonable(cls, data: dict, universe: Sequence[Key]) -> DeltaQuery:
-        if not isinstance(data, dict) or "constraints" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("constraints"), list):
             raise ConfigurationError("query document needs a 'constraints' list")
         constraints = []
         for item in data["constraints"]:
             try:
-                constraints.append(
-                    RelativeRankConstraint(
-                        str(item["e"]), str(item["eprime"]), int(item["delta"])
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                subject, rival, gap = item["e"], item["eprime"], item["delta"]
+            except (KeyError, TypeError) as exc:
                 raise ConfigurationError(f"bad constraint entry: {item!r}") from exc
+            if type(gap) is not int:  # not a bool, not a float
+                raise ConfigurationError(f"constraint delta not an integer: {gap!r}")
+            constraints.append(RelativeRankConstraint(str(subject), str(rival), gap))
         return cls(tuple(constraints), tuple(universe))
 
 
@@ -287,23 +254,44 @@ def build_delta_query(
     forward constraint is added when the intent already satisfies it,
     otherwise its complement — so the result always holds on the
     intent.  Tied pairs contribute nothing.
+
+    Each key's rank and bias are read once, and the biases are put over
+    their common denominator, so a pair's gap is an integer numerator.
+    The separation is solved once per distinct numerator, and all the
+    solves share one memo of threshold evaluations: a query over m keys
+    costs O(m²) integer work plus O(g log z) evaluations for g distinct
+    gaps, most of them memo hits.
     """
-    keys = list(intent.keys())
+    keys = intent.keys()
+    ranks = [intent.rank_of(key) for key in keys]
+    biases = [bias(key) for key in keys]
+    denominator = lcm(*(value.denominator for value in biases))
+    numerators = [
+        value.numerator * (denominator // value.denominator) for value in biases
+    ]
+    solved: dict[int, int | None] = {}
+    evaluated: dict[int, tuple[int, int]] = {}
     constraints: list[RelativeRankConstraint] = []
     for i, subject in enumerate(keys):
-        for rival in keys[i + 1 :]:
-            if intent.rank_of(subject) == intent.rank_of(rival):
+        rank, numerator = ranks[i], numerators[i]
+        for j in range(i + 1, len(keys)):
+            if ranks[j] == rank:
                 continue
-            separation = delta_star(subject, rival, bias, universe_size)
+            gap = numerator - numerators[j]
+            if gap in solved:
+                separation = solved[gap]
+            else:
+                separation = solved[gap] = _smallest_covering(
+                    universe_size, gap, denominator, evaluated
+                )
             if separation is None:
                 continue
-            forward = RelativeRankConstraint(subject, rival, separation)
             constraints.append(
-                forward
-                if forward.satisfied_by(intent)
-                else complement_constraint(forward)
+                RelativeRankConstraint(subject, keys[j], separation)
+                if ranks[j] - rank >= separation
+                else RelativeRankConstraint(keys[j], subject, 1 - separation)
             )
-    query = DeltaQuery(tuple(constraints), tuple(keys))
+    query = DeltaQuery(tuple(constraints), keys)
     assert query.satisfied_by(intent)
     return query
 
@@ -335,19 +323,25 @@ class RankingSetSummary(NamedTuple):
 def _position_windows(query: DeltaQuery) -> dict[Key, tuple[int, int]] | None:
     """Earliest/latest admissible position per key, or None if infeasible.
 
-    Longest-path relaxation over the constraint graph; a positive-gap
-    cycle never converges and proves infeasibility directly.
+    Longest-path relaxation over the constraint graph (Bellman–Ford,
+    CLRS §24.4); a positive-gap cycle never converges and proves
+    infeasibility directly.  ``earliest`` is pushed along constraint
+    order and ``latest`` against it, so a query built from an intent
+    whose constraints all point forward (each subject ahead of its
+    rival, as :func:`build_delta_query` emits them when no pair needs a
+    complement) settles in two passes.  Any edge order reaches the same
+    fixpoint, so the positive-cycle bound is unchanged.
     """
     size = len(query.universe)
     earliest = {key: 1 for key in query.universe}
     latest = {key: size for key in query.universe}
     for _ in range(size + 1):
         changed = False
-        for constraint in query.constraints:
-            subject, rival, gap = constraint
+        for subject, rival, gap in query.constraints:
             if earliest[subject] + gap > earliest[rival]:
                 earliest[rival] = earliest[subject] + gap
                 changed = True
+        for subject, rival, gap in reversed(query.constraints):
             if latest[rival] - gap < latest[subject]:
                 latest[subject] = latest[rival] - gap
                 changed = True

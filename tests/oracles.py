@@ -152,6 +152,112 @@ def trust_witness_oracle(value, z: int, low, high) -> TrustWitness | None:
 
 
 # --------------------------------------------------------------------------- #
+# Separations and difference-constraint queries
+# --------------------------------------------------------------------------- #
+
+
+def _gap_thresholds(z: int):
+    """``(numerator, denominator)`` of each gap threshold, in separation order."""
+    for delta in range(1, z):
+        gap = closed_form_gap_shift(z, delta)[0]
+        yield gap.numerator, gap.denominator
+
+
+@functools.lru_cache(maxsize=64)
+def _gap_threshold_table(z: int) -> tuple[tuple[int, int], ...]:
+    return tuple(_gap_thresholds(z))
+
+
+def _iter_covering(gap, z: int):
+    """Separations whose window ``(threshold - 1, threshold]`` holds gap.
+
+    A plain scan in separation order; universes up to 10,000 keep their
+    thresholds in a table, larger ones evaluate each separation as the
+    scan reaches it.
+    """
+    value = Fraction(gap)
+    qn, qd = value.numerator, value.denominator
+    thresholds = _gap_threshold_table(z) if z <= 10_000 else _gap_thresholds(z)
+    for delta, (p, q) in enumerate(thresholds, start=1):
+        if (p - q) * qd < qn * q <= p * qd:
+            yield delta
+
+
+def delta_star_solutions_oracle(gap, z: int) -> tuple[int, ...]:
+    """Every separation covering ``gap``, by scanning all of them."""
+    return tuple(_iter_covering(gap, z))
+
+
+def delta_star_oracle(gap, z: int):
+    """The first separation covering ``gap`` in a linear scan, or None.
+
+    The scan stops at its first hit, so a universe too large to scan
+    whole is fine as long as the gap is covered early.
+    """
+    return next(_iter_covering(gap, z), None)
+
+
+def delta_query_oracle(intent, bias, z: int) -> list[tuple[str, str, int]]:
+    """The δ-query built pair by pair with Fraction gaps.
+
+    Keys are visited in block order; a strictly ordered pair whose gap
+    has a separation gets the forward constraint if the intent already
+    satisfies it and the complement ``(rival, subject, 1 - delta)``
+    otherwise.
+    """
+    ranks, position = {}, 1
+    for block in intent.blocks:
+        for key in block:
+            ranks[key] = position
+        position += len(block)
+    keys = [key for block in intent.blocks for key in block]
+    constraints = []
+    for i, subject in enumerate(keys):
+        for rival in keys[i + 1 :]:
+            if ranks[subject] == ranks[rival]:
+                continue
+            delta = delta_star_oracle(bias(subject) - bias(rival), z)
+            if delta is None:
+                continue
+            if ranks[rival] - ranks[subject] >= delta:
+                constraints.append((subject, rival, delta))
+            else:
+                constraints.append((rival, subject, 1 - delta))
+    return constraints
+
+
+def position_windows_oracle(constraints, universe):
+    """Textbook Bellman–Ford on ``rank(rival) - rank(subject) >= gap``.
+
+    ``size`` rounds of in-order relaxation from earliest 1 / latest
+    ``size``, then one check round: anything still relaxable is a
+    positive cycle.  None when infeasible or some window is empty.
+    """
+    size = len(universe)
+    earliest = dict.fromkeys(universe, 1)
+    latest = dict.fromkeys(universe, size)
+
+    def relax():
+        changed = False
+        for subject, rival, gap in constraints:
+            if earliest[subject] + gap > earliest[rival]:
+                earliest[rival] = earliest[subject] + gap
+                changed = True
+            if latest[rival] - gap < latest[subject]:
+                latest[subject] = latest[rival] - gap
+                changed = True
+        return changed
+
+    for _ in range(size):
+        relax()
+    if relax():
+        return None
+    if any(earliest[key] > latest[key] for key in universe):
+        return None
+    return {key: (earliest[key], latest[key]) for key in universe}
+
+
+# --------------------------------------------------------------------------- #
 # Best responses from first principles
 # --------------------------------------------------------------------------- #
 

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 from oracles import (
+    delta_star_oracle,
     has_intent_independent_response,
     iter_coarsenings,
     iter_weak_orders,
@@ -96,9 +97,9 @@ def test_separation_solver_strategies_agree_across_the_bias_sweep():
     for z in range(2, 129):
         for cents in range(-600, 601):
             gap = Fraction(cents, 100)
-            binary = delta_star_for_gap(gap, z, strategy="binary")
-            linear = delta_star_for_gap(gap, z, strategy="linear")
-            assert binary == linear, (z, gap)
+            solved = delta_star_for_gap(gap, z)
+            scanned = delta_star_oracle(gap, z)
+            assert solved == scanned, (z, gap)
 
 
 def test_generated_queries_are_satisfied_by_their_own_intent():

@@ -24,7 +24,7 @@ from coiquery import (
 from coiquery.cli import AnalysisConfig, load_config, run_command
 from coiquery.equilibrium import commission_game
 from coiquery.utility import UtilityKind
-from oracles import closed_form_gap_shift
+from oracles import closed_form_gap_shift, delta_query_oracle
 
 
 def _round_trip(payload):
@@ -256,6 +256,28 @@ def test_trust_command_answers_a_huge_universe_at_once(tmp_path, capsys):
         assert floor < gap
         assert max(value - gap, 0) < min(value - floor, upper)
         assert entry["interval"] == [float(value - gap), float(value - floor)]
+
+
+def test_influence_command_answers_a_huge_universe_at_once(tmp_path, capsys):
+    z = 100_000_000_000
+    entries = {"a": 1, "b": 0.5, "c": 0.25, "d": 0}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"z": z, "k": 4, "bias": {"entries": entries}}))
+    intent = _write_order(tmp_path, "intent.json", [["a"], ["b"], ["c"], ["d"]])
+    started = time.perf_counter()
+    code = run_command(["influence", "--config", str(config), "--intent", str(intent)])
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    # Biases fall along the intent, so every gap is covered by a small
+    # separation and the oracle's scan ends early.
+    expected = delta_query_oracle(
+        WeakOrder.total(["a", "b", "c", "d"]), BiasFunction(entries), z
+    )
+    assert [
+        (c["e"], c["eprime"], c["delta"]) for c in report["query"]["constraints"]
+    ] == expected
+    assert report["base"] == [["a"], ["b"], ["c"], ["d"]]
 
 
 # --------------------------------------------------------------------------- #

@@ -10,6 +10,13 @@ from fractions import Fraction
 import pytest
 
 import coiquery.influence as influence
+from oracles import (
+    delta_query_oracle,
+    delta_star_oracle,
+    delta_star_solutions_oracle,
+    position_windows_oracle,
+)
+
 from coiquery import (
     BiasFunction,
     ConfigurationError,
@@ -73,6 +80,25 @@ def test_query_json_round_trip():
     assert again.universe == query.universe
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"constraints": [{"e": "a", "eprime": "b", "delta": 2.7}]},
+        {"constraints": [{"e": "a", "eprime": "b", "delta": 2.0}]},
+        {"constraints": [{"e": "a", "eprime": "b", "delta": True}]},
+        {"constraints": [{"e": "a", "eprime": "b", "delta": "2"}]},
+        {"constraints": [{"e": "a", "eprime": "b", "delta": None}]},
+        {"constraints": [{"e": "a", "eprime": "b"}]},
+        {"constraints": [["a", "b", 1]]},
+        {"constraints": 5},
+        {},
+    ],
+)
+def test_query_documents_need_integer_gaps(document):
+    with pytest.raises(ConfigurationError):
+        DeltaQuery.from_jsonable(document, ("a", "b"))
+
+
 # --------------------------------------------------------------------------- #
 # Minimal forcing separation
 # --------------------------------------------------------------------------- #
@@ -109,8 +135,7 @@ def test_returned_separation_satisfies_its_window():
         z = rng.randint(2, 64)
         gap = Fraction(rng.randint(-40, 40), 10)
         result = delta_star_for_gap(gap, z)
-        linear = delta_star_for_gap(gap, z, strategy="linear")
-        assert result == linear
+        assert result == delta_star_oracle(gap, z)
         if result is None:
             for separation in range(1, z):
                 window = gsd_values(z, separation)
@@ -135,9 +160,25 @@ def test_multiplicity_is_surfaced_as_a_warning(caplog):
     assert not caplog.records
 
 
-def test_unknown_strategy_rejected():
-    with pytest.raises(ConfigurationError):
-        delta_star_for_gap(1, 10, strategy="??")
+def test_all_solutions_match_the_scan_over_the_bias_sweep():
+    biases = {
+        cents: BiasFunction({"s": Fraction(cents, 100)})
+        for cents in range(-600, 601)
+    }
+    for z in range(2, 129):
+        for cents, bias in biases.items():
+            expected = delta_star_solutions_oracle(Fraction(cents, 100), z)
+            assert delta_star_solutions("s", "r", bias, z) == expected, (z, cents)
+
+
+def test_huge_universes_are_solved_without_a_table():
+    z = 10**11
+    # Covered gaps only: the scan stops at its first hit.
+    for gap in (Fraction(-1, 4), Fraction(1, 2), Fraction(7, 3), 40):
+        assert delta_star_for_gap(gap, z) == delta_star_oracle(gap, z)
+    assert delta_star_for_gap(Fraction(-1, 3), z) is None  # gap(1) - 1 = -1/3
+    covering = delta_star_solutions("s", "r", BiasFunction({"s": 40}), z)
+    assert covering and covering[0] == delta_star_for_gap(40, z)
 
 
 # --------------------------------------------------------------------------- #
@@ -199,6 +240,109 @@ def test_built_queries_are_satisfied_by_their_intent():
         )
         query = build_delta_query(intent, bias, z)
         assert query.satisfied_by(intent)
+
+
+_DENOMINATORS = (1, 2, 3, 7, 10, 100, 10**6)
+
+
+def _random_intent(rng, keys, tie_chance):
+    blocks: list[list[str]] = []
+    for key in keys:
+        if blocks and rng.random() < tie_chance:
+            blocks[-1].append(key)
+        else:
+            blocks.append([key])
+    return WeakOrder.of(*blocks)
+
+
+def _random_bias(rng, keys):
+    """Biases in [-3, 3], over one shared or per-key mixed denominators."""
+    shared = rng.choice(_DENOMINATORS)
+    entries = {}
+    for key in keys:
+        den = shared if rng.random() < 0.5 else rng.choice(_DENOMINATORS)
+        entries[key] = Fraction(rng.randint(-3 * den, 3 * den), den)
+    return BiasFunction(entries)
+
+
+def test_built_queries_match_the_pairwise_oracle():
+    rng = random.Random(53)
+    for trial in range(400):
+        n = rng.randint(2, 9)
+        keys = [f"e{i}" for i in range(1, n + 1)]
+        rng.shuffle(keys)
+        intent = _random_intent(rng, keys, rng.choice((0.0, 0.3, 0.6)))
+        bias = _random_bias(rng, keys)
+        z = rng.choice((n, n + 1, 2 * n, 3 * n, 64, 500, 5000))
+        query = build_delta_query(intent, bias, z)
+        expected = delta_query_oracle(intent, bias, z)
+        assert [tuple(c) for c in query.constraints] == expected, trial
+        assert query.universe == intent.keys()
+
+
+def test_built_queries_match_the_oracle_in_a_huge_universe():
+    # Biases never rise along the intent, so every gap is >= 0 and the
+    # oracle's scan stops within a few hundred separations.
+    rng = random.Random(59)
+    z = 10**9 + 7
+    for trial in range(20):
+        n = rng.randint(2, 9)
+        keys = [f"e{i}" for i in range(1, n + 1)]
+        rng.shuffle(keys)
+        intent = _random_intent(rng, keys, 0.3)
+        values = sorted(
+            (Fraction(rng.randint(-300, 300), rng.choice(_DENOMINATORS[:6]))
+             for _ in keys),
+            reverse=True,
+        )
+        bias = BiasFunction(dict(zip(intent.keys(), values)))
+        query = build_delta_query(intent, bias, z)
+        expected = delta_query_oracle(intent, bias, z)
+        assert [tuple(c) for c in query.constraints] == expected, trial
+
+
+def test_position_windows_match_the_bellman_ford_oracle():
+    rng = random.Random(61)
+    outcomes = {"feasible": 0, "infeasible": 0}
+    for trial in range(1500):
+        n = rng.randint(1, 8)
+        universe = [f"e{i}" for i in range(1, n + 1)]
+        pairs = [(a, b) for a in universe for b in universe if a != b]
+        rng.shuffle(pairs)
+        picked = pairs[: rng.randint(0, min(len(pairs), 2 * n))]
+        query = _query(
+            [(a, b, rng.randint(-3, 3)) for a, b in picked], universe
+        )
+        windows = influence._position_windows(query)
+        assert windows == position_windows_oracle(query.constraints, universe), trial
+        outcomes["feasible" if windows else "infeasible"] += 1
+    assert min(outcomes.values()) > 100
+
+
+def test_position_windows_of_built_queries_match_the_oracle():
+    rng = random.Random(67)
+    for trial in range(300):
+        n = rng.randint(2, 9)
+        keys = [f"e{i}" for i in range(1, n + 1)]
+        rng.shuffle(keys)
+        intent = _random_intent(rng, keys, 0.25)
+        query = build_delta_query(intent, _random_bias(rng, keys), n)
+        expected = position_windows_oracle(query.constraints, query.universe)
+        assert influence._position_windows(query) == expected, trial
+
+
+@pytest.mark.parametrize(
+    "constraints, universe",
+    [
+        ([("e1", "e2", 1), ("e2", "e1", 0)], ["e1", "e2"]),  # positive cycle
+        ([("e1", "e2", 2), ("e2", "e3", 2)], ["e1", "e2", "e3"]),  # too wide
+        ([("e1", "e2", -1), ("e2", "e1", -1), ("e3", "e1", 3)], ["e1", "e2", "e3"]),
+    ],
+)
+def test_infeasible_windows_are_none(constraints, universe):
+    query = _query(constraints, universe)
+    assert influence._position_windows(query) is None
+    assert position_windows_oracle(query.constraints, universe) is None
 
 
 # --------------------------------------------------------------------------- #
