@@ -29,11 +29,10 @@ from .core import (
     Rank,
     RankDomain,
     Relation,
+    SearchBudgetError,
     WeakOrder,
     as_fraction,
     build_rank_domain,
-    pairwise_relation,
-    rank_of,
     validate_weak_order,
 )
 from .equilibrium import (
@@ -151,6 +150,7 @@ __all__ = [
     "Relation",
     "RelativeRankConstraint",
     "SaturationOutcome",
+    "SearchBudgetError",
     "StrategyPair",
     "SuperRankCheck",
     "SupermodularCheck",
@@ -195,10 +195,8 @@ __all__ = [
     "off_path_belief",
     "order_by_case_sketch",
     "pairwise_indifference",
-    "pairwise_relation",
     "per_tuple_utility",
     "random_bias",
-    "rank_of",
     "region_means",
     "saturation_check",
     "validate_weak_order",

@@ -254,6 +254,8 @@ def _cmd_influence(args: argparse.Namespace) -> dict:
             "kind": summary.kind.value,
             "count": summary.count,
             "lower_bound": summary.lower_bound,
+            "reason": summary.reason,
+            "nodes": summary.nodes,
         },
         "sketch": order_by_case_sketch(query, base),
     }

@@ -44,11 +44,10 @@ __all__ = [
     "Rank",
     "RankDomain",
     "Relation",
+    "SearchBudgetError",
     "WeakOrder",
     "as_fraction",
     "build_rank_domain",
-    "pairwise_relation",
-    "rank_of",
     "validate_weak_order",
 ]
 
@@ -80,6 +79,10 @@ class DomainError(QueryAnalysisError, ValueError):
 
 class InfeasibleQueryError(QueryAnalysisError):
     """No ranking satisfies the given constraint query."""
+
+
+class SearchBudgetError(QueryAnalysisError):
+    """A bounded search ran out of its node budget before it could answer."""
 
 
 def as_fraction(value: int | float | str | Fraction) -> Fraction:
@@ -325,16 +328,6 @@ class WeakOrder:
     def __repr__(self) -> str:
         rendered = " < ".join("~".join(block) for block in self.blocks)
         return f"WeakOrder[{rendered}]"
-
-
-def rank_of(order: WeakOrder, key: Key, omitted: Rank | None = None) -> Rank:
-    """Rank of ``key`` in ``order``; ``omitted`` stands in for absent keys."""
-    return order.rank_of(key, omitted)
-
-
-def pairwise_relation(order: WeakOrder, a: Key, b: Key) -> Relation:
-    """How ``a`` stands to ``b`` inside ``order``."""
-    return order.relation(a, b)
 
 
 def validate_weak_order(order: WeakOrder | Iterable[Iterable[Key]]) -> str | None:

@@ -257,6 +257,84 @@ def position_windows_oracle(constraints, universe):
     return {key: (earliest[key], latest[key]) for key in universe}
 
 
+def _key_index_token(key):
+    """``e<number>`` keys by their number, then any other label by text."""
+    if key.startswith("e") and key[1:].isdigit():
+        return (0, int(key[1:]), key)
+    return (1, 0, key)
+
+
+def satisfying_orders_oracle(constraints, universe):
+    """Every total order meeting the constraints, by filtering permutations.
+
+    Permutations of the universe sorted by key index come out in
+    lexicographic order, so the first one kept is the base ranking.
+    Meant for eight keys or fewer (8! = 40,320 candidates).
+    """
+    for order in itertools.permutations(sorted(universe, key=_key_index_token)):
+        rank = {key: position for position, key in enumerate(order, start=1)}
+        if all(rank[r] - rank[s] >= gap for s, r, gap in constraints):
+            yield order
+
+
+def satisfying_orders_backtrack_oracle(constraints, universe):
+    """Satisfying total orders by backtracking over static position windows.
+
+    Positions are filled in order, keys tried by key index; a key is
+    placed when its Bellman–Ford window admits the position and no
+    constraint with an already placed key (or an obviously unplaceable
+    one) breaks.  No propagation after placing, so it is slow beyond a
+    dozen keys with many solutions but exact.
+    """
+    windows = position_windows_oracle(constraints, universe)
+    if windows is None:
+        return
+    ordering = sorted(universe, key=_key_index_token)
+    size = len(ordering)
+    as_subject = {key: [] for key in ordering}
+    as_rival = {key: [] for key in ordering}
+    for subject, rival, gap in constraints:
+        as_subject[subject].append((rival, gap))
+        as_rival[rival].append((subject, gap))
+    placed = {}
+    chosen = []
+
+    def admissible(key, position):
+        low, high = windows[key]
+        if not low <= position <= high:
+            return False
+        for rival, gap in as_subject[key]:
+            at = placed.get(rival)
+            if at is not None:
+                if at - position < gap:
+                    return False
+            elif size - position < gap:  # rival cannot sit far enough below
+                return False
+        for subject, gap in as_rival[key]:
+            at = placed.get(subject)
+            if at is not None:
+                if position - at < gap:
+                    return False
+            elif gap >= 0:  # subject would land below, breaking the gap
+                return False
+        return True
+
+    def extend(position):
+        if position > size:
+            yield tuple(chosen)
+            return
+        for key in ordering:
+            if key in placed or not admissible(key, position):
+                continue
+            placed[key] = position
+            chosen.append(key)
+            yield from extend(position + 1)
+            chosen.pop()
+            del placed[key]
+
+    yield from extend(1)
+
+
 # --------------------------------------------------------------------------- #
 # Best responses from first principles
 # --------------------------------------------------------------------------- #

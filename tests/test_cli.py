@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import coiquery.influence as influence
 from coiquery import (
     BiasFunction,
     ConfigurationError,
@@ -98,6 +99,8 @@ def test_influence_command_matches_the_library(tmp_path, mixed_config, capsys):
         "kind": summary.kind.value,
         "count": summary.count,
         "lower_bound": summary.lower_bound,
+        "reason": summary.reason,
+        "nodes": summary.nodes,
     }
     assert report["sketch"] == order_by_case_sketch(query, base)
 
@@ -364,6 +367,21 @@ def test_malformed_game_values_exit_two(tmp_path, capsys, change):
     assert code == 2
     assert "configuration error" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_exhausted_base_search_exits_one_naming_the_budget(
+    tmp_path, mixed_config, capsys, monkeypatch
+):
+    monkeypatch.setattr(influence, "_SEARCH_NODE_BUDGET", 2)
+    intent = _write_order(tmp_path, "intent.json", [["a"], ["b"], ["c"], ["d"]])
+    code = run_command(
+        ["influence", "--config", str(mixed_config), "--intent", str(intent)]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "node budget of 2 placements" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_analysis_errors_exit_one(tmp_path, capsys):

@@ -15,8 +15,6 @@ from coiquery import (
     WeakOrder,
     as_fraction,
     build_rank_domain,
-    pairwise_relation,
-    rank_of,
     validate_weak_order,
 )
 
@@ -47,7 +45,7 @@ def test_total_order_ranks_are_positions():
 def test_rank_of_missing_key_uses_omitted_or_raises():
     order = WeakOrder.total(["x", "y"])
     assert order.rank_of("w", omitted=3) == 3
-    assert rank_of(order, "w", omitted=3) == 3
+    assert order.rank_of("w", 3) == 3
     with pytest.raises(KeyError):
         order.rank_of("w")
 
@@ -75,10 +73,10 @@ def test_validate_weak_order_reports_first_defect():
 
 def test_pairwise_relation_covers_all_four_cases():
     order = WeakOrder.of(["a", "b"], ["c"])
-    assert pairwise_relation(order, "a", "b") is Relation.TIED
-    assert pairwise_relation(order, "a", "c") is Relation.PRECEDES
-    assert pairwise_relation(order, "c", "a") is Relation.FOLLOWS
-    assert pairwise_relation(order, "a", "w") is Relation.ABSENT
+    assert order.relation("a", "b") is Relation.TIED
+    assert order.relation("a", "c") is Relation.PRECEDES
+    assert order.relation("c", "a") is Relation.FOLLOWS
+    assert order.relation("a", "w") is Relation.ABSENT
 
 
 def test_relation_is_antisymmetric_on_random_orders():
@@ -96,8 +94,8 @@ def test_relation_is_antisymmetric_on_random_orders():
         order = WeakOrder.of(*blocks)
         for left in keys:
             for right in keys:
-                forward = pairwise_relation(order, left, right)
-                backward = pairwise_relation(order, right, left)
+                forward = order.relation(left, right)
+                backward = order.relation(right, left)
                 if forward is Relation.PRECEDES:
                     assert backward is Relation.FOLLOWS
                 elif forward is Relation.TIED:

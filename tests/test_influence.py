@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coiquery.influence as influence
 from oracles import (
@@ -15,6 +17,8 @@ from oracles import (
     delta_star_oracle,
     delta_star_solutions_oracle,
     position_windows_oracle,
+    satisfying_orders_backtrack_oracle,
+    satisfying_orders_oracle,
 )
 
 from coiquery import (
@@ -23,7 +27,9 @@ from coiquery import (
     DeltaQuery,
     InfeasibleQueryError,
     RankingSetKind,
+    RankingSetSummary,
     RelativeRankConstraint,
+    SearchBudgetError,
     WeakOrder,
     base_query,
     build_delta_query,
@@ -404,11 +410,46 @@ def test_large_universe_counts_become_lower_bounds():
 
 
 def test_probe_budget_exhaustion_reports_unknown(monkeypatch):
-    monkeypatch.setattr(influence, "_PROBE_NODE_BUDGET", 3)
+    monkeypatch.setattr(influence, "_SEARCH_NODE_BUDGET", 3)
     universe = [f"e{i}" for i in range(1, 30)]
     summary = classify_ranking_set(_query([], universe))
     assert summary.kind is RankingSetKind.UNKNOWN
     assert summary.count is None
+    assert summary.reason == "node_budget"
+    assert summary.nodes == 3
+    assert summary.lower_bound == 0
+
+
+def test_base_query_budget_exhaustion_raises_instead_of_settling(monkeypatch):
+    query = _query([], [f"e{i}" for i in range(1, 30)])
+    monkeypatch.setattr(influence, "_SEARCH_NODE_BUDGET", 28)
+    with pytest.raises(SearchBudgetError, match="node budget of 28"):
+        base_query(query)
+    monkeypatch.setattr(influence, "_SEARCH_NODE_BUDGET", 29)
+    assert base_query(query) == WeakOrder.total(query.universe)
+
+
+def test_exact_counts_saturate_at_the_count_cap():
+    summary = classify_ranking_set(_query([], [f"e{i}" for i in range(1, 9)]))
+    assert summary == RankingSetSummary(
+        RankingSetKind.MULTIPLE, None, influence._COUNT_CAP, "count_cap", summary.nodes
+    )
+    assert summary.nodes <= influence._SEARCH_NODE_BUDGET
+    free = classify_ranking_set(_query([], ["e1", "e2", "e3", "e4", "e5", "e6"]))
+    assert (free.count, free.reason) == (720, None)
+
+
+def test_probe_stops_at_the_second_order():
+    summary = classify_ranking_set(_query([], [f"e{i}" for i in range(1, 14)]))
+    assert summary == RankingSetSummary(
+        RankingSetKind.MULTIPLE, None, 2, "count_cap", summary.nodes
+    )
+    chain = [(f"e{i}", f"e{i + 1}", 1) for i in range(1, 13)]
+    pinned = classify_ranking_set(_query(chain, [f"e{i}" for i in range(1, 14)]))
+    assert (pinned.kind, pinned.count, pinned.reason) == (
+        RankingSetKind.SINGLETON, 1, None
+    )
+    assert pinned.nodes == 13
 
 
 def test_sketch_lists_base_ranks_and_constraint_comments():
@@ -422,3 +463,140 @@ def test_sketch_lists_base_ranks_and_constraint_comments():
         "END\n"
         "-- requires r(e1) - r(e2) >= 1"
     )
+
+
+# --------------------------------------------------------------------------- #
+# The propagating search against the oracles
+# --------------------------------------------------------------------------- #
+
+
+def _random_constraints(rng, universe, gaps=(-3, 4)):
+    pairs = [(a, b) for a in universe for b in universe if a != b]
+    rng.shuffle(pairs)
+    picked = pairs[: rng.randint(0, min(len(pairs), 2 * len(universe)))]
+    return [(a, b, rng.randint(*gaps)) for a, b in picked]
+
+
+def _conflict_query(rng, size):
+    """A δ-query shaped like the influence benchmark's: a shuffled total
+    intent, biases in tenths on [0, 3], z in [n, 3n]."""
+    keys = [f"e{i}" for i in range(1, size + 1)]
+    rng.shuffle(keys)
+    bias = BiasFunction({key: Fraction(rng.randint(0, 30), 10) for key in keys})
+    return build_delta_query(WeakOrder.total(keys), bias, rng.randint(size, 3 * size))
+
+
+def test_search_matches_the_permutation_oracle_up_to_eight_keys():
+    rng = random.Random(71)
+    cap = influence._COUNT_CAP
+    outcomes = {"none": 0, "one": 0, "many": 0, "capped": 0}
+    for trial in range(400):
+        universe = [f"e{i}" for i in range(1, rng.randint(1, 8) + 1)]
+        constraints = _random_constraints(rng, universe)
+        expected = list(satisfying_orders_oracle(constraints, universe))
+        query = _query(constraints, universe)
+        found = itertools.islice(influence._iter_satisfying(query, [0]), cap)
+        assert list(found) == expected[:cap], trial
+        summary = classify_ranking_set(query)
+        if len(expected) >= cap:
+            assert (summary.lower_bound, summary.reason) == (cap, "count_cap"), trial
+        else:
+            assert (summary.count, summary.reason) == (len(expected), None), trial
+        assert summary.nodes <= influence._SEARCH_NODE_BUDGET
+        size = min(len(expected), 2) + (len(expected) >= cap)
+        outcomes[("none", "one", "many", "capped")[size]] += 1
+    assert min(outcomes.values()) >= 10
+
+
+def test_base_matches_the_backtracking_oracle_up_to_ten_keys():
+    rng = random.Random(79)
+    for trial in range(400):
+        universe = [f"e{i}" for i in range(1, rng.randint(2, 10) + 1)]
+        rng.shuffle(universe)
+        constraints = _random_constraints(rng, universe, gaps=(-4, 3))
+        expected = next(satisfying_orders_backtrack_oracle(constraints, universe), None)
+        query = _query(constraints, universe)
+        if expected is None:
+            with pytest.raises(InfeasibleQueryError):
+                base_query(query)
+        else:
+            assert base_query(query) == WeakOrder.total(expected), trial
+
+
+def test_base_matches_the_backtracking_oracle_on_built_queries():
+    rng = random.Random(83)
+    for trial in range(60):
+        query = _conflict_query(rng, rng.randint(8, 24))
+        constraints = [tuple(c) for c in query.constraints]
+        expected = next(satisfying_orders_backtrack_oracle(constraints, query.universe))
+        assert base_query(query) == WeakOrder.total(expected), trial
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(1, n), st.integers(1, n), st.integers(-3, 4)),
+                max_size=3 * n,
+                unique_by=lambda c: (c[0], c[1]),
+            ).map(lambda cs: [c for c in cs if c[0] != c[1]]),
+        )
+    )
+)
+def test_search_agrees_with_the_permutation_oracle(case):
+    size, picked = case
+    universe = [f"e{i}" for i in range(1, size + 1)]
+    constraints = [(f"e{a}", f"e{b}", gap) for a, b, gap in picked]
+    orders = list(satisfying_orders_oracle(constraints, universe))
+    query = _query(constraints, universe)
+    if orders:
+        assert base_query(query) == WeakOrder.total(orders[0])
+    else:
+        with pytest.raises(InfeasibleQueryError):
+            base_query(query)
+    kind = (RankingSetKind.EMPTY, RankingSetKind.SINGLETON, RankingSetKind.MULTIPLE)[
+        min(len(orders), 2)
+    ]
+    capped = len(orders) >= influence._COUNT_CAP
+    summary = classify_ranking_set(query)
+    assert summary.kind is kind
+    assert summary.count == (None if capped else len(orders))
+    assert summary.lower_bound == min(len(orders), influence._COUNT_CAP)
+    assert summary.reason == ("count_cap" if capped else None)
+    probe = classify_ranking_set(query, enumeration_limit=1)
+    assert probe.kind is kind
+    assert probe.lower_bound == min(len(orders), 2)
+
+
+@pytest.mark.parametrize("size, seed, nodes", [(48, 48, 120), (64, 64, 160)])
+def test_large_conflict_intents_stay_within_a_small_node_count(
+    monkeypatch, size, seed, nodes
+):
+    query = _conflict_query(random.Random(seed), size)
+    monkeypatch.setattr(influence, "_SEARCH_NODE_BUDGET", nodes)
+    base = base_query(query)
+    assert query.satisfied_by(base)
+    summary = classify_ranking_set(query)
+    assert summary.kind is RankingSetKind.MULTIPLE
+    assert summary.nodes <= nodes
+
+
+def test_public_queries_are_validated_and_empty_intents_rejected():
+    pair = RelativeRankConstraint("a", "b", 1)
+    for constraints, universe in [
+        ((pair,), ()),
+        ((pair,), ("a", "a", "b")),
+        ((RelativeRankConstraint("a", "a", 1),), ("a", "b")),
+        ((RelativeRankConstraint("a", "c", 1),), ("a", "b")),
+        ((pair, RelativeRankConstraint("a", "b", 2)), ("a", "b")),
+    ]:
+        with pytest.raises(ConfigurationError):
+            DeltaQuery(constraints, universe)
+        with pytest.raises(ConfigurationError):
+            DeltaQuery.from_jsonable(
+                {"constraints": [c.as_jsonable() for c in constraints]}, universe
+            )
+    with pytest.raises(ConfigurationError):
+        build_delta_query(WeakOrder.total([]), BiasFunction({}), 4)
