@@ -94,13 +94,11 @@ from .posterior import (
     region_means,
 )
 from .trust import (
-    FeasibleDeltaEntry,
     GapThresholds,
     IndifferenceReport,
     TrustReport,
     TrustWitness,
     detect_trustworthy,
-    feasible_delta_table,
     gsd_values,
     pairwise_indifference,
 )
@@ -130,7 +128,6 @@ __all__ = [
     "DeltaQuery",
     "DomainError",
     "EquilibriumClass",
-    "FeasibleDeltaEntry",
     "FiniteGame",
     "GapThresholds",
     "IndifferenceReport",
@@ -183,7 +180,6 @@ __all__ = [
     "delta_star_solutions",
     "detect_trustworthy",
     "enumerate_pure_equilibria",
-    "feasible_delta_table",
     "generate_intents",
     "gsd_values",
     "influential_witness",

@@ -1,10 +1,11 @@
 """Wall-clock benchmark suites for the trust filter and the merge DP.
 
 Two size sweeps, both deterministic per seed: the trust suite screens a
-fixed-width returned ranking against growing universe sizes with the
-indexed strategy (logarithmic in the universe size, so the key count
-dominates), and the DP suite times ``maximize_merge_dp`` on explicit
-total-order bases (expected near-quadratic in the ranking length).
+fixed-width returned ranking against growing universe sizes (the
+closed-form search is logarithmic in the universe size, so the key
+count dominates), and the DP suite times ``maximize_merge_dp`` on
+explicit total-order bases (expected near-quadratic in the ranking
+length).
 Timings are medians over ``runs`` repetitions of cold calls; the
 per-universe pivot cache is cleared before every repetition so each
 run pays the full closed-form search.
@@ -58,7 +59,7 @@ def run_trust_suite(
     seed: int = 1,
     runs: int = 5,
 ) -> list[BenchRow]:
-    """Time the indexed trust filter across universe sizes.
+    """Time the trust filter across universe sizes.
 
     Each instance screens a 2000-key returned ranking (or fewer when
     the universe is smaller) with random biases in ``[0, 3]``.
@@ -79,7 +80,7 @@ def run_trust_suite(
         for _ in range(runs):
             _floor_pivot.cache_clear()
             started = time.perf_counter()
-            detect_trustworthy(beta, ctx, strategy="indexed")
+            detect_trustworthy(beta, ctx)
             samples.append(time.perf_counter() - started)
         rows.append(BenchRow(size, statistics.median(samples) * 1000.0))
     return rows

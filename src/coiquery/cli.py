@@ -400,27 +400,6 @@ def _check_delta_star(seed: int) -> list[str]:
     return problems
 
 
-def _check_trust_strategies(seed: int) -> list[str]:
-    problems = []
-    rng = random.Random(seed)
-    keys = [f"e{i}" for i in range(1, 21)]
-    for trial in range(10):
-        bias = BiasFunction(
-            {k: Fraction(rng.randint(0, 3000), 1000) for k in keys},
-            lower=Fraction(0),
-            upper=Fraction(3),
-        )
-        ctx = UtilityContext(200, 10, bias)
-        beta = WeakOrder.total(keys)
-        scan = detect_trustworthy(beta, ctx, strategy="scan")
-        indexed = detect_trustworthy(beta, ctx, strategy="indexed")
-        if scan.trustworthy != indexed.trustworthy or set(scan.flagged) != set(
-            indexed.flagged
-        ):
-            problems.append(f"trust partition mismatch on trial {trial}")
-    return problems
-
-
 def _check_query_soundness(seed: int) -> list[str]:
     problems = []
     rng = random.Random(seed)
@@ -489,7 +468,6 @@ _VERIFY_CHECKS: tuple[tuple[str, Callable[[int], list[str]]], ...] = (
     ("gap_invariant", _check_gap_invariant),
     ("merge_dp", _check_dp_against_brute),
     ("delta_star", _check_delta_star),
-    ("trust_strategies", _check_trust_strategies),
     ("query_soundness", _check_query_soundness),
     ("equilibrium_iff", _check_equilibrium_iff),
 )

@@ -161,24 +161,18 @@ def best_response_rank(
     mean_rank: int | float | str | Fraction,
     bias_value: int | float | str | Fraction,
     universe_size: int,
-    mode: Literal["projected", "real_score"] = "projected",
-) -> Rank | Fraction:
+) -> Rank:
     """Rank a quadratic biased source steers a tuple of given mean toward.
 
-    The unconstrained optimum is ``mean_rank - bias_value``; the
-    ``real_score`` mode returns it as an exact fraction.  The
-    ``projected`` mode snaps to the rank grid: among the clamped floor
-    and ceiling candidates it picks the one closest to the target,
-    breaking ties toward the candidate closest to the mean (the
-    user-favorable side) and then toward the smaller rank.
+    The unconstrained optimum is ``mean_rank - bias_value``, snapped to
+    the rank grid: among the clamped floor and ceiling candidates it
+    picks the one closest to the target, breaking ties toward the
+    candidate closest to the mean (the user-favorable side) and then
+    toward the smaller rank.
     """
     if universe_size < 1:
         raise DomainError("universe size must be at least 1")
     target = as_fraction(mean_rank) - as_fraction(bias_value)
-    if mode == "real_score":
-        return target
-    if mode != "projected":
-        raise DomainError(f"unknown mode: {mode!r}")
     mean = as_fraction(mean_rank)
 
     def clamp(rank: int) -> int:
@@ -191,9 +185,7 @@ def best_response_rank(
 def _assigned_rank(mean: Fraction, bias: Fraction, ctx: UtilityContext) -> Rank:
     """Rank the source assigns a tuple whose posterior mean rank is known."""
     if ctx.kind_source is UtilityKind.QUADRATIC_SOURCE_BIASED:
-        rank = best_response_rank(mean, bias, ctx.universe_size, mode="projected")
-        assert isinstance(rank, int)
-        return rank
+        return best_response_rank(mean, bias, ctx.universe_size)
     coefficient = mean - bias
     if coefficient > 0:
         return ctx.universe_size
@@ -202,9 +194,7 @@ def _assigned_rank(mean: Fraction, bias: Fraction, ctx: UtilityContext) -> Rank:
     # Indifferent source: defer to whatever the user's own utility prefers.
     if ctx.kind_user is UtilityKind.PRODUCT_USER:
         return 1
-    rank = best_response_rank(mean, 0, ctx.universe_size, mode="projected")
-    assert isinstance(rank, int)
-    return rank
+    return best_response_rank(mean, 0, ctx.universe_size)
 
 
 def interpret_query(query: WeakOrder, ctx: UtilityContext) -> WeakOrder:

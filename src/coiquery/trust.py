@@ -9,13 +9,15 @@ intersection: a key is flagged when some feasible separation admits an
 alternative bias, inside the configured bias range, that would make its
 placement strategic.
 
-Two detection strategies are provided.  The scan walks the feasible
-table per key; the indexed strategy searches the closed form directly,
-with O(log z) integer evaluations per universe size and at most one
-binary search per key.  Both return identical trustworthy/flagged
-partitions, though they may exhibit different witness separations.
+Detection searches the closed form, with O(log z) integer evaluations
+per universe size and at most one binary search per key.  Its witness
+rule: among the feasible separations whose gap exceeds
+``bias - range_high``, the one with the least window floor, the
+rightmost on ties.  An exhaustive report lists every separation whose
+window meets the range; they form one interval, so it costs O(log z)
+plus its length.
 
-The indexed strategy rests on three monotonicity facts.  Write
+The search rests on three monotonicity facts.  Write
 ``gap = G(d) / S(d)`` and ``shift = H(d) / S(d)`` over their shared
 scale and cross-multiply each forward difference, e.g.
 ``G(d+1) S(d) - G(d) S(d+1)``.  Substituting ``d = 1 + u`` and
@@ -30,7 +32,10 @@ down to the crossing ``c`` where ``gap - 1 >= shift`` first holds,
 then ``gap - 1`` up, so its rightmost minimum (the *pivot*) is at
 ``c - 1`` or ``c``.  A key needs ``gap > bias - range_high``, again a
 suffix; its floor minimum is the pivot's when the pivot lies in it,
-and otherwise sits at the suffix's first separation.
+and otherwise sits at the suffix's first separation.  It also needs
+``floor < bias - range_low``, a sublevel set of the V and so an
+interval; the exhaustive report is that interval cut to the suffix,
+its ends found by one binary search on each side of the witness.
 
 The module also measures pairwise indifference: given two rankings that
 differ by exchanging two keys, the bias shift that would leave a
@@ -49,19 +54,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import BiasFunction, ConfigurationError, DomainError, Key, WeakOrder
 from .utility import UtilityContext
 
 __all__ = [
-    "FeasibleDeltaEntry",
     "GapThresholds",
     "IndifferenceReport",
     "TrustReport",
     "TrustWitness",
     "detect_trustworthy",
-    "feasible_delta_table",
     "gsd_values",
     "pairwise_indifference",
 ]
@@ -106,34 +109,6 @@ def gsd_values(universe_size: int, separation: int) -> GapThresholds:
     )
 
 
-class FeasibleDeltaEntry(NamedTuple):
-    """One feasible separation with its witness-window endpoints."""
-
-    separation: int
-    bias_low: Fraction  # max(gap - 1, shift)
-    bias_high: Fraction  # gap
-
-
-@lru_cache(maxsize=None)
-def feasible_delta_table(universe_size: int) -> tuple[FeasibleDeltaEntry, ...]:
-    """All separations whose shift stays strictly below their gap.
-
-    Returned in ascending separation order.  Small universes have few
-    feasible separations (none below size 2, exactly one at size 2);
-    the low end drops out whenever the shift threshold dominates.
-    """
-    if universe_size < 2:
-        raise DomainError("feasibility needs a universe of size >= 2")
-    entries = []
-    for separation in range(1, universe_size):
-        gap, shift, _ = gsd_values(universe_size, separation)
-        if shift < gap:
-            entries.append(
-                FeasibleDeltaEntry(separation, max(gap - 1, shift), gap)
-            )
-    return tuple(entries)
-
-
 # --------------------------------------------------------------------------- #
 # Detection
 # --------------------------------------------------------------------------- #
@@ -149,7 +124,12 @@ class TrustWitness(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TrustReport:
-    """Partition of a returned ranking into trustworthy and flagged keys."""
+    """Partition of a returned ranking into trustworthy and flagged keys.
+
+    Each flagged key carries its least-floor witness (the rightmost on
+    ties among separations whose gap clears ``bias - range_high``), or
+    every witness in separation order when screened exhaustively.
+    """
 
     trustworthy: tuple[Key, ...]
     flagged: dict[Key, tuple[TrustWitness, ...]]
@@ -218,23 +198,7 @@ def _floor_pivot(universe_size: int) -> _Window | None:
     return min((_window(z, d) for d in candidates), key=lambda w: w.floor)
 
 
-def _scan_witnesses(
-    bias_value: Fraction,
-    table: tuple[FeasibleDeltaEntry, ...],
-    range_low: Fraction,
-    range_high: Fraction,
-    exhaustive: bool,
-) -> Iterator[TrustWitness]:
-    for entry in table:
-        interval_low = bias_value - entry.bias_high
-        interval_high = bias_value - entry.bias_low
-        if max(interval_low, range_low) < min(interval_high, range_high):
-            yield TrustWitness(entry.separation, interval_low, interval_high)
-            if not exhaustive:
-                return
-
-
-def _indexed_witness(
+def _witness(
     bias_value: Fraction,
     universe_size: int,
     pivot: _Window | None,
@@ -265,50 +229,77 @@ def _indexed_witness(
     )
 
 
+def _witnesses(
+    bias_value: Fraction,
+    universe_size: int,
+    witness: TrustWitness,
+    range_low: Fraction,
+    range_high: Fraction,
+) -> tuple[TrustWitness, ...]:
+    """Every separation whose window meets the range, in ascending order.
+
+    They form an interval around the least-floor ``witness``.  Left of
+    it, feasibility and the gap cut each hold from some separation on,
+    the floor does not increase over the feasible separations up to the
+    pivot, and a witness right of the pivot is the first to clear the
+    cut; so the qualifying separations there are a suffix of
+    ``[1, witness]``.  Right of it only the floor can fail, and it does
+    not decrease there.
+    """
+    z = universe_size
+    cut = bias_value - range_high
+    ceiling = bias_value - range_low
+
+    def qualifies(d: int) -> bool:
+        gap, shift, scale = _threshold_numerators(z, d)
+        floor = max(gap - scale, shift)
+        return (
+            shift < gap
+            and gap * cut.denominator > cut.numerator * scale
+            and floor * ceiling.denominator < ceiling.numerator * scale
+        )
+
+    at = witness.separation
+    first = _first_where(1, at, qualifies)
+    end = _first_where(at + 1, z, lambda d: not qualifies(d))
+    windows = (_window(z, d) for d in range(first, end))
+    return tuple(
+        TrustWitness(w.separation, bias_value - w.gap, bias_value - w.floor)
+        for w in windows
+    )
+
+
 def detect_trustworthy(
-    beta: WeakOrder,
-    ctx: UtilityContext,
-    *,
-    exhaustive: bool = False,
-    strategy: str = "auto",
+    beta: WeakOrder, ctx: UtilityContext, *, exhaustive: bool = False
 ) -> TrustReport:
-    """Screen every key of a returned ranking against the feasible table.
+    """Screen every key of a returned ranking against the separation windows.
 
     A key is flagged when some feasible separation's alternative-bias
     window ``[bias - gap, bias - max(gap - 1, shift))`` intersects the
-    configured bias range strictly.  ``exhaustive`` reports every such
-    separation per key (scan only); otherwise the first witness found
-    suffices.  ``strategy`` is ``"scan"``, ``"indexed"``, or ``"auto"``
-    (indexed above universe size 4096, scan below; the partitions never
-    differ, only the witness choice may).
+    configured bias range strictly, which holds exactly when
+    ``gap > bias - range_high`` and the floor is below
+    ``bias - range_low``.  By default each flagged key reports one
+    witness: among the separations whose gap clears
+    ``bias - range_high``, the one with the least window floor, the
+    rightmost on ties.  ``exhaustive`` reports every qualifying
+    separation in ascending order; they form one interval, found with
+    two more binary searches per flagged key.
     """
-    if strategy not in ("auto", "scan", "indexed"):
-        raise ConfigurationError(f"unknown detection strategy: {strategy!r}")
-    if exhaustive and strategy == "indexed":
-        raise ConfigurationError("exhaustive reporting requires the scan strategy")
-    if strategy == "auto":
-        strategy = "scan" if exhaustive or ctx.universe_size <= 4096 else "indexed"
     range_low, range_high = ctx.bias.lower, ctx.bias.upper
     assert range_low is not None and range_high is not None  # BiasFunction derives bounds
-    pivot = _floor_pivot(ctx.universe_size) if strategy == "indexed" else None
-    table = feasible_delta_table(ctx.universe_size) if strategy == "scan" else ()
+    z = ctx.universe_size
+    pivot = _floor_pivot(z)
     trustworthy: list[Key] = []
     flagged: dict[Key, tuple[TrustWitness, ...]] = {}
     for key in beta.keys():
         bias_value = ctx.bias(key)
-        if strategy == "indexed":
-            witness = _indexed_witness(
-                bias_value, ctx.universe_size, pivot, range_low, range_high
-            )
-            witnesses: tuple[TrustWitness, ...] = (witness,) if witness else ()
-        else:
-            witnesses = tuple(
-                _scan_witnesses(bias_value, table, range_low, range_high, exhaustive)
-            )
-        if witnesses:
-            flagged[key] = witnesses
-        else:
+        witness = _witness(bias_value, z, pivot, range_low, range_high)
+        if witness is None:
             trustworthy.append(key)
+        elif exhaustive:
+            flagged[key] = _witnesses(bias_value, z, witness, range_low, range_high)
+        else:
+            flagged[key] = (witness,)
     return TrustReport(tuple(trustworthy), flagged)
 
 

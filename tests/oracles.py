@@ -133,7 +133,7 @@ def _feasible_windows(z: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
 
 
 def trust_witness_oracle(value, z: int, low, high) -> TrustWitness | None:
-    """The indexed detector's witness, found by scanning every separation.
+    """The detector's default witness, found by scanning every separation.
 
     Among the feasible separations whose gap exceeds ``value - high``,
     take the least window floor, the rightmost one on ties; it witnesses
@@ -149,6 +149,21 @@ def trust_witness_oracle(value, z: int, low, high) -> TrustWitness | None:
         return None
     delta, gap, floor = best
     return TrustWitness(delta, value - gap, value - floor)
+
+
+def trust_witnesses_oracle(value, z: int, low, high) -> tuple[TrustWitness, ...]:
+    """Every feasible window that meets the range, in separation order.
+
+    The window ``[value - gap, value - floor)`` meets the closed range
+    ``[low, high]`` when the larger left end lies strictly below the
+    smaller right end.
+    """
+    witnesses = []
+    for delta, gap, floor in _feasible_windows(z):
+        interval_low, interval_high = value - gap, value - floor
+        if max(interval_low, low) < min(interval_high, high):
+            witnesses.append(TrustWitness(delta, interval_low, interval_high))
+    return tuple(witnesses)
 
 
 # --------------------------------------------------------------------------- #

@@ -201,7 +201,7 @@ def test_verify_command_passes_its_own_checks(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
-    assert len(report["checks"]) == 7
+    assert len(report["checks"]) == 6
     assert all(entry["ok"] for entry in report["checks"].values())
 
 

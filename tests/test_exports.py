@@ -1,0 +1,24 @@
+"""The package's public names: each resolves and is listed once."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import coiquery
+
+MODULES = ["coiquery"] + [
+    f"coiquery.{info.name}" for info in pkgutil.iter_modules(coiquery.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves_and_is_listed_once(name):
+    module = importlib.import_module(name)
+    exported = module.__all__
+    missing = [entry for entry in exported if not hasattr(module, entry)]
+    assert not missing, f"{name}.__all__ names undefined {missing}"
+    repeated = sorted({entry for entry in exported if exported.count(entry) > 1})
+    assert not repeated, f"{name}.__all__ lists {repeated} more than once"

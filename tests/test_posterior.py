@@ -102,10 +102,6 @@ def test_best_response_shifts_by_bias_then_projects():
     assert best_response_rank(1, 3, 4) == 1
 
 
-def test_real_score_mode_returns_the_unprojected_target():
-    assert best_response_rank("19/4", 2, 10, mode="real_score") == Fraction(11, 4)
-
-
 def test_projected_best_response_matches_full_scan():
     rng = random.Random(23)
     for _ in range(300):

@@ -1,4 +1,4 @@
-"""Displacement thresholds, the feasible table, and the trust filter."""
+"""Displacement thresholds, the feasible windows, and the trust filter."""
 
 from __future__ import annotations
 
@@ -15,15 +15,16 @@ from coiquery import (
     UtilityContext,
     WeakOrder,
     detect_trustworthy,
-    feasible_delta_table,
     gsd_values,
     pairwise_indifference,
 )
 from coiquery.trust import _floor_pivot, _threshold_numerators
 from oracles import (
+    _feasible_windows,
     closed_form_gap_shift,
     trust_baseline_flags,
     trust_witness_oracle,
+    trust_witnesses_oracle,
 )
 
 
@@ -82,42 +83,45 @@ def test_thresholds_match_longhand_formulas():
 # --------------------------------------------------------------------------- #
 
 
+def _feasible_windows_reported(z):
+    """``(separation, floor, gap)`` of every feasible window, from a report.
+
+    A zero-bias key on the range ``[-z, z]`` is admitted by every window,
+    so its exhaustive report lists them all as ``[-gap, -floor)``.
+    """
+    beta = WeakOrder.total(["e"])
+    ctx = _detect_ctx(z, {"e": 0}, -z, z)
+    witnesses = detect_trustworthy(beta, ctx, exhaustive=True).flagged["e"]
+    return [(w.separation, -w.interval_high, -w.interval_low) for w in witnesses]
+
+
 def test_feasible_table_tiny_universe():
-    (entry,) = feasible_delta_table(2)
-    assert entry.separation == 1
-    assert (entry.bias_low, entry.bias_high) == (Fraction(1, 3), Fraction(2, 3))
+    assert _feasible_windows_reported(2) == [(1, Fraction(1, 3), Fraction(2, 3))]
 
 
 def test_feasible_table_excludes_unit_separation_at_z_four():
-    table = feasible_delta_table(4)
-    assert [entry.separation for entry in table] == [2, 3]
-    assert table[0].bias_low == Fraction(7, 13)
-    assert table[0].bias_high == Fraction(43, 39)
-    assert table[1].bias_low == Fraction(3, 5)
-    assert table[1].bias_high == Fraction(8, 5)
+    windows = _feasible_windows_reported(4)
+    assert [separation for separation, _, _ in windows] == [2, 3]
+    assert windows[0][1:] == (Fraction(7, 13), Fraction(43, 39))
+    assert windows[1][1:] == (Fraction(3, 5), Fraction(8, 5))
 
 
 def test_feasible_table_z_ten():
-    table = feasible_delta_table(10)
-    assert [entry.separation for entry in table] == [4, 5, 6, 7, 8, 9]
-    five = table[1]
-    assert five.bias_low == Fraction(71, 51)
-    assert five.bias_high == Fraction(122, 51)
+    windows = _feasible_windows_reported(10)
+    assert [separation for separation, _, _ in windows] == [4, 5, 6, 7, 8, 9]
+    assert windows[1] == (5, Fraction(71, 51), Fraction(122, 51))
 
 
 def test_feasible_entries_follow_the_strict_window_rule():
     for z in (2, 6, 12, 30):
-        present = {entry.separation for entry in feasible_delta_table(z)}
+        windows = _feasible_windows_reported(z)
+        assert windows == [(d, floor, gap) for d, gap, floor in _feasible_windows(z)]
+        present = {separation: (floor, gap) for separation, floor, gap in windows}
         for separation in range(1, z):
             gap, shift = closed_form_gap_shift(z, separation)
             assert (max(gap - 1, shift) < gap) == (separation in present)
             if separation in present:
-                (entry,) = [
-                    e for e in feasible_delta_table(z) if e.separation == separation
-                ]
-                assert entry.bias_low == max(gap - 1, shift)
-                assert entry.bias_high == gap
-                assert entry.bias_low < entry.bias_high
+                assert present[separation] == (max(gap - 1, shift), gap)
 
 
 def _forward_differences(z, d):
@@ -176,12 +180,14 @@ def test_zero_bias_key_is_trustworthy_at_z_ten():
     assert not report.flagged
 
 
-def test_max_bias_key_is_flagged_with_the_first_feasible_witness():
+def test_max_bias_key_is_flagged_with_the_least_floor_witness():
+    # Every feasible gap clears 3 - 3 = 0, so the witness is the pivot:
+    # separation 5 has the least floor (71/51 against 4's 119/79).
     beta = WeakOrder.total(["e"])
     report = detect_trustworthy(beta, _detect_ctx(10, {"e": 3}, 0, 3))
     assert report.trustworthy == ()
     assert report.flagged["e"] == (
-        TrustWitness(4, Fraction(256, 237), Fraction(118, 79)),
+        TrustWitness(5, Fraction(31, 51), Fraction(82, 51)),
     )
 
 
@@ -221,27 +227,18 @@ def test_point_bias_range_never_flags():
     assert report.trustworthy == ("e",)
 
 
-def test_strategy_validation():
-    beta = WeakOrder.total(["e"])
-    ctx = _detect_ctx(10, {"e": 0}, 0, 3)
-    with pytest.raises(ConfigurationError):
-        detect_trustworthy(beta, ctx, strategy="??")
-    with pytest.raises(ConfigurationError):
-        detect_trustworthy(beta, ctx, exhaustive=True, strategy="indexed")
-
-
-def test_scan_and_indexed_strategies_partition_identically():
+def test_default_reports_match_the_witness_oracle_on_small_universes():
     rng = random.Random(7)
     for _ in range(10):
         z = rng.randint(50, 200)
         keys = [f"e{i}" for i in range(1, 41)]
         entries = {k: Fraction(rng.randint(0, 30), 10) for k in keys}
         ctx = _detect_ctx(z, entries, 0, 3, top_k=40)
-        beta = WeakOrder.total(keys)
-        scan = detect_trustworthy(beta, ctx, strategy="scan")
-        indexed = detect_trustworthy(beta, ctx, strategy="indexed")
-        assert scan.trustworthy == indexed.trustworthy
-        assert set(scan.flagged) == set(indexed.flagged)
+        report = detect_trustworthy(WeakOrder.total(keys), ctx)
+        for key in keys:
+            expected = trust_witness_oracle(entries[key], z, Fraction(0), Fraction(3))
+            assert report.flagged.get(key) == ((expected,) if expected else None)
+            assert (key in report.trustworthy) == (expected is None)
 
 
 def test_indexed_witness_matches_the_scan_oracle_exactly():
@@ -259,13 +256,59 @@ def test_indexed_witness_matches_the_scan_oracle_exactly():
         default = high + Fraction(rng.randint(1, 10 * z), 20)
         bias = BiasFunction(entries, default=default, lower=Fraction(0), upper=high)
         ctx = UtilityContext(z, z, bias)
-        report = detect_trustworthy(WeakOrder.total(keys), ctx, strategy="indexed")
+        report = detect_trustworthy(WeakOrder.total(keys), ctx)
         for key in keys:
             expected = trust_witness_oracle(bias(key), z, Fraction(0), high)
             assert report.flagged.get(key) == ((expected,) if expected else None)
             assert (key in report.trustworthy) == (expected is None)
             searched += expected is not None and bias(key) - high >= _floor_pivot(z).gap
     assert searched > 0
+
+
+def _range_and_biases(rng, z):
+    """A bias range of a random shape and key biases inside and beyond it."""
+    shape = rng.choice(["wide", "point", "negative", "narrow"])
+    if shape == "wide":
+        low, high = Fraction(0), Fraction(rng.choice([3, max(1, 3 * z // 10)]))
+    elif shape == "point":
+        low = high = Fraction(rng.randint(-30, 30), 10)
+    elif shape == "negative":
+        low = Fraction(-rng.randint(1, 40), 10)
+        high = low + Fraction(rng.randint(0, 30), 10)
+    else:
+        low = Fraction(rng.randint(0, 30), 10)
+        high = low + Fraction(rng.randint(1, 5), 10)
+    width = high - low
+    entries = [low + width * Fraction(rng.randint(0, 20), 20) for _ in range(3)]
+    # Keys without an entry take the default, which lies above the range.
+    default = high + Fraction(rng.randint(1, 10 * z), 20)
+    return low, high, entries, default
+
+
+def test_exhaustive_and_default_reports_match_their_oracles():
+    rng = random.Random(31)
+    universes = list(range(2, 301)) + [rng.randint(301, 20_000) for _ in range(4)]
+    reported = multiple = 0
+    for z in universes:
+        low, high, values, default = _range_and_biases(rng, z)
+        keys = ["a", "b", "c", "out"]
+        bias = BiasFunction(
+            dict(zip(keys, values)), default=default, lower=low, upper=high
+        )
+        ctx = UtilityContext(z, z, bias)
+        beta = WeakOrder.total(keys)
+        report = detect_trustworthy(beta, ctx, exhaustive=True)
+        default = detect_trustworthy(beta, ctx)
+        for key in keys:
+            expected = trust_witnesses_oracle(bias(key), z, low, high)
+            assert report.flagged.get(key) == (expected or None), (z, key)
+            assert (key in report.trustworthy) == (not expected)
+            witness = trust_witness_oracle(bias(key), z, low, high)
+            assert default.flagged.get(key) == ((witness,) if witness else None)
+            assert default.trustworthy == report.trustworthy
+            reported += bool(expected)
+            multiple += len(expected) > 1
+    assert reported > 100 and multiple > 50
 
 
 def test_report_partitions_the_returned_keys():
@@ -300,10 +343,10 @@ def test_report_serialization_shape():
     assert payload["trustworthy"] == ["f"]
     (entry,) = payload["flagged"]
     assert entry["key"] == "e"
-    assert entry["delta"] == 4
+    assert entry["delta"] == 5
     low, high = entry["interval"]
-    assert low == pytest.approx(256 / 237)
-    assert high == pytest.approx(354 / 237)
+    assert low == pytest.approx(31 / 51)
+    assert high == pytest.approx(82 / 51)
 
 
 # --------------------------------------------------------------------------- #
