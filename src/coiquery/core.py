@@ -236,13 +236,21 @@ class WeakOrder:
         if not isinstance(data, (list, tuple)):
             raise ConfigurationError("weak order must be a list of lists of keys")
         blocks: list[tuple[Key, ...]] = []
-        for block in data:
-            if not isinstance(block, (list, tuple)) or not all(
-                isinstance(k, str) for k in block
-            ):
+        seen: set[Key] = set()
+        violation: str | None = None
+        for index, block in enumerate(data, start=1):
+            if not isinstance(block, (list, tuple)):
                 raise ConfigurationError("weak order blocks must be lists of strings")
-            blocks.append(tuple(block))
-        violation = validate_weak_order(blocks)
+            block = tuple(block)
+            if not block and violation is None:
+                violation = f"block {index} is empty"
+            for key in block:
+                if not isinstance(key, str):
+                    raise ConfigurationError("weak order blocks must be lists of strings")
+                if key in seen and violation is None:
+                    violation = f"duplicate key {key!r}"
+                seen.add(key)
+            blocks.append(block)
         if violation is not None:
             raise ConfigurationError(f"invalid weak order: {violation}")
         return cls(tuple(blocks))
@@ -364,7 +372,8 @@ class BiasFunction:
     the analysis treats as possible; when not supplied it is computed
     from the stored values (and the default).  Explicit bounds must
     cover every stored entry but may deliberately exclude the default,
-    which only applies to keys outside the analyzed universe.
+    which only applies to keys outside the analyzed universe.  Each value
+    becomes a ``Fraction`` once; entries are range-checked as integers.
     """
 
     entries: Mapping[Key, Fraction]
@@ -373,21 +382,17 @@ class BiasFunction:
     upper: Fraction | None = None
 
     def __post_init__(self) -> None:
-        entries = {k: as_fraction(v) for k, v in dict(self.entries).items()}
+        entries = {k: as_fraction(v) for k, v in self.entries.items()}
         default = as_fraction(self.default)
-        observed = list(entries.values()) or [default]
-        if self.lower is None:
-            lower = min(observed + ([default] if entries else []))
-        else:
-            lower = as_fraction(self.lower)
-        if self.upper is None:
-            upper = max(observed + ([default] if entries else []))
-        else:
-            upper = as_fraction(self.upper)
+        observed = [*entries.values(), default]
+        lower = min(observed) if self.lower is None else as_fraction(self.lower)
+        upper = max(observed) if self.upper is None else as_fraction(self.upper)
         if lower > upper:
             raise ConfigurationError(f"bias range is empty: [{lower}, {upper}]")
+        (lo_n, lo_d), (up_n, up_d) = lower.as_integer_ratio(), upper.as_integer_ratio()
         for key, value in entries.items():
-            if not lower <= value <= upper:
+            n, d = value.numerator, value.denominator
+            if n * lo_d < lo_n * d or n * up_d > up_n * d:
                 raise ConfigurationError(
                     f"bias for {key!r} ({value}) outside range [{lower}, {upper}]"
                 )
@@ -437,10 +442,10 @@ class BiasFunction:
         if not isinstance(raw_entries, dict):
             raise ConfigurationError("bias entries must be an object")
         return cls(
-            entries={str(k): as_fraction(v) for k, v in raw_entries.items()},
-            default=as_fraction(data.get("default", 0)),
-            lower=None if data.get("lower") is None else as_fraction(data["lower"]),
-            upper=None if data.get("upper") is None else as_fraction(data["upper"]),
+            entries={str(k): v for k, v in raw_entries.items()},
+            default=data.get("default", 0),
+            lower=data.get("lower"),
+            upper=data.get("upper"),
         )
 
     def __repr__(self) -> str:

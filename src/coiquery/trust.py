@@ -9,13 +9,13 @@ intersection: a key is flagged when some feasible separation admits an
 alternative bias, inside the configured bias range, that would make its
 placement strategic.
 
-Detection searches the closed form, with O(log z) integer evaluations
-per universe size and at most one binary search per key.  Its witness
-rule: among the feasible separations whose gap exceeds
-``bias - range_high``, the one with the least window floor, the
-rightmost on ties.  An exhaustive report lists every separation whose
-window meets the range; they form one interval, so it costs O(log z)
-plus its length.
+Detection's witness rule: among the feasible separations whose gap
+exceeds ``bias - range_high``, the one with the least window floor, the
+rightmost on ties.  It finds the *pivot* (below) in O(log z) integer
+steps per universe size; two cuts there settle each key by integer
+comparisons, and only a bias at or above the high one is searched.  An
+exhaustive report lists every separation whose window meets the range;
+they form one interval, so it costs O(log z) plus its length.
 
 The search rests on three monotonicity facts.  Write
 ``gap = G(d) / S(d)`` and ``shift = H(d) / S(d)`` over their shared
@@ -201,27 +201,22 @@ def _floor_pivot(universe_size: int) -> _Window | None:
 def _witness(
     bias_value: Fraction,
     universe_size: int,
-    pivot: _Window | None,
+    pivot: _Window,
     range_low: Fraction,
     range_high: Fraction,
 ) -> TrustWitness | None:
-    if range_low >= range_high or pivot is None:
-        return None
-    # Need gap > cut; the separations that qualify form a suffix.  When
-    # the pivot is in it, its floor is the suffix minimum; otherwise the
-    # suffix starts right of the pivot, where the floor increases.
+    """Witness for a bias at or above the high cut: the first separation
+    right of the pivot whose gap clears ``bias - range_high``."""
     cut = bias_value - range_high
-    window = pivot
-    if not pivot.gap > cut:
 
-        def clears(d: int) -> bool:
-            gap, _, scale = _threshold_numerators(universe_size, d)
-            return gap * cut.denominator > cut.numerator * scale
+    def clears(d: int) -> bool:
+        gap, _, scale = _threshold_numerators(universe_size, d)
+        return gap * cut.denominator > cut.numerator * scale
 
-        at = _first_where(pivot.separation + 1, universe_size, clears)
-        if at == universe_size:
-            return None
-        window = _window(universe_size, at)
+    at = _first_where(pivot.separation + 1, universe_size, clears)
+    if at == universe_size:
+        return None
+    window = _window(universe_size, at)
     if not window.floor < bias_value - range_low:
         return None
     return TrustWitness(
@@ -279,21 +274,41 @@ def detect_trustworthy(
     configured bias range strictly, which holds exactly when
     ``gap > bias - range_high`` and the floor is below
     ``bias - range_low``.  By default each flagged key reports one
-    witness: among the separations whose gap clears
-    ``bias - range_high``, the one with the least window floor, the
-    rightmost on ties.  ``exhaustive`` reports every qualifying
-    separation in ascending order; they form one interval, found with
-    two more binary searches per flagged key.
+    witness: among the separations whose gap clears ``bias - range_high``,
+    the one with the least window floor, the rightmost on ties.  Each bias
+    is compared, as cross-multiplied integers, with two cuts from the
+    cached pivot: at or below ``range_low + pivot.floor`` it is
+    trustworthy, below ``range_high + pivot.gap`` the pivot is its
+    witness, and otherwise (a default above the range) it binary-searches
+    past the pivot.  ``exhaustive`` reports every qualifying separation in
+    ascending order; they form one interval, found with two more binary
+    searches per flagged key.
     """
     range_low, range_high = ctx.bias.lower, ctx.bias.upper
     assert range_low is not None and range_high is not None  # BiasFunction derives bounds
     z = ctx.universe_size
     pivot = _floor_pivot(z)
+    if pivot is None or range_low >= range_high:
+        return TrustReport(beta.keys(), {})
+    low_n, low_d = (range_low + pivot.floor).as_integer_ratio()
+    high_n, high_d = (range_high + pivot.gap).as_integer_ratio()
+    gap_n, gap_d = pivot.gap.as_integer_ratio()
+    floor_n, floor_d = pivot.floor.as_integer_ratio()
     trustworthy: list[Key] = []
     flagged: dict[Key, tuple[TrustWitness, ...]] = {}
     for key in beta.keys():
         bias_value = ctx.bias(key)
-        witness = _witness(bias_value, z, pivot, range_low, range_high)
+        n, d = bias_value.numerator, bias_value.denominator
+        if n * low_d <= low_n * d:
+            witness: TrustWitness | None = None
+        elif n * high_d < high_n * d:
+            witness = TrustWitness(
+                pivot.separation,
+                Fraction(n * gap_d - gap_n * d, d * gap_d),
+                Fraction(n * floor_d - floor_n * d, d * floor_d),
+            )
+        else:
+            witness = _witness(bias_value, z, pivot, range_low, range_high)
         if witness is None:
             trustworthy.append(key)
         elif exhaustive:

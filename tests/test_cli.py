@@ -205,6 +205,86 @@ def test_verify_command_passes_its_own_checks(capsys):
     assert all(entry["ok"] for entry in report["checks"].values())
 
 
+#: ``coiquery trust`` stdout for ``_GOLDEN_CONFIG``, byte for byte.
+_GOLDEN_TRUST_STDOUT = """\
+{
+  "flagged": [
+    {
+      "delta": 5,
+      "interval": [
+        0.6078431372549019,
+        1.607843137254902
+      ],
+      "key": "a"
+    },
+    {
+      "delta": 7,
+      "interval": [
+        2.5886524822695036,
+        3.5886524822695036
+      ],
+      "key": "x"
+    },
+    {
+      "delta": 5,
+      "interval": [
+        -0.058823529411764705,
+        0.9411764705882353
+      ],
+      "key": "d"
+    },
+    {
+      "delta": 5,
+      "interval": [
+        0.10784313725490197,
+        1.107843137254902
+      ],
+      "key": "e"
+    },
+    {
+      "delta": 5,
+      "interval": [
+        -0.6421568627450981,
+        0.35784313725490197
+      ],
+      "key": "f"
+    }
+  ],
+  "trustworthy": [
+    "b",
+    "c"
+  ]
+}
+"""
+
+#: At z=10 the pivot is separation 5 (gap 122/51, floor 71/51), so on
+#: [0, 3] biases up to 71/51 are trustworthy ("b" and "1/3"), and the
+#: integer, "p/q", decimal and float biases above it are flagged at the
+#: pivot.  The default-valued "x" (6) needs a gap above 3: the search
+#: past the pivot finds separation 7.
+_GOLDEN_CONFIG = {
+    "z": 10,
+    "k": 10,
+    "bias": {
+        "entries": {"a": 3, "b": 0, "c": "1/3", "d": "7/3", "e": 2.5, "f": 1.75},
+        "default": 6,
+        "lower": 0,
+        "upper": 3,
+    },
+}
+
+
+def test_trust_command_output_is_pinned_byte_for_byte(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_GOLDEN_CONFIG))
+    beta = _write_order(
+        tmp_path, "beta.json", [["a"], ["b", "c"], ["x"], ["d"], ["e"], ["f"]]
+    )
+    code = run_command(["trust", "--config", str(config), "--beta", str(beta)])
+    assert code == 0
+    assert capsys.readouterr().out == _GOLDEN_TRUST_STDOUT
+
+
 def test_trust_output_flag_writes_a_file(tmp_path, mixed_config):
     beta = _write_order(tmp_path, "beta.json", [["a"], ["b"], ["c"], ["d"]])
     out = tmp_path / "report.json"

@@ -65,6 +65,23 @@ def test_from_lists_round_trips_and_validates():
         WeakOrder.from_lists("not a ranking")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([["a"], ["b", "a"]], "invalid weak order: duplicate key 'a'"),
+        ([["a"], [], ["a"]], "invalid weak order: block 2 is empty"),
+        ([["a", "a"], []], "invalid weak order: duplicate key 'a'"),
+        ([[], ["a", 1]], "weak order blocks must be lists of strings"),
+        ([["a"], ["a"], "b"], "weak order blocks must be lists of strings"),
+        ({"a": 1}, "weak order must be a list of lists of keys"),
+    ],
+)
+def test_from_lists_reports_the_first_defect_shape_errors_first(data, message):
+    with pytest.raises(ConfigurationError) as caught:
+        WeakOrder.from_lists(data)
+    assert str(caught.value) == message
+
+
 def test_validate_weak_order_reports_first_defect():
     assert validate_weak_order([["a"], ["b", "c"]]) is None
     assert "duplicate" in validate_weak_order([["a"], ["a", "b"]])
@@ -168,6 +185,35 @@ def test_bias_function_json_round_trip_preserves_values():
     assert again("b") == Fraction(3)
     assert (again.lower, again.upper) == (Fraction(0), Fraction(3))
     assert again.as_jsonable() == bias.as_jsonable()
+
+
+def test_bias_range_check_is_exact_at_rational_bounds():
+    low, high = Fraction(-1, 3), Fraction(5, 7)
+    bias = BiasFunction({"a": low, "b": high}, lower=low, upper=high)
+    assert (bias("a"), bias("b")) == (low, high)
+    step = Fraction(1, 10**30)
+    for value in (low - step, high + step):
+        with pytest.raises(ConfigurationError) as caught:
+            BiasFunction({"x": value}, lower=low, upper=high)
+        assert str(caught.value) == f"bias for 'x' ({value}) outside range [-1/3, 5/7]"
+
+
+def test_bias_from_jsonable_converts_each_spelling_once():
+    bias = BiasFunction.from_jsonable(
+        {"entries": {"a": "1/3", "b": 0.5, "c": 2}, "default": "7", "upper": "5/2"}
+    )
+    assert bias.entries == {"a": Fraction(1, 3), "b": Fraction(1, 2), "c": Fraction(2)}
+    assert all(type(value) is Fraction for value in bias.entries.values())
+    assert (bias.default, bias.lower, bias.upper) == (7, Fraction(1, 3), Fraction(5, 2))
+    for document, message in (
+        ({"entries": {"a": "x"}, "default": "y"}, "not a rational value: 'x'"),
+        ({"entries": {"a": 1}, "default": "y"}, "not a rational value: 'y'"),
+        ({"entries": {}, "lower": [1]}, "not a rational value: [1]"),
+        ({"entries": {"a": 4}, "upper": 3}, "bias for 'a' (4) outside range [0, 3]"),
+    ):
+        with pytest.raises(ConfigurationError) as caught:
+            BiasFunction.from_jsonable(document)
+        assert str(caught.value) == message
 
 
 def test_as_fraction_accepts_the_usual_spellings():

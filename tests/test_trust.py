@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coiquery import (
     BiasFunction,
@@ -241,7 +243,7 @@ def test_default_reports_match_the_witness_oracle_on_small_universes():
             assert (key in report.trustworthy) == (expected is None)
 
 
-def test_indexed_witness_matches_the_scan_oracle_exactly():
+def test_past_pivot_search_matches_the_scan_oracle_exactly():
     rng = random.Random(23)
     universes = [2, 3, 4, 10, 97, 4096, 4097, 20_000]
     universes += [rng.randint(5, 4096) for _ in range(4)]
@@ -309,6 +311,105 @@ def test_exhaustive_and_default_reports_match_their_oracles():
             reported += bool(expected)
             multiple += len(expected) > 1
     assert reported > 100 and multiple > 50
+
+
+def _screen_one(value, z, low, high, *, as_default=False):
+    """Witness of one key of bias ``value``, or None when it is trustworthy.
+
+    The key has an entry when ``value`` lies in the range; otherwise, or
+    when asked, it takes ``value`` as the default beside an in-range entry.
+    """
+    if as_default or not low <= value <= high:
+        bias = BiasFunction({"in": low}, default=value, lower=low, upper=high)
+    else:
+        bias = BiasFunction({"k": value}, default=high + 1, lower=low, upper=high)
+    report = detect_trustworthy(WeakOrder.total(["k"]), UtilityContext(z, z, bias))
+    (witness,) = report.flagged.get("k", (None,))
+    assert ("k" in report.trustworthy) == (witness is None)
+    return witness
+
+
+def _witness_near_pivot(value, z, low, high):
+    """The default witness of a bias whose gap cut the pivot's successor
+    clears, read off those two separations' longhand thresholds."""
+    pivot = _floor_pivot(z).separation
+    for separation in (pivot, pivot + 1):
+        if separation == z:
+            return None
+        gap, shift = closed_form_gap_shift(z, separation)
+        if gap > value - high:
+            floor = max(gap - 1, shift)
+            if not floor < value - low:
+                return None
+            return TrustWitness(separation, value - gap, value - floor)
+    raise AssertionError(f"bias {value} is past the pivot's successor")
+
+
+@pytest.mark.parametrize("z", [2, 3, 4, 10, 4097, 10**6])
+def test_biases_on_and_beside_the_two_cuts(z):
+    pivot = _floor_pivot(z)
+    step = Fraction(1, 10**15)
+    ranges = [
+        (Fraction(0), Fraction(3)),
+        (Fraction(-5, 3), Fraction(3 * z, 10) + Fraction(1, 7)),
+        (Fraction(1, 3), Fraction(1, 3)),  # a point range flags nothing
+    ]
+    for low, high in ranges:
+        low_cut, high_cut = low + pivot.floor, high + pivot.gap
+        for cut in (low_cut, high_cut):
+            for value in (cut - step, cut, cut + step):
+                found = {
+                    _screen_one(value, z, low, high, as_default=as_default)
+                    for as_default in (False, True)
+                }
+                assert len(found) == 1, (z, value)
+                (witness,) = found
+                if low == high:
+                    assert witness is None
+                    continue
+                assert witness == _witness_near_pivot(value, z, low, high)
+                if value <= low_cut:
+                    assert witness is None
+                elif value < high_cut:
+                    assert witness is not None
+                    assert witness.separation == pivot.separation
+                else:
+                    assert witness is None or witness.separation > pivot.separation
+                if z <= 4097:  # the scan oracle takes ~17 s per call at z=10**6
+                    assert witness == trust_witness_oracle(value, z, low, high)
+
+
+_rationals = st.one_of(
+    st.fractions(-100, 100, max_denominator=10**6),
+    st.floats(-100, 100, allow_nan=False).map(Fraction),
+)
+_unit = st.one_of(st.fractions(0, 1, max_denominator=1000), st.floats(0, 1).map(Fraction))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 300),
+    _rationals,
+    st.one_of(st.just(Fraction(0)), _rationals.map(abs)),
+    st.lists(_unit, min_size=1, max_size=4),
+    _rationals,
+    st.booleans(),
+)
+def test_default_reports_match_the_oracle_on_drawn_inputs(
+    z, low, width, spots, offset, above
+):
+    high = low + width
+    entries = {f"k{i}": low + width * spot for i, spot in enumerate(spots)}
+    # A default either anywhere or above the range, where keys that need
+    # the past-pivot search live.
+    default = high + abs(offset) if above else offset
+    bias = BiasFunction(entries, default=default, lower=low, upper=high)
+    keys = [*entries, "out"]
+    report = detect_trustworthy(WeakOrder.total(keys), UtilityContext(z, z, bias))
+    for key in keys:
+        expected = trust_witness_oracle(bias(key), z, low, high)
+        assert report.flagged.get(key) == ((expected,) if expected else None)
+        assert (key in report.trustworthy) == (expected is None)
 
 
 def test_report_partitions_the_returned_keys():
