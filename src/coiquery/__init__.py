@@ -18,183 +18,26 @@ for the mathematics each piece implements.
 
 from __future__ import annotations
 
-from .core import (
-    AttributeDomain,
-    BiasFunction,
-    ConfigurationError,
-    DomainError,
-    InfeasibleQueryError,
-    Key,
-    QueryAnalysisError,
-    Rank,
-    RankDomain,
-    Relation,
-    SearchBudgetError,
-    WeakOrder,
-    as_fraction,
-    build_rank_domain,
-    validate_weak_order,
-)
-from .equilibrium import (
-    ClassifiedEquilibrium,
-    EquilibriumClass,
-    FiniteGame,
-    StrategyPair,
-    bayes_posterior,
-    classify_equilibrium,
-    commission_game,
-    enumerate_pure_equilibria,
-    influential_witness,
-    off_path_belief,
-)
-from .influence import (
-    DeltaQuery,
-    RankingSetKind,
-    RankingSetSummary,
-    RelativeRankConstraint,
-    base_query,
-    build_delta_query,
-    classify_ranking_set,
-    complement_constraint,
-    delta_star,
-    delta_star_for_gap,
-    delta_star_solutions,
-    order_by_case_sketch,
-)
-from .ingest import (
-    OTHER_LABEL,
-    BiasConfig,
-    BiasRule,
-    BucketKind,
-    BucketSpec,
-    assign_bias,
-    bucketize,
-    generate_intents,
-    load_table,
-    random_bias,
-)
-from .merge import (
-    IntervalPartition,
-    MergeResult,
-    SuperRankCheck,
-    apply_merge,
-    brute_force_merge_opt,
-    count_super_ranks,
-    interval_score,
-    is_super_rank,
-    maximize_merge_dp,
-)
-from .posterior import (
-    PosteriorSummary,
-    Region,
-    RegionSide,
-    best_response_rank,
-    block_expected_user_utility,
-    interpret_query,
-    region_means,
-)
-from .trust import (
-    GapThresholds,
-    IndifferenceReport,
-    TrustReport,
-    TrustWitness,
-    detect_trustworthy,
-    gsd_values,
-    pairwise_indifference,
-)
-from .utility import (
-    SaturationOutcome,
-    SupermodularCheck,
-    SupermodularWitness,
-    UtilityContext,
-    UtilityKind,
-    aggregate_utility,
-    check_supermodular,
-    per_tuple_utility,
-    saturation_check,
-)
+from . import core, equilibrium, influence, ingest, merge, posterior, trust, utility
+from .core import *
+from .equilibrium import *
+from .influence import *
+from .ingest import *
+from .merge import *
+from .posterior import *
+from .trust import *
+from .utility import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeDomain",
-    "BiasConfig",
-    "BiasFunction",
-    "BiasRule",
-    "BucketKind",
-    "BucketSpec",
-    "ClassifiedEquilibrium",
-    "ConfigurationError",
-    "DeltaQuery",
-    "DomainError",
-    "EquilibriumClass",
-    "FiniteGame",
-    "GapThresholds",
-    "IndifferenceReport",
-    "InfeasibleQueryError",
-    "IntervalPartition",
-    "Key",
-    "MergeResult",
-    "OTHER_LABEL",
-    "PosteriorSummary",
-    "QueryAnalysisError",
-    "Rank",
-    "RankDomain",
-    "RankingSetKind",
-    "RankingSetSummary",
-    "Region",
-    "RegionSide",
-    "Relation",
-    "RelativeRankConstraint",
-    "SaturationOutcome",
-    "SearchBudgetError",
-    "StrategyPair",
-    "SuperRankCheck",
-    "SupermodularCheck",
-    "SupermodularWitness",
-    "TrustReport",
-    "TrustWitness",
-    "UtilityContext",
-    "UtilityKind",
-    "WeakOrder",
-    "aggregate_utility",
-    "apply_merge",
-    "as_fraction",
-    "assign_bias",
-    "base_query",
-    "bayes_posterior",
-    "best_response_rank",
-    "block_expected_user_utility",
-    "brute_force_merge_opt",
-    "bucketize",
-    "build_delta_query",
-    "build_rank_domain",
-    "check_supermodular",
-    "classify_equilibrium",
-    "classify_ranking_set",
-    "commission_game",
-    "complement_constraint",
-    "count_super_ranks",
-    "delta_star",
-    "delta_star_for_gap",
-    "delta_star_solutions",
-    "detect_trustworthy",
-    "enumerate_pure_equilibria",
-    "generate_intents",
-    "gsd_values",
-    "influential_witness",
-    "interpret_query",
-    "interval_score",
-    "is_super_rank",
-    "load_table",
-    "maximize_merge_dp",
-    "off_path_belief",
-    "order_by_case_sketch",
-    "pairwise_indifference",
-    "per_tuple_utility",
-    "random_bias",
-    "region_means",
-    "saturation_check",
-    "validate_weak_order",
+    *core.__all__,
+    *equilibrium.__all__,
+    *influence.__all__,
+    *ingest.__all__,
+    *merge.__all__,
+    *posterior.__all__,
+    *trust.__all__,
+    *utility.__all__,
     "__version__",
 ]

@@ -27,17 +27,16 @@ noted::
       "kind_user": "quadratic_user",
       "kind_source": "quadratic_source_biased",
       "bias": {"entries": {"e1": 2.0}, "default": 0, "lower": 0, "upper": 3},
-      "seed": 0,
       "limits": {"enumeration": 12, "merge_brute": 14},
       "attributes": [{"name": "brand", "values": ["JBL", "Sony"]}],
       "bias_rules": [{"when": {"brand": "Sony"}, "bias": 2}],
-      "scale": 1,
-      "buckets": [{"attribute": "price", "kind": "dyadic_numeric", "count": 4}]
+      "scale": 1
     }
 
 When ``attributes`` are given they define the rank domain (and ``z``);
 ``bias_rules`` then assign bias per element, first match wins.  An
-explicit ``bias`` object takes precedence over rules.
+explicit ``bias`` object takes precedence over rules.  Other keys are
+ignored.
 """
 
 from __future__ import annotations
@@ -50,9 +49,8 @@ import logging
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import bench as bench_mod
 from .core import (
@@ -77,9 +75,9 @@ from .influence import (
     delta_star_for_gap,
     order_by_case_sketch,
 )
-from .ingest import BiasConfig, BucketSpec, assign_bias
+from .ingest import BiasConfig, assign_bias
 from .merge import brute_force_merge_opt, maximize_merge_dp
-from .posterior import RegionSide, region_means
+from .posterior import Region, RegionSide, region_means
 from .trust import detect_trustworthy, gsd_values
 from .utility import UtilityContext, UtilityKind
 
@@ -91,41 +89,12 @@ __all__ = ["AnalysisConfig", "load_config", "main", "run_command"]
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, eq=False)
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     """Validated analysis settings shared by the subcommands."""
 
-    universe_size: int
-    top_k: int
-    bias: BiasFunction
-    omitted_rank: int | None = None
-    kind_user: UtilityKind = UtilityKind.QUADRATIC_USER
-    kind_source: UtilityKind = UtilityKind.QUADRATIC_SOURCE_BIASED
-    seed: int = 0
-    enumeration_limit: int = 12
-    merge_brute_limit: int = 14
-    domain: RankDomain | None = None
-    buckets: tuple[BucketSpec, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.enumeration_limit < 1:
-            raise ConfigurationError("enumeration limit must be at least 1")
-        if not 1 <= self.merge_brute_limit <= 14:
-            raise ConfigurationError(
-                "brute-force merge limit must lie in 1..14 "
-                f"(got {self.merge_brute_limit})"
-            )
-        self.context()  # validates z/k/omitted/kind combinations
-
-    def context(self) -> UtilityContext:
-        return UtilityContext(
-            universe_size=self.universe_size,
-            top_k=self.top_k,
-            bias=self.bias,
-            omitted_rank=self.omitted_rank,
-            kind_user=self.kind_user,
-            kind_source=self.kind_source,
-        )
+    context: UtilityContext
+    enumeration_limit: int
+    merge_brute_limit: int
 
 
 def _read_json(path: str) -> object:
@@ -134,7 +103,7 @@ def _read_json(path: str) -> object:
             return json.load(handle)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -206,24 +175,24 @@ def load_config(path: str) -> AnalysisConfig:
     limits = data.get("limits", {})
     if not isinstance(limits, dict):
         raise ConfigurationError("limits must be an object")
-    buckets = data.get("buckets", [])
-    if not isinstance(buckets, list):
-        raise ConfigurationError("buckets must be a list")
-    return AnalysisConfig(
-        universe_size=universe_size,
-        top_k=_integer(data, "k", universe_size),
-        bias=bias,
-        omitted_rank=_integer(data, "omitted_rank"),
-        kind_user=_parse_kind(data, "kind_user", UtilityKind.QUADRATIC_USER),
-        kind_source=_parse_kind(
-            data, "kind_source", UtilityKind.QUADRATIC_SOURCE_BIASED
-        ),
-        seed=_integer(data, "seed", 0),
-        enumeration_limit=_integer(limits, "enumeration", 12, "limits.enumeration"),
-        merge_brute_limit=_integer(limits, "merge_brute", 14, "limits.merge_brute"),
-        domain=domain,
-        buckets=tuple(BucketSpec.from_jsonable(b) for b in buckets),
+    top_k = _integer(data, "k", universe_size)
+    omitted_rank = _integer(data, "omitted_rank")
+    kind_user = _parse_kind(data, "kind_user", UtilityKind.QUADRATIC_USER)
+    kind_source = _parse_kind(
+        data, "kind_source", UtilityKind.QUADRATIC_SOURCE_BIASED
     )
+    enumeration_limit = _integer(limits, "enumeration", 12, "limits.enumeration")
+    merge_brute_limit = _integer(limits, "merge_brute", 14, "limits.merge_brute")
+    if enumeration_limit < 1:
+        raise ConfigurationError("enumeration limit must be at least 1")
+    if not 1 <= merge_brute_limit <= 14:
+        raise ConfigurationError(
+            f"brute-force merge limit must lie in 1..14 (got {merge_brute_limit})"
+        )
+    context = UtilityContext(
+        universe_size, top_k, bias, omitted_rank, kind_user, kind_source
+    )
+    return AnalysisConfig(context, enumeration_limit, merge_brute_limit)
 
 
 def _load_weak_order(path: str) -> WeakOrder:
@@ -238,13 +207,14 @@ def _load_weak_order(path: str) -> WeakOrder:
 def _cmd_trust(args: argparse.Namespace) -> dict:
     config = load_config(args.config)
     beta = _load_weak_order(args.beta)
-    return detect_trustworthy(beta, config.context()).as_jsonable()
+    return detect_trustworthy(beta, config.context).as_jsonable()
 
 
 def _cmd_influence(args: argparse.Namespace) -> dict:
     config = load_config(args.config)
     intent = _load_weak_order(args.intent)
-    query = build_delta_query(intent, config.bias, config.universe_size)
+    ctx = config.context
+    query = build_delta_query(intent, ctx.bias, ctx.universe_size)
     base = base_query(query)
     summary = classify_ranking_set(query, config.enumeration_limit)
     return {
@@ -264,7 +234,7 @@ def _cmd_influence(args: argparse.Namespace) -> dict:
 def _cmd_maximize(args: argparse.Namespace) -> dict:
     config = load_config(args.config)
     intent = _load_weak_order(args.intent)
-    ctx = config.context()
+    ctx = config.context
     result = maximize_merge_dp(intent, ctx)
     report: dict = {"merge": result.as_jsonable()}
     if args.oracle:
@@ -337,8 +307,13 @@ def _check_region_means(seed: int) -> list[str]:
     for z in range(2, 11):
         for separation in range(1, z):
             for side in RegionSide:
-                closed = region_means(z, separation, side, mode="closed")
-                brute = region_means(z, separation, side, mode="brute")
+                closed = region_means(z, separation, side)
+                pairs = list(Region(z, separation, side).pairs())
+                brute = (
+                    Fraction(sum(subject for subject, _ in pairs), len(pairs)),
+                    Fraction(sum(rival for _, rival in pairs), len(pairs)),
+                    len(pairs),
+                )
                 if closed != brute:
                     problems.append(
                         f"region_means mismatch z={z} delta={separation} "

@@ -11,7 +11,7 @@ Conventions
   assigns rank ``i`` to every member (the position of the block's first
   member), so a weak order without ties ranks its keys ``1..n`` exactly.
 * A second, dense numbering — the *block index* — counts blocks
-  ``1..#blocks`` and is available via ``WeakOrder.block_index_of`` for
+  ``1..#blocks`` and is available via ``WeakOrder.block_index_map`` for
   callers that need consecutive numbers instead of positions.
 * Absent keys have no rank: lookups either raise ``KeyError`` or return
   a caller-supplied "omitted" rank strictly greater than the number of
@@ -85,13 +85,25 @@ class SearchBudgetError(QueryAnalysisError):
     """A bounded search ran out of its node budget before it could answer."""
 
 
+# Largest decimal exponent ``as_fraction`` expands: CPython's default
+# int/str digit limit.  ``Fraction("1e10000000")`` would take seconds.
+_MAX_EXPONENT = 4300
+
+
 def as_fraction(value: int | float | str | Fraction) -> Fraction:
     """Convert ``value`` to an exact ``Fraction``.
 
     Decimal strings such as ``"0.1"`` become exact decimals; floats
-    convert to their exact binary expansion.
+    convert to their exact binary expansion.  Booleans, and decimal
+    strings whose exponent exceeds ``±4300``, are rejected.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a rational value")
+        if isinstance(value, str):
+            _, marker, exponent = value.upper().partition("E")
+            if marker and abs(int(exponent)) > _MAX_EXPONENT:
+                raise ValueError(f"exponent beyond ±{_MAX_EXPONENT}")
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigurationError(f"not a rational value: {value!r}") from exc
@@ -151,16 +163,6 @@ class RankDomain:
 
     def keys(self) -> tuple[Key, ...]:
         return tuple(f"e{i}" for i in range(1, self.size + 1))
-
-    def element_for(self, key: Key) -> tuple[object, ...]:
-        """The attribute value tuple behind ``key``."""
-        try:
-            index = int(key[1:]) if key.startswith("e") else -1
-        except ValueError:
-            index = -1
-        if not 1 <= index <= self.size:
-            raise DomainError(f"unknown rank-domain key {key!r}")
-        return self.elements[index - 1]
 
     def __len__(self) -> int:
         return self.size
@@ -296,10 +298,6 @@ class WeakOrder:
             return omitted
         raise KeyError(key)
 
-    def block_index_of(self, key: Key) -> int:
-        """Dense 1-based index of the block containing ``key``."""
-        return self._block_index_by_key[key]
-
     def block_index_map(self) -> dict[Key, int]:
         """Key → dense block index, e.g. ``(1, 2, 2, 3)`` after tying the
         middle two keys of a four-key total order."""
@@ -408,11 +406,6 @@ class BiasFunction:
     @classmethod
     def zero(cls) -> "BiasFunction":
         return cls(entries={})
-
-    @classmethod
-    def constant(cls, keys: Iterable[Key], value: int | float | str | Fraction) -> "BiasFunction":
-        v = as_fraction(value)
-        return cls(entries={k: v for k in keys})
 
     def __call__(self, key: Key) -> Fraction:
         return self.entries.get(key, self.default)

@@ -4,8 +4,8 @@ When a user only reveals that one tuple precedes another by at least a
 given separation, the source's posterior over the pair of true ranks is
 uniform over a triangular region of the rank square.  The mean subject
 and rival ranks over that region (and over its complement) have closed
-forms; this module provides them alongside a brute-force evaluation
-used to cross-check.
+forms, which this module evaluates; the test suite's oracles
+cross-check them by enumeration.
 
 On top of the region means sit the two interpretation primitives: the
 grid best response of a biased source to a mean rank, and the full
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Literal, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import DomainError, Key, Rank, WeakOrder, as_fraction
 from .utility import UtilityContext, UtilityKind
@@ -96,9 +96,14 @@ class Region:
 
 
 @lru_cache(maxsize=None)
-def _closed_summary(
+def region_means(
     universe_size: int, separation: int, side: RegionSide
 ) -> PosteriorSummary:
+    """Mean subject and rival ranks over a separation region.
+
+    Evaluates the cubic closed forms (cached); ``tests/oracles.py`` sums
+    over the region pair by pair to keep them honest.
+    """
     z = universe_size
     d = separation
     region = Region(z, d, side)
@@ -118,37 +123,6 @@ def _closed_summary(
         Fraction(subject_numerator, scale),
         Fraction(rival_numerator, scale),
         region.count,
-    )
-
-
-def region_means(
-    universe_size: int,
-    separation: int,
-    side: RegionSide,
-    mode: Literal["closed", "brute"] = "closed",
-) -> PosteriorSummary:
-    """Mean subject and rival ranks over a separation region.
-
-    ``mode="closed"`` evaluates the cubic closed forms (cached);
-    ``mode="brute"`` sums over the region pair by pair.  The two agree
-    on every input and the brute path exists to keep them honest.
-    """
-    if mode == "closed":
-        return _closed_summary(universe_size, separation, side)
-    if mode != "brute":
-        raise DomainError(f"unknown mode: {mode!r}")
-    region = Region(universe_size, separation, side)
-    subject_total = 0
-    rival_total = 0
-    count = 0
-    for subject, rival in region.pairs():
-        subject_total += subject
-        rival_total += rival
-        count += 1
-    if count == 0:
-        raise DomainError("region is empty; means are undefined")
-    return PosteriorSummary(
-        Fraction(subject_total, count), Fraction(rival_total, count), count
     )
 
 

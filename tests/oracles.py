@@ -351,6 +351,33 @@ def satisfying_orders_backtrack_oracle(constraints, universe):
 
 
 # --------------------------------------------------------------------------- #
+# Region means by enumeration
+# --------------------------------------------------------------------------- #
+
+
+def region_means_oracle(z: int, separation: int, side):
+    """(mean subject rank, mean rival rank, pair count) over a region.
+
+    Walks the whole z-by-z square of (subject, rival) rank pairs and
+    keeps those with ``rival - subject >= separation`` (the favored
+    side) or the rest (the complement).
+    """
+    favored = side.value == "favored"
+    pairs = [
+        (subject, rival)
+        for subject in range(1, z + 1)
+        for rival in range(1, z + 1)
+        if (rival - subject >= separation) == favored
+    ]
+    count = len(pairs)
+    return (
+        Fraction(sum(subject for subject, _ in pairs), count),
+        Fraction(sum(rival for _, rival in pairs), count),
+        count,
+    )
+
+
+# --------------------------------------------------------------------------- #
 # Best responses from first principles
 # --------------------------------------------------------------------------- #
 

@@ -16,6 +16,7 @@ from oracles import (
     has_intent_independent_response,
     iter_coarsenings,
     iter_weak_orders,
+    region_means_oracle,
     trust_baseline_flags,
 )
 
@@ -52,8 +53,8 @@ def test_region_means_closed_forms_match_brute_enumeration():
     for z in range(2, 31):
         for separation in range(1, z):
             for side in RegionSide:
-                closed = region_means(z, separation, side, mode="closed")
-                brute = region_means(z, separation, side, mode="brute")
+                closed = region_means(z, separation, side)
+                brute = region_means_oracle(z, separation, side)
                 assert closed == brute, (z, separation, side)
     assert time.monotonic() - started < 10.0
 

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coiquery.influence as influence
 from coiquery import (
@@ -22,7 +28,7 @@ from coiquery import (
     maximize_merge_dp,
     order_by_case_sketch,
 )
-from coiquery.cli import AnalysisConfig, load_config, run_command
+from coiquery.cli import load_config, run_command
 from coiquery.equilibrium import commission_game
 from coiquery.utility import UtilityKind
 from oracles import closed_form_gap_shift, delta_query_oracle
@@ -50,6 +56,18 @@ def mixed_config(tmp_path):
         )
     )
     return path
+
+
+# Bias from attribute rules: z = 4 from the attribute product, Sony at 1.
+_RULES_CONFIG = {
+    "attributes": [
+        {"name": "brand", "values": ["JBL", "Sony"]},
+        {"name": "tier", "values": ["lo", "hi"]},
+    ],
+    "bias_rules": [{"when": {"brand": "Sony"}, "bias": 2}],
+    "scale": "1/2",
+    "k": 2,
+}
 
 
 def _write_order(tmp_path, name, blocks):
@@ -397,21 +415,172 @@ def test_configuration_errors_exit_two(tmp_path, capsys):
     [
         {"z": "abc"},
         {"z": 4, "k": "x"},
-        {"z": 4, "buckets": 5},
+        {"z": 4, "limits": 5},
         {"z": 4, "omitted_rank": "x"},
         {"z": 4, "limits": {"enumeration": "x"}},
         {"z": True},
+        {"z": 4, "limits": {"merge_brute": 15}},
+        {"z": 4, "bias": {"entries": {"e1": True}}},
+        {"z": 4, "bias": {"entries": {"e1": 1}, "lower": True}},
+        {**_RULES_CONFIG, "bias_rules": [{"when": {"brand": "JBL"}, "bias": True}]},
+        {**_RULES_CONFIG, "scale": True},
+        {"z": 4, "bias": {"entries": {"e1": "1e10000000"}}},
     ],
 )
 def test_malformed_config_values_exit_two(tmp_path, capsys, document):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(document))
     beta = _write_order(tmp_path, "beta.json", [["a"]])
+    started = time.monotonic()
     code = run_command(["trust", "--config", str(config), "--beta", str(beta)])
+    assert time.monotonic() - started < 1.0
     captured = capsys.readouterr()
     assert code == 2
     assert "configuration error" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("command", ["trust", "equilibrium"])
+def test_oversized_json_integers_exit_two(tmp_path, capsys, command):
+    huge = "9" * 5000  # past CPython's int/str digit limit
+    beta = _write_order(tmp_path, "beta.json", [["a"]])
+    if command == "trust":
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"z": {huge}}}')
+        argv = ["trust", "--config", str(path), "--beta", str(beta)]
+    else:
+        document = commission_game(1, 2).as_jsonable()
+        document["payoff_user"][0][0] = "HUGE"
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(document).replace('"HUGE"', huge))
+        argv = ["equilibrium", "--game", str(path)]
+    code = run_command(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "configuration error" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"seed": 7, "buckets": [{"attribute": "brand", "kind": "categorical"}]},
+        {"seed": "x", "buckets": 5},
+    ],
+)
+def test_seed_and_buckets_are_ignored_like_unknown_keys(tmp_path, capsys, extra):
+    beta = _write_order(tmp_path, "beta.json", [["e2"], ["e1", "e3"], ["e4"]])
+    outputs = []
+    for document in (_RULES_CONFIG, {**_RULES_CONFIG, **extra}):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        code = run_command(["trust", "--config", str(config), "--beta", str(beta)])
+        assert code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_NUMBERS = (
+    st.integers(-3, 6)
+    | st.floats(-5, 5)
+    | st.sampled_from(["1/2", "0.25", "-1.5", "1e3", "2e-4301", "1e10000000", True])
+)
+_ATTRIBUTES = st.lists(
+    st.fixed_dictionaries(
+        {
+            "name": st.sampled_from(["brand", "tier"]),
+            "values": st.lists(
+                st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True
+            ),
+        }
+    ),
+    min_size=1,
+    max_size=2,
+    unique_by=lambda attribute: attribute["name"],
+)
+# Mostly well-formed values for the config keys; the test below overwrites
+# up to two keys with arbitrary JSON.
+_CONFIG_VALUES = {
+    "z": st.integers(1, 12),
+    "k": st.integers(1, 6),
+    "omitted_rank": st.integers(10, 14) | st.none(),
+    "kind_user": st.sampled_from(["quadratic_user", "product_user"]),
+    "kind_source": st.sampled_from(
+        ["quadratic_source_biased", "product_source_biased"]
+    ),
+    "bias": st.fixed_dictionaries(
+        {},
+        optional={
+            "entries": st.dictionaries(
+                st.sampled_from(["e1", "e2", "e3", "x"]), _NUMBERS, max_size=4
+            ),
+            "default": _NUMBERS,
+            "lower": _NUMBERS,
+            "upper": _NUMBERS,
+        },
+    ),
+    "limits": st.fixed_dictionaries(
+        {},
+        optional={
+            "enumeration": st.integers(-1, 16),
+            "merge_brute": st.integers(-1, 16),
+        },
+    ),
+    "attributes": _ATTRIBUTES,
+    "bias_rules": st.lists(
+        st.fixed_dictionaries(
+            {
+                "when": st.dictionaries(
+                    st.sampled_from(["brand", "tier"]),
+                    st.sampled_from(["a", "b"]),
+                    max_size=2,
+                )
+            },
+            optional={"bias": _NUMBERS},
+        ),
+        max_size=3,
+    ),
+    "scale": _NUMBERS,
+}
+_CONFIGS = st.one_of(
+    [
+        st.fixed_dictionaries(
+            {key: _CONFIG_VALUES[key]},
+            optional={k: v for k, v in _CONFIG_VALUES.items() if k != key},
+        )
+        for key in ("z", "attributes")
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _CONFIGS,
+    st.dictionaries(st.sampled_from(sorted(_CONFIG_VALUES)), _JSON_VALUES, max_size=2),
+)
+def test_any_config_object_exits_zero_one_or_two(document, junk):
+    with tempfile.TemporaryDirectory() as workdir:
+        config = Path(workdir) / "config.json"
+        config.write_text(json.dumps({**document, **junk}))
+        beta = Path(workdir) / "beta.json"
+        beta.write_text(json.dumps([["e2"], ["e1", "e3"], ["x"]]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(
+                ["trust", "--config", str(config), "--beta", str(beta)]
+            )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def test_verify_reports_a_query_without_base_ranking(capsys):
@@ -489,24 +658,12 @@ def test_analysis_errors_exit_one(tmp_path, capsys):
 
 def test_load_config_derives_z_from_attributes(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(
-        json.dumps(
-            {
-                "attributes": [
-                    {"name": "brand", "values": ["JBL", "Sony"]},
-                    {"name": "tier", "values": ["lo", "hi"]},
-                ],
-                "bias_rules": [{"when": {"brand": "Sony"}, "bias": 2}],
-                "scale": "1/2",
-                "k": 2,
-            }
-        )
-    )
-    config = load_config(str(path))
-    assert config.universe_size == 4
-    assert config.top_k == 2
+    path.write_text(json.dumps(_RULES_CONFIG))
+    ctx = load_config(str(path)).context
+    assert ctx.universe_size == 4
+    assert ctx.top_k == 2
     # Sony elements are e3 and e4 in attribute-product order.
-    assert config.bias.entries == {
+    assert ctx.bias.entries == {
         "e1": Fraction(0),
         "e2": Fraction(0),
         "e3": Fraction(1),
@@ -551,27 +708,35 @@ def test_load_config_rejects_unknown_utility_kind(tmp_path):
         load_config(str(path))
 
 
-def test_analysis_config_validates_limits():
-    bias = BiasFunction.zero()
+def test_analysis_config_validates_limits(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"z": 4, "limits": {"merge_brute": 15}}))
     with pytest.raises(ConfigurationError, match="1..14"):
-        AnalysisConfig(
-            universe_size=4, top_k=4, bias=bias, merge_brute_limit=15
-        )
+        load_config(str(path))
+    path.write_text(json.dumps({"z": 4, "limits": {"enumeration": 0}}))
     with pytest.raises(ConfigurationError, match="at least 1"):
-        AnalysisConfig(
-            universe_size=4, top_k=4, bias=bias, enumeration_limit=0
+        load_config(str(path))
+
+
+def test_analysis_config_builds_a_context(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps(
+            {
+                "z": 5,
+                "k": 3,
+                "kind_user": "product_user",
+                "limits": {"enumeration": 7, "merge_brute": 9},
+            }
         )
-
-
-def test_analysis_config_builds_a_context():
-    config = AnalysisConfig(
-        universe_size=5,
-        top_k=3,
-        bias=BiasFunction.zero(),
-        kind_user=UtilityKind.PRODUCT_USER,
     )
-    ctx = config.context()
+    config = load_config(str(path))
+    assert config.enumeration_limit == 7
+    assert config.merge_brute_limit == 9
+    ctx = config.context
     assert ctx.universe_size == 5
     assert ctx.top_k == 3
     assert ctx.omitted_rank == 6
     assert ctx.kind_user is UtilityKind.PRODUCT_USER
+    assert ctx.kind_source is UtilityKind.QUADRATIC_SOURCE_BIASED
+    assert ctx.bias("e1") == 0

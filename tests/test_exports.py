@@ -22,3 +22,27 @@ def test_every_exported_name_resolves_and_is_listed_once(name):
     assert not missing, f"{name}.__all__ names undefined {missing}"
     repeated = sorted({entry for entry in exported if exported.count(entry) > 1})
     assert not repeated, f"{name}.__all__ lists {repeated} more than once"
+
+
+#: The submodules whose ``__all__`` the package re-exports (not the CLI's).
+REEXPORTED = [
+    f"coiquery.{name}"
+    for name in (
+        "core",
+        "equilibrium",
+        "influence",
+        "ingest",
+        "merge",
+        "posterior",
+        "trust",
+        "utility",
+    )
+]
+
+
+@pytest.mark.parametrize("name", REEXPORTED)
+def test_package_names_are_the_submodule_objects(name):
+    module = importlib.import_module(name)
+    for entry in module.__all__:
+        assert entry in coiquery.__all__, (name, entry)
+        assert getattr(coiquery, entry) is getattr(module, entry), (name, entry)

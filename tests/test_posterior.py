@@ -20,7 +20,7 @@ from coiquery import (
     interpret_query,
     region_means,
 )
-from oracles import brute_best_rank, brute_block_utility
+from oracles import brute_best_rank, brute_block_utility, region_means_oracle
 
 FAVORED = RegionSide.FAVORED
 COMPLEMENT = RegionSide.COMPLEMENT
@@ -79,8 +79,8 @@ def test_closed_form_matches_enumeration_for_small_universes():
     for z in range(2, 13):
         for separation in range(1, z):
             for side in (FAVORED, COMPLEMENT):
-                assert region_means(z, separation, side) == region_means(
-                    z, separation, side, mode="brute"
+                assert region_means(z, separation, side) == region_means_oracle(
+                    z, separation, side
                 )
 
 
