@@ -12,10 +12,13 @@ equilibrium  analyze a finite game: witness search plus every
 bench        timing sweeps (trust filter or merge DP) as CSV
 verify       reduced oracle cross-checks; nonzero exit on disagreement
 
-Reports go to standard output as JSON (CSV for bench), diagnostics to
-standard error.  Exit codes: 0 success, 1 analysis failure, 2 usage or
-configuration error.  The ``COI_LOG`` environment variable sets the
-stderr log level (``DEBUG``, ``INFO``, ...).
+Reports go to standard output (or the ``--output`` file) as one line of
+compact JSON with sorted keys and a trailing newline (CSV for bench);
+``python3 -m json.tool`` indents one for reading.  Diagnostics go to
+standard error.  Exit codes: 0 success, 1 analysis failure (a report
+value beyond the float range among them), 2 usage or configuration error
+(invalid or too deeply nested JSON among them).  The ``COI_LOG``
+environment variable sets the stderr log level (``DEBUG``, ``INFO``, ...).
 
 The configuration file is a JSON object; all keys optional unless
 noted::
@@ -36,7 +39,9 @@ noted::
 When ``attributes`` are given they define the rank domain (and ``z``);
 ``bias_rules`` then assign bias per element, first match wins.  An
 explicit ``bias`` object takes precedence over rules.  Other keys are
-ignored.
+ignored.  ``z`` and every bias value (entries, ``default``, ``lower``,
+``upper``, a rule's ``bias`` times ``scale``) must have magnitude at most
+``10**300``; larger values are configuration errors.
 """
 
 from __future__ import annotations
@@ -97,13 +102,18 @@ class AnalysisConfig(NamedTuple):
     merge_brute_limit: int
 
 
+#: Largest magnitude accepted for ``z`` and for any bias value.
+_MAX_MAGNITUDE = 10**300
+
+
 def _read_json(path: str) -> object:
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path!r}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+    # JSONDecodeError, an integer over the digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -171,6 +181,11 @@ def load_config(path: str) -> AnalysisConfig:
         )
     else:
         bias = BiasFunction.zero()
+
+    # Entries lie in [lower, upper] (rule values included), so four checks do.
+    extremes = (universe_size, bias.lower, bias.upper, bias.default)
+    if max(map(abs, extremes)) > _MAX_MAGNITUDE:
+        raise ConfigurationError("z and every bias value must lie within ±10**300")
 
     limits = data.get("limits", {})
     if not isinstance(limits, dict):
@@ -552,12 +567,16 @@ def run_command(argv: Sequence[str]) -> int:
         else:  # bench emits CSV, not JSON
             _emit(_cmd_bench(args), args.output)
             return 0
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        _emit(text + "\n", args.output)
         return exit_code
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except QueryAnalysisError as exc:
+        print(f"analysis error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:  # a report value beyond the float range
         print(f"analysis error: {exc}", file=sys.stderr)
         return 1
 

@@ -223,8 +223,44 @@ def test_verify_command_passes_its_own_checks(capsys):
     assert all(entry["ok"] for entry in report["checks"].values())
 
 
-#: ``coiquery trust`` stdout for ``_GOLDEN_CONFIG``, byte for byte.
-_GOLDEN_TRUST_STDOUT = """\
+@pytest.mark.parametrize(
+    "command", ["trust", "influence", "maximize", "equilibrium", "verify"]
+)
+def test_every_report_is_one_line_of_canonical_json(
+    tmp_path, mixed_config, capsys, command
+):
+    order = _write_order(tmp_path, "order.json", [["a"], ["b"], ["c"], ["d"]])
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(commission_game(1, 2).as_jsonable()))
+    argv = {
+        "trust": ["--config", mixed_config, "--beta", order],
+        "influence": ["--config", mixed_config, "--intent", order],
+        "maximize": ["--config", mixed_config, "--intent", order, "--oracle"],
+        "equilibrium": ["--game", game],
+        "verify": ["--seed", "0"],
+    }[command]
+    assert run_command([command, *map(str, argv)]) == 0
+    out = capsys.readouterr().out
+    canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+    assert out == canonical + "\n"
+    assert out.count("\n") == 1
+
+
+#: ``coiquery trust`` stdout for ``_GOLDEN_CONFIG``, byte for byte: one line
+#: of compact JSON with sorted keys.
+_GOLDEN_TRUST_STDOUT = (
+    '{"flagged":['
+    '{"delta":5,"interval":[0.6078431372549019,1.607843137254902],"key":"a"},'
+    '{"delta":7,"interval":[2.5886524822695036,3.5886524822695036],"key":"x"},'
+    '{"delta":5,"interval":[-0.058823529411764705,0.9411764705882353],"key":"d"},'
+    '{"delta":5,"interval":[0.10784313725490197,1.107843137254902],"key":"e"},'
+    '{"delta":5,"interval":[-0.6421568627450981,0.35784313725490197],"key":"f"}'
+    '],"trustworthy":["b","c"]}\n'
+)
+
+#: The same report as the indented encoder wrote it before reports became
+#: compact: the two must parse to the same JSON value.
+_GOLDEN_TRUST_INDENTED = """\
 {
   "flagged": [
     {
@@ -301,24 +337,18 @@ def test_trust_command_output_is_pinned_byte_for_byte(tmp_path, capsys):
     code = run_command(["trust", "--config", str(config), "--beta", str(beta)])
     assert code == 0
     assert capsys.readouterr().out == _GOLDEN_TRUST_STDOUT
+    assert json.loads(_GOLDEN_TRUST_STDOUT) == json.loads(_GOLDEN_TRUST_INDENTED)
 
 
-def test_trust_output_flag_writes_a_file(tmp_path, mixed_config):
+def test_trust_output_flag_writes_a_file(tmp_path, mixed_config, capsys):
     beta = _write_order(tmp_path, "beta.json", [["a"], ["b"], ["c"], ["d"]])
     out = tmp_path / "report.json"
-    code = run_command(
-        [
-            "trust",
-            "--config",
-            str(mixed_config),
-            "--beta",
-            str(beta),
-            "--output",
-            str(out),
-        ]
-    )
-    assert code == 0
+    argv = ["trust", "--config", str(mixed_config), "--beta", str(beta)]
+    assert run_command([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["trustworthy"] == ["c"]
+    assert run_command(argv) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
 
 
 def test_trust_command_answers_a_huge_universe_at_once(tmp_path, capsys):
@@ -461,6 +491,68 @@ def test_oversized_json_integers_exit_two(tmp_path, capsys, command):
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize("document", ["config", "ranking", "game"])
+def test_deeply_nested_json_exits_two(tmp_path, mixed_config, capsys, document):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    beta = _write_order(tmp_path, "beta.json", [["a"]])
+    argv = {
+        "config": ["trust", "--config", deep, "--beta", beta],
+        "ranking": ["trust", "--config", mixed_config, "--beta", deep],
+        "game": ["equilibrium", "--game", deep],
+    }[document]
+    code = run_command([str(part) for part in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid JSON" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+_BOUND = 10**300
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"z": 10, "bias": {"entries": {"a": 0, "b": "1e400"}, "default": 0}},
+        {"z": 10**1000},
+        {"z": _BOUND + 1},
+        {"z": 10, "bias": {"entries": {"a": 0}, "default": -_BOUND - 1, "lower": 0}},
+        {"z": 10, "bias": {"entries": {"a": 0}, "upper": f"{_BOUND}.5"}},
+        {"z": 10, "bias": {"entries": {"a": 0}, "lower": -_BOUND - 1}},
+        {**_RULES_CONFIG, "bias_rules": [{"when": {}, "bias": _BOUND}], "scale": 2},
+    ],
+)
+def test_values_beyond_the_magnitude_bound_exit_two(tmp_path, capsys, document):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    beta = _write_order(tmp_path, "beta.json", [["a"], ["b"]])
+    code = run_command(["trust", "--config", str(config), "--beta", str(beta)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "within ±10**300" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_values_at_the_magnitude_bound_are_accepted(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    bias = {"entries": {"a": 0, "b": _BOUND, "c": -_BOUND}}
+    config.write_text(json.dumps({"z": _BOUND, "k": 3, "bias": bias}))
+    order = _write_order(tmp_path, "order.json", [["a"], ["b"], ["c"]])
+    code = run_command(["trust", "--config", str(config), "--beta", str(order)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["trustworthy"] == ["c"]
+    assert [entry["key"] for entry in report["flagged"]] == ["a", "b"]
+    # A merge value near bias squared (~10**600) has no float: exit 1, no traceback.
+    code = run_command(["maximize", "--config", str(config), "--intent", str(order)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "analysis error" in captured.err
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -581,6 +673,44 @@ def test_any_config_object_exits_zero_one_or_two(document, junk):
             )
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+_KEYS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+# Arbitrary JSON, key lists with repeats and empty blocks, and weak orders
+# cut into ties of one to three keys (up to 7 keys against z = 6).
+_RANKINGS = st.one_of(
+    _JSON_VALUES,
+    st.lists(st.lists(_KEYS, max_size=3), max_size=5),
+    st.tuples(st.lists(_KEYS, min_size=1, unique=True), st.integers(1, 3)).map(
+        lambda cut: [cut[0][i : i + cut[1]] for i in range(0, len(cut[0]), cut[1])]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RANKINGS)
+def test_any_ranking_document_exits_zero_one_or_two(ranking):
+    with tempfile.TemporaryDirectory() as workdir:
+        config = Path(workdir) / "config.json"
+        config.write_text(
+            json.dumps(
+                {"z": 6, "k": 4, "bias": {"entries": {"a": 3, "b": 1}, "upper": 3}}
+            )
+        )
+        order = Path(workdir) / "order.json"
+        order.write_text(json.dumps(ranking))
+        for command, flag in (
+            ("trust", "--beta"),
+            ("influence", "--intent"),
+            ("maximize", "--intent"),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_command(
+                    [command, "--config", str(config), flag, str(order)]
+                )
+            assert code in (0, 1, 2)
+            assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def test_verify_reports_a_query_without_base_ranking(capsys):
