@@ -68,11 +68,7 @@ from .core import (
     WeakOrder,
     build_rank_domain,
 )
-from .equilibrium import (
-    FiniteGame,
-    enumerate_pure_equilibria,
-    influential_witness,
-)
+from .equilibrium import FiniteGame, enumerate_pure_equilibria, influential_witness
 from .influence import (
     base_query,
     build_delta_query,
@@ -230,8 +226,8 @@ def _cmd_influence(args: argparse.Namespace) -> dict:
     intent = _load_weak_order(args.intent)
     ctx = config.context
     query = build_delta_query(intent, ctx.bias, ctx.universe_size)
-    base = base_query(query)
     summary = classify_ranking_set(query, config.enumeration_limit)
+    base = summary.require_base()
     return {
         "query": query.as_jsonable(),
         "base": base.as_lists(),
@@ -250,10 +246,11 @@ def _cmd_maximize(args: argparse.Namespace) -> dict:
     config = load_config(args.config)
     intent = _load_weak_order(args.intent)
     ctx = config.context
-    result = maximize_merge_dp(intent, ctx)
+    base = base_query(build_delta_query(intent, ctx.bias, ctx.universe_size))
+    result = maximize_merge_dp(intent, ctx, base=base)
     report: dict = {"merge": result.as_jsonable()}
     if args.oracle:
-        brute = brute_force_merge_opt(intent, ctx, config.merge_brute_limit)
+        brute = brute_force_merge_opt(intent, ctx, config.merge_brute_limit, base=base)
         report["oracle"] = {
             "opt": float(brute.opt_value),
             "agrees": brute.opt_value == result.opt_value,

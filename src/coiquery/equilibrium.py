@@ -28,12 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import (
-    ConfigurationError,
-    DomainError,
-    WeakOrder,
-    as_fraction,
-)
+from .core import ConfigurationError, DomainError, WeakOrder, as_fraction
 from .merge import is_super_rank
 
 __all__ = [

@@ -8,8 +8,9 @@ a conjunctive query guaranteed to hold on the intent, classifies the
 query's ranking set (empty, singleton, multiple), and picks the
 canonical base ranking used by the merge optimizer.
 
-Both of the last two run one propagating search under one node
-budget; when it runs out, :func:`base_query` raises
+One propagating search under one node budget answers the last two:
+the base is the first order the classification finds.  When the
+budget runs out first, :func:`base_query` raises
 :class:`SearchBudgetError` rather than return another ranking.
 
 The separation is solved in closed form: the gap threshold strictly
@@ -141,17 +142,15 @@ def delta_star_for_gap(
     multiplicity is logged at DEBUG level and the full set is
     available from :func:`delta_star_solutions`.
     """
-    value = as_fraction(gap)
-    return _smallest_covering(universe_size, value.numerator, value.denominator, {})
+    return _smallest_covering(universe_size, *as_fraction(gap).as_integer_ratio(), {})
 
 
 def delta_star_solutions(
     subject: Key, rival: Key, bias: BiasFunction, universe_size: int
 ) -> tuple[int, ...]:
     """Every separation covering the pair's bias gap, ascending."""
-    value = bias(subject) - bias(rival)
-    numerator, denominator = value.numerator, value.denominator
-    return tuple(_covering_separations(universe_size, numerator, denominator, {}))
+    gap = (bias(subject) - bias(rival)).as_integer_ratio()
+    return tuple(_covering_separations(universe_size, *gap, {}))
 
 
 def delta_star(
@@ -330,8 +329,9 @@ class RankingSetSummary(NamedTuple):
     ``count`` is exact when known (small universes below the solution
     cap); ``lower_bound`` is always a valid lower bound.  ``reason``
     says why ``count`` is unknown (``"count_cap"``: the search stopped
-    at its cap, two for a probe; ``"node_budget"``) and ``nodes`` how
-    many search nodes were used.
+    at its cap, two for a probe; ``"node_budget"``), ``nodes`` how many
+    search nodes were used (the budget, when it ran out) and ``base``
+    the first order found, the canonical base ranking, or None.
     """
 
     kind: RankingSetKind
@@ -339,6 +339,17 @@ class RankingSetSummary(NamedTuple):
     lower_bound: int
     reason: str | None = None
     nodes: int = 0
+    base: WeakOrder | None = None
+
+    def require_base(self) -> WeakOrder:
+        """The base ranking, or the error saying why there is none."""
+        if self.base is not None:
+            return self.base
+        if self.reason == "node_budget":
+            raise SearchBudgetError(
+                f"ranking search used its node budget of {self.nodes:,} placements"
+            )
+        raise InfeasibleQueryError("query admits no ranking; no base exists")
 
 
 def _position_windows(query: DeltaQuery) -> dict[Key, tuple[int, int]] | None:
@@ -473,9 +484,7 @@ def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key,
         candidates = [k for k in unplaced if lo[k] == position]
         for key in candidates:
             if spent[0] >= budget:
-                raise SearchBudgetError(
-                    f"ranking search used its node budget of {budget:,} placements"
-                )
+                raise SearchBudgetError
             spent[0] += 1
             rivals = [k for k in candidates if k != key]
             sub_lo, sub_hi = lo[:], hi[:]
@@ -500,26 +509,14 @@ def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key,
         yield from extend(1, lo, hi, everyone)
 
 
-def classify_ranking_set(
-    query: DeltaQuery, enumeration_limit: int = 12
-) -> RankingSetSummary:
-    """Decide whether a query admits zero, one, or many total orders.
-
-    Universes within ``enumeration_limit`` are enumerated exactly (the
-    count saturates at a cap, still proving Multiple); larger universes
-    get a probe that stops at the second order.  Both run the
-    propagating search of :func:`base_query` under the same node
-    budget, so a search the budget cuts short before it finds two
-    orders is Unknown.
-    """
-    if enumeration_limit < 1:
-        raise ConfigurationError("enumeration limit must be at least 1")
-    cap = _COUNT_CAP if len(query.universe) <= enumeration_limit else 2
-    count = 0
-    reason = None
+def _search(query: DeltaQuery, cap: int) -> RankingSetSummary:
+    """The search's summary once it found ``cap`` orders or ran out."""
+    count, reason, base = 0, None, None
     spent = [0]
     try:
-        for _ in _iter_satisfying(query, spent):
+        for order in _iter_satisfying(query, spent):
+            if not count:
+                base = WeakOrder.total(order)
             count += 1
             if count >= cap:
                 reason = "count_cap"
@@ -528,22 +525,38 @@ def classify_ranking_set(
         reason = "node_budget"
     kinds = (RankingSetKind.EMPTY, RankingSetKind.SINGLETON, RankingSetKind.MULTIPLE)
     kind = RankingSetKind.UNKNOWN if count < 2 and reason else kinds[min(count, 2)]
-    return RankingSetSummary(kind, None if reason else count, count, reason, spent[0])
+    return RankingSetSummary(
+        kind, None if reason else count, count, reason, spent[0], base
+    )
+
+
+def classify_ranking_set(
+    query: DeltaQuery, enumeration_limit: int = 12
+) -> RankingSetSummary:
+    """Decide whether a query admits zero, one, or many total orders.
+
+    Universes within ``enumeration_limit`` are enumerated exactly (the
+    count saturates at a cap, still proving Multiple); larger universes
+    get a probe that stops at the second order.  A search the node
+    budget cuts short before it finds two orders is Unknown.  The
+    summary's ``base`` is the search's first order, the ranking
+    :func:`base_query` returns, so one search answers both.
+    """
+    if enumeration_limit < 1:
+        raise ConfigurationError("enumeration limit must be at least 1")
+    return _search(query, _COUNT_CAP if len(query.universe) <= enumeration_limit else 2)
 
 
 def base_query(query: DeltaQuery) -> WeakOrder:
     """Canonical ranking consistent with a query: the lexicographic minimum.
 
-    The first order of the propagating search (see
-    :func:`_iter_satisfying`), which tries keys in index order, is the
-    lexicographically smallest satisfying one.  The search is bounded
-    by the node budget shared with :func:`classify_ranking_set`; it
-    never settles for another ranking, and raises
-    :class:`SearchBudgetError` when the budget runs out first.
+    The search of :func:`classify_ranking_set` stopped at its first
+    order, which is the smallest because keys are tried in index order.
+    It never settles for another ranking: :class:`SearchBudgetError`
+    when the node budget runs out first, :class:`InfeasibleQueryError`
+    when there is none.
     """
-    for solution in _iter_satisfying(query, [0]):
-        return WeakOrder.total(solution)
-    raise InfeasibleQueryError("query admits no ranking; no base exists")
+    return _search(query, 1).require_base()
 
 
 def order_by_case_sketch(query: DeltaQuery, base: WeakOrder) -> str:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
-from .core import DomainError, Key, WeakOrder
+from .core import DomainError, WeakOrder
 from .influence import base_query, build_delta_query
 from .posterior import block_expected_user_utility
 from .utility import UtilityContext, UtilityKind
@@ -106,9 +106,7 @@ def apply_merge(base: WeakOrder, start: int, end: int) -> WeakOrder:
         raise DomainError(
             f"merge span {start}..{end} outside 1..{block_count}"
         )
-    merged: tuple[Key, ...] = ()
-    for block in base.blocks[start - 1 : end]:
-        merged += block
+    merged = sum(base.blocks[start - 1 : end], ())
     return WeakOrder(base.blocks[: start - 1] + (merged,) + base.blocks[end:])
 
 
@@ -330,12 +328,7 @@ def _resolve_base(
 def _assemble(
     base: WeakOrder, intervals: list[tuple[int, int]], opt: Fraction
 ) -> MergeResult:
-    blocks = []
-    for start, end in intervals:
-        merged: tuple[Key, ...] = ()
-        for block in base.blocks[start - 1 : end]:
-            merged += block
-        blocks.append(merged)
+    blocks = [sum(base.blocks[start - 1 : end], ()) for start, end in intervals]
     return MergeResult(
         WeakOrder(tuple(blocks)),
         IntervalPartition(tuple(intervals)),

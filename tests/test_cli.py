@@ -7,6 +7,7 @@ import io
 import json
 import tempfile
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coiquery.cli
 import coiquery.influence as influence
+import coiquery.merge
 from coiquery import (
     BiasFunction,
     ConfigurationError,
@@ -338,6 +341,143 @@ def test_trust_command_output_is_pinned_byte_for_byte(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == _GOLDEN_TRUST_STDOUT
     assert json.loads(_GOLDEN_TRUST_STDOUT) == json.loads(_GOLDEN_TRUST_INDENTED)
+
+
+#: ``coiquery influence`` runs pinned byte for byte: (config, intent, exit
+#: code, stdout, stderr).  "exact" enumerates a 5-key query with a
+#: complemented constraint; "probe" stops a 13-key search at its second
+#: order, with a base that is not the intent; "tied" is an intent that
+#: satisfies its own query although no total order does, so it has no base.
+_GOLDEN_INFLUENCE = {
+    "exact": (
+        {
+            "z": 7,
+            "bias": {
+                "entries": {"e1": 0.0, "e2": 1.2, "e5": 2.5, "e3": 3.0, "e4": 1.7},
+                "lower": 0,
+                "upper": 3,
+            },
+        },
+        [["e1"], ["e2"], ["e5"], ["e3"], ["e4"]],
+        0,
+        '{"base":[["e1"],["e2"],["e5"],["e3"],["e4"]],'
+        '"query":{"constraints":[{"delta":2,"e":"e5","eprime":"e4"},'
+        '{"delta":-2,"e":"e4","eprime":"e3"}]},'
+        '"ranking_set":{"count":26,"kind":"Multiple",'
+        '"lower_bound":26,"nodes":84,"reason":null},'
+        '"sketch":"ORDER BY CASE key\\n  WHEN \'e1\' THEN 1\\n  WHEN \'e2\' THEN 2\\n'
+        "  WHEN 'e5' THEN 3\\n  WHEN 'e3' THEN 4\\n  WHEN 'e4' THEN 5\\nEND\\n"
+        '-- requires r(e4) - r(e5) >= 2\\n-- requires r(e3) - r(e4) >= -2"}\n',
+        "",
+    ),
+    "probe": (
+        {
+            "z": 36,
+            "bias": {
+                "entries": {
+                    "e13": 1.3, "e6": 0.5, "e10": 0.2, "e7": 1.0, "e1": 1.9,
+                    "e3": 1.7, "e11": 3.0, "e12": 3.0, "e4": 0.4, "e2": 2.3,
+                    "e5": 2.2, "e8": 2.8, "e9": 2.8,
+                },
+                "lower": 0,
+                "upper": 3,
+            },
+        },
+        [[f"e{i}"] for i in (13, 6, 10, 7, 1, 3, 11, 12, 4, 2, 5, 8, 9)],
+        0,
+        '{"base":[["e1"],["e3"],["e6"],["e10"],["e11"],["e12"],["e8"],["e2"],["e13"],'
+        '["e7"],["e4"],["e5"],["e9"]],'
+        '"query":{"constraints":[{"delta":-1,"e":"e6","eprime":"e13"},'
+        '{"delta":-2,"e":"e10","eprime":"e13"},{"delta":1,"e":"e13","eprime":"e7"},'
+        '{"delta":2,"e":"e13","eprime":"e4"},{"delta":1,"e":"e6","eprime":"e10"},'
+        '{"delta":1,"e":"e6","eprime":"e4"},{"delta":1,"e":"e10","eprime":"e4"},'
+        '{"delta":1,"e":"e7","eprime":"e4"},{"delta":1,"e":"e1","eprime":"e3"},'
+        '{"delta":4,"e":"e1","eprime":"e4"},{"delta":1,"e":"e1","eprime":"e5"},'
+        '{"delta":3,"e":"e3","eprime":"e4"},{"delta":1,"e":"e11","eprime":"e12"},'
+        '{"delta":-6,"e":"e4","eprime":"e11"},{"delta":2,"e":"e11","eprime":"e2"},'
+        '{"delta":2,"e":"e11","eprime":"e5"},{"delta":1,"e":"e11","eprime":"e8"},'
+        '{"delta":1,"e":"e11","eprime":"e9"},{"delta":-6,"e":"e4","eprime":"e12"},'
+        '{"delta":2,"e":"e12","eprime":"e2"},{"delta":2,"e":"e12","eprime":"e5"},'
+        '{"delta":1,"e":"e12","eprime":"e8"},{"delta":1,"e":"e12","eprime":"e9"},'
+        '{"delta":1,"e":"e2","eprime":"e5"},{"delta":1,"e":"e8","eprime":"e9"}]},'
+        '"ranking_set":{"count":null,"kind":"Multiple",'
+        '"lower_bound":2,"nodes":18,"reason":"count_cap"},'
+        '"sketch":"ORDER BY CASE key\\n  WHEN \'e1\' THEN 1\\n  WHEN \'e3\' THEN 2\\n'
+        "  WHEN 'e6' THEN 3\\n  WHEN 'e10' THEN 4\\n  WHEN 'e11' THEN 5\\n"
+        "  WHEN 'e12' THEN 6\\n  WHEN 'e8' THEN 7\\n  WHEN 'e2' THEN 8\\n"
+        "  WHEN 'e13' THEN 9\\n  WHEN 'e7' THEN 10\\n  WHEN 'e4' THEN 11\\n"
+        "  WHEN 'e5' THEN 12\\n  WHEN 'e9' THEN 13\\nEND\\n"
+        '-- requires r(e13) - r(e6) >= -1\\n-- requires r(e13) - r(e10) >= -2\\n'
+        '-- requires r(e7) - r(e13) >= 1\\n-- requires r(e4) - r(e13) >= 2\\n'
+        '-- requires r(e10) - r(e6) >= 1\\n-- requires r(e4) - r(e6) >= 1\\n'
+        '-- requires r(e4) - r(e10) >= 1\\n-- requires r(e4) - r(e7) >= 1\\n'
+        '-- requires r(e3) - r(e1) >= 1\\n-- requires r(e4) - r(e1) >= 4\\n'
+        '-- requires r(e5) - r(e1) >= 1\\n-- requires r(e4) - r(e3) >= 3\\n'
+        '-- requires r(e12) - r(e11) >= 1\\n-- requires r(e11) - r(e4) >= -6\\n'
+        '-- requires r(e2) - r(e11) >= 2\\n-- requires r(e5) - r(e11) >= 2\\n'
+        '-- requires r(e8) - r(e11) >= 1\\n-- requires r(e9) - r(e11) >= 1\\n'
+        '-- requires r(e12) - r(e4) >= -6\\n-- requires r(e2) - r(e12) >= 2\\n'
+        '-- requires r(e5) - r(e12) >= 2\\n-- requires r(e8) - r(e12) >= 1\\n'
+        '-- requires r(e9) - r(e12) >= 1\\n-- requires r(e5) - r(e2) >= 1\\n'
+        '-- requires r(e9) - r(e8) >= 1"}\n',
+        "",
+    ),
+    "tied": (
+        {
+            "z": 5,
+            "bias": {
+                "entries": {
+                    "e1": 2, "e2": "12/5", "e3": "13/10", "e4": "27/10", "e5": "9/10"
+                },
+                "lower": 0,
+                "upper": 3,
+            },
+        },
+        [["e3", "e2", "e1", "e4"], ["e5"]],
+        1,
+        "",
+        "analysis error: query admits no ranking; no base exists\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_INFLUENCE))
+def test_influence_command_output_is_pinned_byte_for_byte(tmp_path, capsys, case):
+    document, blocks, code, out, err = _GOLDEN_INFLUENCE[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    intent = _write_order(tmp_path, "intent.json", blocks)
+    argv = ["influence", "--config", str(config), "--intent", str(intent)]
+    assert run_command(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize(
+    "command", [["influence"], ["maximize"], ["maximize", "--oracle"]]
+)
+def test_one_run_builds_one_query_and_searches_it_once(
+    tmp_path, mixed_config, capsys, monkeypatch, command
+):
+    calls = Counter()
+    for module, name in [
+        (influence, "_iter_satisfying"),
+        (influence, "_position_windows"),
+        (coiquery.cli, "build_delta_query"),
+        (coiquery.merge, "build_delta_query"),
+    ]:
+
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    intent = _write_order(tmp_path, "intent.json", [["a"], ["b"], ["c"], ["d"]])
+    argv = [*command, "--config", str(mixed_config), "--intent", str(intent)]
+    assert run_command(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == {
+        "_iter_satisfying": 1, "_position_windows": 1, "build_delta_query": 1
+    }
 
 
 def test_trust_output_flag_writes_a_file(tmp_path, mixed_config, capsys):

@@ -430,9 +430,15 @@ def test_base_query_budget_exhaustion_raises_instead_of_settling(monkeypatch):
 
 
 def test_exact_counts_saturate_at_the_count_cap():
-    summary = classify_ranking_set(_query([], [f"e{i}" for i in range(1, 9)]))
+    universe = [f"e{i}" for i in range(1, 9)]
+    summary = classify_ranking_set(_query([], universe))
     assert summary == RankingSetSummary(
-        RankingSetKind.MULTIPLE, None, influence._COUNT_CAP, "count_cap", summary.nodes
+        RankingSetKind.MULTIPLE,
+        None,
+        influence._COUNT_CAP,
+        "count_cap",
+        summary.nodes,
+        WeakOrder.total(universe),
     )
     assert summary.nodes <= influence._SEARCH_NODE_BUDGET
     free = classify_ranking_set(_query([], ["e1", "e2", "e3", "e4", "e5", "e6"]))
@@ -440,9 +446,15 @@ def test_exact_counts_saturate_at_the_count_cap():
 
 
 def test_probe_stops_at_the_second_order():
-    summary = classify_ranking_set(_query([], [f"e{i}" for i in range(1, 14)]))
+    universe = [f"e{i}" for i in range(1, 14)]
+    summary = classify_ranking_set(_query([], universe))
     assert summary == RankingSetSummary(
-        RankingSetKind.MULTIPLE, None, 2, "count_cap", summary.nodes
+        RankingSetKind.MULTIPLE,
+        None,
+        2,
+        "count_cap",
+        summary.nodes,
+        WeakOrder.total(universe),
     )
     chain = [(f"e{i}", f"e{i + 1}", 1) for i in range(1, 13)]
     pinned = classify_ranking_set(_query(chain, [f"e{i}" for i in range(1, 14)]))
@@ -568,6 +580,73 @@ def test_search_agrees_with_the_permutation_oracle(case):
     probe = classify_ranking_set(query, enumeration_limit=1)
     assert probe.kind is kind
     assert probe.lower_bound == min(len(orders), 2)
+
+
+#: Constraint sets no total order meets: a positive cycle, a gap wider
+#: than the universe, and two keys whose windows both hold only position 1.
+_INFEASIBLE = [
+    ([("e1", "e2", 1), ("e2", "e1", 1)], 3),
+    ([("e2", "e1", 5)], 5),
+    ([("e1", "e3", 3), ("e2", "e4", 3)], 4),
+]
+
+
+def _summary_oracle_cases(rng):
+    """Queries over at most seven keys, as (constraints, universe)."""
+    biases = [0, 1, 3, "1/3", "5/2", "9/10", "27/10", "13/10"]
+    for trial in range(150):
+        size = rng.randint(1, 7)
+        keys = [f"e{i}" for i in range(1, size + 1)]
+        if trial % 5 == 4:
+            yield _random_constraints(rng, keys), keys
+            continue
+        rng.shuffle(keys)
+        blocks: list[list[str]] = []
+        for key in keys:
+            if blocks and rng.random() < 0.35:
+                blocks[-1].append(key)
+            else:
+                blocks.append([key])
+        bias = BiasFunction({key: rng.choice(biases) for key in keys})
+        z = rng.randint(size, 3 * size)
+        query = build_delta_query(WeakOrder.of(*blocks), bias, z)
+        yield [tuple(c) for c in query.constraints], query.universe
+    for constraints, size in _INFEASIBLE:
+        yield constraints, [f"e{i}" for i in range(1, size + 1)]
+
+
+def test_summary_base_is_the_least_order_under_every_budget(monkeypatch):
+    seen = {"empty": 0, "found": 0, "budget": 0}
+    for constraints, universe in _summary_oracle_cases(random.Random(89)):
+        orders = satisfying_orders_oracle(constraints, universe)
+        least = next(orders, None)
+        expected = None if least is None else WeakOrder.total(least)
+        query = _query(constraints, universe)
+        summary = classify_ranking_set(query)
+        assert summary.base == expected, constraints
+        if expected is None:
+            seen["empty"] += 1
+            with pytest.raises(InfeasibleQueryError):
+                base_query(query)
+        else:
+            seen["found"] += 1
+            assert base_query(query) == expected
+        # Past the probe's node count (all of it for an empty set) the
+        # first order is found or the search is over: no budget differs.
+        probe = classify_ranking_set(query, enumeration_limit=1)
+        for budget in range(1, probe.nodes + 2):
+            monkeypatch.setattr(influence, "_SEARCH_NODE_BUDGET", budget)
+            bounded = classify_ranking_set(query)
+            assert bounded.base in (None, expected)
+            try:
+                assert base_query(query) == bounded.base == expected
+            except SearchBudgetError:
+                seen["budget"] += 1
+                assert bounded.base is None and bounded.reason == "node_budget"
+            except InfeasibleQueryError:
+                assert expected is None and bounded.reason is None
+        monkeypatch.undo()
+    assert min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize("size, seed, nodes", [(48, 48, 120), (64, 64, 160)])
