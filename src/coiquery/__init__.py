@@ -12,17 +12,16 @@ result quality, and a small game-theory lab for the equilibrium
 characterization behind it all.
 
 All analysis arithmetic is exact (``fractions.Fraction``); floats only
-appear at the JSON / CSV boundaries.  See the per-module documentation
-for the mathematics each piece implements.
+appear at the JSON boundary.  See the per-module documentation for the
+mathematics each piece implements.
 """
 
 from __future__ import annotations
 
-from . import core, equilibrium, influence, ingest, merge, posterior, trust, utility
+from . import core, equilibrium, influence, merge, posterior, trust, utility
 from .core import *
 from .equilibrium import *
 from .influence import *
-from .ingest import *
 from .merge import *
 from .posterior import *
 from .trust import *
@@ -34,7 +33,6 @@ __all__ = [
     *core.__all__,
     *equilibrium.__all__,
     *influence.__all__,
-    *ingest.__all__,
     *merge.__all__,
     *posterior.__all__,
     *trust.__all__,

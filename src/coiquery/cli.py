@@ -60,12 +60,14 @@ from typing import Callable, NamedTuple, Sequence
 from . import bench as bench_mod
 from .core import (
     AttributeDomain,
+    BiasConfig,
     BiasFunction,
     ConfigurationError,
     InfeasibleQueryError,
     QueryAnalysisError,
     RankDomain,
     WeakOrder,
+    assign_bias,
     build_rank_domain,
 )
 from .equilibrium import FiniteGame, enumerate_pure_equilibria, influential_witness
@@ -76,7 +78,6 @@ from .influence import (
     delta_star_for_gap,
     order_by_case_sketch,
 )
-from .ingest import BiasConfig, assign_bias
 from .merge import brute_force_merge_opt, maximize_merge_dp
 from .posterior import Region, RegionSide, region_means
 from .trust import detect_trustworthy, gsd_values
@@ -247,10 +248,12 @@ def _cmd_maximize(args: argparse.Namespace) -> dict:
     intent = _load_weak_order(args.intent)
     ctx = config.context
     base = base_query(build_delta_query(intent, ctx.bias, ctx.universe_size))
+    # The oracle goes first: it rejects a base over its limit before the DP runs.
+    if args.oracle:
+        brute = brute_force_merge_opt(intent, ctx, config.merge_brute_limit, base=base)
     result = maximize_merge_dp(intent, ctx, base=base)
     report: dict = {"merge": result.as_jsonable()}
     if args.oracle:
-        brute = brute_force_merge_opt(intent, ctx, config.merge_brute_limit, base=base)
         report["oracle"] = {
             "opt": float(brute.opt_value),
             "agrees": brute.opt_value == result.opt_value,

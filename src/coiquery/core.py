@@ -3,7 +3,9 @@
 This module holds the small set of domain types every analysis in the
 package shares: finite attribute domains and their Cartesian rank
 domains, weak orders (ranked lists with ties) over opaque tuple keys,
-and bias functions mapping keys to exact rational offsets.
+bias functions mapping keys to exact rational offsets, and the ordered
+attribute rules (first match wins, times a scale) that assign a bias to
+every rank-domain element.
 
 Conventions
 -----------
@@ -27,15 +29,17 @@ across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "AttributeDomain",
+    "BiasConfig",
     "BiasFunction",
+    "BiasRule",
     "ConfigurationError",
     "DomainError",
     "InfeasibleQueryError",
@@ -47,8 +51,8 @@ __all__ = [
     "SearchBudgetError",
     "WeakOrder",
     "as_fraction",
+    "assign_bias",
     "build_rank_domain",
-    "validate_weak_order",
 ]
 
 # Opaque identifier for a ranked tuple (or rank-domain element).
@@ -155,12 +159,6 @@ class RankDomain:
         """Number of elements (the product of attribute cardinalities)."""
         return len(self.elements)
 
-    def key_for(self, index: int) -> Key:
-        """Key of the element at 1-based ``index``."""
-        if not 1 <= index <= self.size:
-            raise DomainError(f"element index {index} outside 1..{self.size}")
-        return f"e{index}"
-
     def keys(self) -> tuple[Key, ...]:
         return tuple(f"e{i}" for i in range(1, self.size + 1))
 
@@ -205,8 +203,7 @@ class WeakOrder:
     carries no ranking meaning: two weak orders are equal iff their
     block sequences agree as sets.
 
-    Construction does not validate; pass candidate block data through
-    :func:`validate_weak_order` (or build via :meth:`from_lists`) when
+    Construction does not validate; build via :meth:`from_lists` when
     the input is untrusted.
     """
 
@@ -336,26 +333,6 @@ class WeakOrder:
         return f"WeakOrder[{rendered}]"
 
 
-def validate_weak_order(order: WeakOrder | Iterable[Iterable[Key]]) -> str | None:
-    """Check weak-order invariants; return the first violation, else None.
-
-    Accepts either a constructed :class:`WeakOrder` or raw block data, so
-    invalid candidates can be described without being constructible.
-    """
-    blocks = order.blocks if isinstance(order, WeakOrder) else tuple(
-        tuple(b) for b in order
-    )
-    seen: set[Key] = set()
-    for index, block in enumerate(blocks, start=1):
-        if len(block) == 0:
-            return f"block {index} is empty"
-        for key in block:
-            if key in seen:
-                return f"duplicate key {key!r}"
-            seen.add(key)
-    return None
-
-
 # --------------------------------------------------------------------------- #
 # Bias functions
 # --------------------------------------------------------------------------- #
@@ -446,3 +423,84 @@ class BiasFunction:
             f"BiasFunction({len(self.entries)} entries, "
             f"range [{self.lower}, {self.upper}])"
         )
+
+
+# --------------------------------------------------------------------------- #
+# Attribute bias rules
+# --------------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class BiasRule:
+    """One first-match rule: a conjunction of attribute = value tests."""
+
+    conditions: tuple[tuple[str, object], ...]
+    bias: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "conditions", tuple(self.conditions))
+        object.__setattr__(self, "bias", as_fraction(self.bias))
+
+    def matches(self, attributes: dict[str, object]) -> bool:
+        return all(attributes.get(name) == value for name, value in self.conditions)
+
+    @classmethod
+    def from_jsonable(cls, data: dict) -> "BiasRule":
+        try:
+            when = data.get("when", {})
+            return cls(tuple(sorted(when.items())), as_fraction(data["bias"]))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ConfigurationError(f"malformed bias rule: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class BiasConfig:
+    """Ordered bias rules plus a global scale factor."""
+
+    rules: tuple[BiasRule, ...]
+    scale: Fraction = Fraction(1)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "scale", as_fraction(self.scale))
+
+    @classmethod
+    def from_jsonable(cls, data: dict) -> "BiasConfig":
+        rules = data.get("rules", [])
+        if not isinstance(rules, (list, tuple)):
+            raise ConfigurationError("bias rules must be a list")
+        return cls(
+            tuple(BiasRule.from_jsonable(r) for r in rules),
+            as_fraction(data.get("scale", 1)),
+        )
+
+
+def assign_bias(config: BiasConfig, domain: RankDomain) -> BiasFunction:
+    """Evaluate the rules over every rank-domain element.
+
+    Each element takes the first matching rule's value times the
+    configured scale, or an explicit zero when nothing matches.  The
+    returned range bounds are tight: both are achieved by some element.
+    """
+    names = [attribute.name for attribute in domain.attributes]
+    known = set(names)
+    for rule in config.rules:
+        for name, _ in rule.conditions:
+            if name not in known:
+                raise ConfigurationError(
+                    f"bias rule references unknown attribute {name!r}"
+                )
+    entries: dict[str, Fraction] = {}
+    for key, element in zip(domain.keys(), domain.elements):
+        attributes = dict(zip(names, element))
+        value = Fraction(0)
+        for rule in config.rules:
+            if rule.matches(attributes):
+                value = rule.bias * config.scale
+                break
+        entries[key] = value
+    return BiasFunction(
+        entries,
+        lower=min(entries.values()),
+        upper=max(entries.values()),
+    )

@@ -1,4 +1,4 @@
-"""Per-tuple and additive utilities, supermodularity, and saturation.
+"""Per-tuple utilities, the shared analysis context, and saturation.
 
 The package models a user querying a data source whose preferences are
 shifted by a per-tuple bias.  Four per-tuple utility shapes cover both
@@ -25,25 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Sequence
 
 from .core import (
     BiasFunction,
     ConfigurationError,
     Key,
     Rank,
-    WeakOrder,
     as_fraction,
 )
 
 __all__ = [
     "SaturationOutcome",
-    "SupermodularCheck",
-    "SupermodularWitness",
     "UtilityContext",
     "UtilityKind",
-    "aggregate_utility",
-    "check_supermodular",
     "per_tuple_utility",
     "saturation_check",
 ]
@@ -121,88 +116,6 @@ def per_tuple_utility(
     if kind is UtilityKind.PRODUCT_SOURCE_BIASED:
         return (Fraction(intent_rank) - bias) * response_rank
     raise ConfigurationError(f"unknown utility kind: {kind!r}")
-
-
-def aggregate_utility(
-    intent: WeakOrder,
-    response: WeakOrder,
-    ctx: UtilityContext,
-    side: Literal["user", "source"],
-) -> Fraction:
-    """Sum of per-tuple utilities over every key the intent ranks.
-
-    Keys the response omits take ``ctx.omitted_rank``.  The user side is
-    unbiased by definition; the source side applies ``ctx.bias``.
-    """
-    if side not in ("user", "source"):
-        raise ConfigurationError(f"side must be 'user' or 'source', got {side!r}")
-    kind = ctx.kind_user if side == "user" else ctx.kind_source
-    total = Fraction(0)
-    for key in intent.keys():
-        intent_rank = intent.rank_of(key)
-        response_rank = response.rank_of(key, omitted=ctx.omitted_rank)
-        bias = ctx.bias(key) if side == "source" else Fraction(0)
-        total += per_tuple_utility(kind, intent_rank, response_rank, bias)
-    return total
-
-
-# --------------------------------------------------------------------------- #
-# Supermodularity
-# --------------------------------------------------------------------------- #
-
-
-class SupermodularWitness(NamedTuple):
-    """Point where the supermodularity inequality fails."""
-
-    bias_value: Fraction
-    low_response: Rank
-    high_response: Rank
-    intent_rank: Rank  # difference increased moving to intent_rank + 1
-
-
-class SupermodularCheck(NamedTuple):
-    holds: bool
-    witness: SupermodularWitness | None
-
-
-UtilityCallable = Callable[[Rank, Rank, Fraction], Fraction]
-
-
-def check_supermodular(
-    kind: UtilityKind | UtilityCallable,
-    universe_size: int,
-    bias_samples: Sequence[int | float | str | Fraction],
-) -> SupermodularCheck:
-    """Verify that better response positions matter more for higher intents.
-
-    For each sampled bias, each response pair low < high, and every
-    intent rank, the gain ``u(intent, low) − u(intent, high)`` must be
-    non-increasing in the intent rank.  ``kind`` may be a
-    :class:`UtilityKind` or any callable ``(intent_rank, response_rank,
-    bias) -> value`` (an injection point for adversarial test shapes).
-    """
-    if universe_size < 2:
-        raise ConfigurationError("supermodularity needs a universe of size >= 2")
-    if isinstance(kind, UtilityKind):
-        evaluate: UtilityCallable = lambda t, r, b: per_tuple_utility(kind, t, r, b)
-    else:
-        evaluate = kind
-    for raw in bias_samples:
-        bias = as_fraction(raw)
-        for low in range(1, universe_size + 1):
-            for high in range(low + 1, universe_size + 1):
-                previous: Fraction | None = None
-                for intent_rank in range(1, universe_size + 1):
-                    diff = evaluate(intent_rank, low, bias) - evaluate(
-                        intent_rank, high, bias
-                    )
-                    if previous is not None and diff > previous:
-                        return SupermodularCheck(
-                            False,
-                            SupermodularWitness(bias, low, high, intent_rank - 1),
-                        )
-                    previous = diff
-    return SupermodularCheck(True, None)
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,9 @@
 Everything here is deliberately naive -- enumerate, scan, filter --
 and shares no code path with the package beyond plain data types, so
 a defect in a closed form cannot vouch for itself.  Keep these slow
-and obvious; speed lives in the package, trust lives here.
+and obvious; speed lives in the package, trust lives here.  The utility
+sums and the supermodularity check are the exception: they evaluate
+``per_tuple_utility``, the code their tests check.
 """
 
 from __future__ import annotations
@@ -11,8 +13,17 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from typing import Callable, Literal, NamedTuple
 
-from coiquery import TrustWitness, UtilityContext
+from coiquery import (
+    ConfigurationError,
+    TrustWitness,
+    UtilityContext,
+    UtilityKind,
+    WeakOrder,
+    as_fraction,
+    per_tuple_utility,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -375,6 +386,87 @@ def region_means_oracle(z: int, separation: int, side):
         Fraction(sum(rival for _, rival in pairs), count),
         count,
     )
+
+
+# --------------------------------------------------------------------------- #
+# Utility sums and supermodularity of the per-tuple utilities
+# --------------------------------------------------------------------------- #
+
+
+def aggregate_utility(
+    intent: WeakOrder,
+    response: WeakOrder,
+    ctx: UtilityContext,
+    side: Literal["user", "source"],
+) -> Fraction:
+    """Sum of per-tuple utilities over every key the intent ranks.
+
+    Keys the response omits take ``ctx.omitted_rank``.  The user side is
+    unbiased by definition; the source side applies ``ctx.bias``.
+    """
+    if side not in ("user", "source"):
+        raise ConfigurationError(f"side must be 'user' or 'source', got {side!r}")
+    kind = ctx.kind_user if side == "user" else ctx.kind_source
+    total = Fraction(0)
+    for key in intent.keys():
+        intent_rank = intent.rank_of(key)
+        response_rank = response.rank_of(key, omitted=ctx.omitted_rank)
+        bias = ctx.bias(key) if side == "source" else Fraction(0)
+        total += per_tuple_utility(kind, intent_rank, response_rank, bias)
+    return total
+
+
+class SupermodularWitness(NamedTuple):
+    """Point where the supermodularity inequality fails."""
+
+    bias_value: Fraction
+    low_response: int
+    high_response: int
+    intent_rank: int  # difference increased moving to intent_rank + 1
+
+
+class SupermodularCheck(NamedTuple):
+    holds: bool
+    witness: SupermodularWitness | None
+
+
+UtilityCallable = Callable[[int, int, Fraction], Fraction]
+
+
+def check_supermodular(
+    kind: UtilityKind | UtilityCallable, universe_size: int, bias_samples
+) -> SupermodularCheck:
+    """Verify that better response positions matter more for higher intents.
+
+    For each sampled bias, each response pair low < high, and every
+    intent rank, the gain ``u(intent, low) − u(intent, high)`` must be
+    non-increasing in the intent rank; the merge DP relies on this.
+    ``kind`` may be a :class:`UtilityKind` or any callable
+    ``(intent_rank, response_rank, bias) -> value`` (an injection point
+    for adversarial test shapes).
+    """
+    if universe_size < 2:
+        raise ConfigurationError("supermodularity needs a universe of size >= 2")
+    if isinstance(kind, UtilityKind):
+        evaluate: UtilityCallable = lambda t, r, b: per_tuple_utility(kind, t, r, b)
+    else:
+        evaluate = kind
+    for raw in bias_samples:
+        bias = as_fraction(raw)
+        for low in range(1, universe_size + 1):
+            for high in range(low + 1, universe_size + 1):
+                previous: Fraction | None = None
+                for intent_rank in range(1, universe_size + 1):
+                    diff = evaluate(intent_rank, low, bias) - evaluate(
+                        intent_rank, high, bias
+                    )
+                    if previous is not None and diff > previous:
+                        return SupermodularCheck(
+                            False,
+                            SupermodularWitness(bias, low, high, intent_rank - 1),
+                        )
+                    previous = diff
+    return SupermodularCheck(True, None)
 
 
 # --------------------------------------------------------------------------- #

@@ -168,6 +168,25 @@ def test_maximize_command_agrees_with_its_oracle(tmp_path, capsys):
     assert report["oracle"]["opt"] == pytest.approx(float(expected.opt_value))
 
 
+def test_oracle_rejects_a_base_over_its_limit_before_the_dp_runs(
+    tmp_path, capsys, monkeypatch
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the merge DP ran on a base the oracle rejects")
+
+    monkeypatch.setattr(coiquery.cli, "maximize_merge_dp", unreachable)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"z": 15}))
+    intent = _write_order(tmp_path, "intent.json", [[f"e{i}"] for i in range(1, 16)])
+    argv = ["maximize", "--config", str(config), "--intent", str(intent), "--oracle"]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "analysis error: 15 blocks exceed the enumeration limit 14\n"
+    )
+
+
 def test_equilibrium_command_reports_witness_and_counts(tmp_path, capsys):
     game = tmp_path / "game.json"
     game.write_text(json.dumps(commission_game(1, 2).as_jsonable()))
@@ -341,6 +360,26 @@ def test_trust_command_output_is_pinned_byte_for_byte(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == _GOLDEN_TRUST_STDOUT
     assert json.loads(_GOLDEN_TRUST_STDOUT) == json.loads(_GOLDEN_TRUST_INDENTED)
+
+
+#: ``coiquery trust`` stdout for ``_RULES_CONFIG``: the Sony rule gives e3
+#: and e4 a bias of 2 · 1/2 = 1 on the range [0, 1], the pivot at z=4 is
+#: separation 2, and both rule-biased keys are flagged there.
+_GOLDEN_RULES_TRUST_STDOUT = (
+    '{"flagged":['
+    '{"delta":2,"interval":[-0.10256410256410256,0.46153846153846156],"key":"e3"},'
+    '{"delta":2,"interval":[-0.10256410256410256,0.46153846153846156],"key":"e4"}'
+    '],"trustworthy":["e1","e2"]}\n'
+)
+
+
+def test_trust_command_on_bias_rules_is_pinned_byte_for_byte(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_RULES_CONFIG))
+    beta = _write_order(tmp_path, "beta.json", [["e3"], ["e1", "e4"], ["e2"]])
+    code = run_command(["trust", "--config", str(config), "--beta", str(beta)])
+    assert code == 0
+    assert capsys.readouterr().out == _GOLDEN_RULES_TRUST_STDOUT
 
 
 #: ``coiquery influence`` runs pinned byte for byte: (config, intent, exit

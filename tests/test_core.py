@@ -1,4 +1,4 @@
-"""Shared vocabulary: weak orders, rank domains, bias functions."""
+"""Shared vocabulary: weak orders, rank domains, bias functions and rules."""
 
 from __future__ import annotations
 
@@ -9,13 +9,15 @@ import pytest
 
 from coiquery import (
     AttributeDomain,
+    BiasConfig,
     BiasFunction,
+    BiasRule,
     ConfigurationError,
     Relation,
     WeakOrder,
     as_fraction,
+    assign_bias,
     build_rank_domain,
-    validate_weak_order,
 )
 
 
@@ -80,12 +82,6 @@ def test_from_lists_reports_the_first_defect_shape_errors_first(data, message):
     with pytest.raises(ConfigurationError) as caught:
         WeakOrder.from_lists(data)
     assert str(caught.value) == message
-
-
-def test_validate_weak_order_reports_first_defect():
-    assert validate_weak_order([["a"], ["b", "c"]]) is None
-    assert "duplicate" in validate_weak_order([["a"], ["a", "b"]])
-    assert "empty" in validate_weak_order([["a"], []])
 
 
 def test_pairwise_relation_covers_all_four_cases():
@@ -227,3 +223,87 @@ def test_as_fraction_keeps_floats_exact_not_decimal():
     # 0.1 the float is not 1/10; conversions must not silently round.
     assert as_fraction(0.1) == Fraction(0.1)
     assert as_fraction(0.1) != Fraction(1, 10)
+
+
+# --------------------------------------------------------------------------- #
+# Attribute bias rules
+# --------------------------------------------------------------------------- #
+
+
+def _headphone_domain():
+    return build_rank_domain(
+        [
+            AttributeDomain("brand", ("JBL", "Skullcandy")),
+            AttributeDomain("price", ("[0,50)", "[50,100]")),
+        ]
+    )
+
+
+def test_bias_rules_apply_first_match_and_scale():
+    domain = _headphone_domain()
+    config = BiasConfig(
+        (
+            BiasRule((("brand", "Skullcandy"), ("price", "[0,50)")), Fraction(5)),
+            BiasRule((("brand", "Skullcandy"),), Fraction(2)),
+        ),
+        scale=Fraction(1, 2),
+    )
+    bias = assign_bias(config, domain)
+    # e3 = (Skullcandy, [0,50)) hits the specific rule; e4 only the brand rule.
+    assert bias.entries == {
+        "e1": Fraction(0),
+        "e2": Fraction(0),
+        "e3": Fraction(5, 2),
+        "e4": Fraction(1),
+    }
+    assert (bias.lower, bias.upper) == (Fraction(0), Fraction(5, 2))
+
+
+def test_rule_order_matters():
+    domain = _headphone_domain()
+    config = BiasConfig(
+        (
+            BiasRule((("brand", "Skullcandy"),), Fraction(2)),
+            BiasRule((("brand", "Skullcandy"), ("price", "[0,50)")), Fraction(5)),
+        ),
+        scale=Fraction(1, 2),
+    )
+    bias = assign_bias(config, domain)
+    assert bias.entries["e3"] == Fraction(1)  # broad rule shadows the narrow one
+    assert bias.entries["e4"] == Fraction(1)
+
+
+def test_bias_rules_reject_unknown_attribute():
+    config = BiasConfig((BiasRule((("nope", "x"),), Fraction(1)),))
+    with pytest.raises(ConfigurationError, match="unknown attribute 'nope'"):
+        assign_bias(config, _headphone_domain())
+
+
+def test_bias_config_from_jsonable():
+    config = BiasConfig.from_jsonable(
+        {
+            "rules": [
+                {"when": {"brand": "Skullcandy", "price": "[0,50)"}, "bias": 5},
+                {"when": {"brand": "Skullcandy"}, "bias": 2},
+            ],
+            "scale": "1/2",
+        }
+    )
+    assert config.scale == Fraction(1, 2)
+    assert len(config.rules) == 2
+    assert config.rules[0].bias == Fraction(5)
+    bias = assign_bias(config, _headphone_domain())
+    assert bias.entries["e3"] == Fraction(5, 2)
+
+
+def test_bias_config_from_jsonable_rejects_non_list_rules():
+    with pytest.raises(ConfigurationError, match="must be a list"):
+        BiasConfig.from_jsonable({"rules": "nope"})
+
+
+def test_no_matching_rule_leaves_zero_bias():
+    domain = _headphone_domain()
+    config = BiasConfig((BiasRule((("brand", "Bose"),), Fraction(3)),))
+    bias = assign_bias(config, domain)
+    assert set(bias.entries.values()) == {Fraction(0)}
+    assert (bias.lower, bias.upper) == (Fraction(0), Fraction(0))

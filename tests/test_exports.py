@@ -24,14 +24,13 @@ def test_every_exported_name_resolves_and_is_listed_once(name):
     assert not repeated, f"{name}.__all__ lists {repeated} more than once"
 
 
-#: The submodules whose ``__all__`` the package re-exports (not the CLI's).
+#: The submodules whose ``__all__`` the package re-exports.
 REEXPORTED = [
     f"coiquery.{name}"
     for name in (
         "core",
         "equilibrium",
         "influence",
-        "ingest",
         "merge",
         "posterior",
         "trust",
@@ -46,3 +45,8 @@ def test_package_names_are_the_submodule_objects(name):
     for entry in module.__all__:
         assert entry in coiquery.__all__, (name, entry)
         assert getattr(coiquery, entry) is getattr(module, entry), (name, entry)
+
+
+def test_every_submodule_is_reexported_or_a_named_entry_point():
+    found = set(MODULES) - {"coiquery"}
+    assert set(REEXPORTED) | {"coiquery.cli", "coiquery.bench"} == found

@@ -1,4 +1,8 @@
-"""Per-tuple and aggregate utilities, supermodularity, saturation."""
+"""Per-tuple utilities, their sums and supermodularity, saturation.
+
+The sums and the supermodularity check are oracles in ``tests/oracles.py``
+that drive ``per_tuple_utility``.
+"""
 
 from __future__ import annotations
 
@@ -13,11 +17,10 @@ from coiquery import (
     UtilityContext,
     UtilityKind,
     WeakOrder,
-    aggregate_utility,
-    check_supermodular,
     per_tuple_utility,
     saturation_check,
 )
+from oracles import aggregate_utility, check_supermodular
 
 QU = UtilityKind.QUADRATIC_USER
 QSB = UtilityKind.QUADRATIC_SOURCE_BIASED
