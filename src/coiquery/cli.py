@@ -36,12 +36,16 @@ noted::
       "scale": 1
     }
 
-When ``attributes`` are given they define the rank domain (and ``z``);
-``bias_rules`` then assign bias per element, first match wins.  An
-explicit ``bias`` object takes precedence over rules.  Other keys are
-ignored.  ``z`` and every bias value (entries, ``default``, ``lower``,
-``upper``, a rule's ``bias`` times ``scale``) must have magnitude at most
-``10**300``; larger values are configuration errors.
+When ``attributes`` are given, ``z`` is the product of their value
+counts; no element is built for it.  ``bias_rules`` then give each
+element of that product, keyed ``e1 .. em`` in ``itertools.product``
+order, the first matching rule's ``bias`` times ``scale`` (0 when none
+matches), for products of at most ``10**6`` elements.  An explicit
+``bias`` object takes precedence, and the rules are then not read.
+Other keys are ignored.  ``z`` and every bias value (entries,
+``default``, ``lower``, ``upper``, a rule's ``bias`` times ``scale``)
+must have magnitude at most ``10**300``; larger values are configuration
+errors.
 """
 
 from __future__ import annotations
@@ -49,8 +53,10 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -59,16 +65,12 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import bench as bench_mod
 from .core import (
-    AttributeDomain,
-    BiasConfig,
     BiasFunction,
     ConfigurationError,
     InfeasibleQueryError,
     QueryAnalysisError,
-    RankDomain,
     WeakOrder,
-    assign_bias,
-    build_rank_domain,
+    as_fraction,
 )
 from .equilibrium import FiniteGame, enumerate_pure_equilibria, influential_witness
 from .influence import (
@@ -101,6 +103,9 @@ class AnalysisConfig(NamedTuple):
 
 #: Largest magnitude accepted for ``z`` and for any bias value.
 _MAX_MAGNITUDE = 10**300
+
+#: Most attribute-product elements that ``bias_rules`` are evaluated over.
+_MAX_RULE_ELEMENTS = 10**6
 
 
 def _read_json(path: str) -> object:
@@ -135,47 +140,104 @@ def _integer(
     raise ConfigurationError(f"{name or key} must be an integer, got {value!r}")
 
 
+def _read_attributes(raw: object) -> list[tuple[str, tuple]]:
+    """The ``attributes`` list as ``(name, values)`` pairs, checked in order."""
+    if not isinstance(raw, list):
+        raise ConfigurationError("attributes must be a list")
+    attributes = []
+    for entry in raw:
+        try:
+            name, values = str(entry["name"]), tuple(entry["values"])
+            if not name:
+                raise ConfigurationError("attribute name must be nonempty")
+            if not values:
+                raise ConfigurationError(f"attribute {name!r} has an empty domain")
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"attribute {name!r} has duplicate values")
+        except (KeyError, TypeError) as exc:
+            raise ConfigurationError(f"malformed attribute entry: {exc}") from exc
+        attributes.append((name, values))
+    if not attributes:
+        raise ConfigurationError("rank domain needs at least one attribute")
+    return attributes
+
+
+def _rule_bias(
+    attributes: list[tuple[str, tuple]], rules: object, scale: object
+) -> BiasFunction:
+    """The bias ``bias_rules`` give each element of the attribute product.
+
+    Elements are keyed ``e1 .. em`` in ``itertools.product`` order.  Each
+    takes the first matching rule's bias times ``scale``, or 0 when no rule
+    matches; the range is tight.  A rule names attributes by ``name``, and
+    a repeated name tests its last attribute.
+    """
+    if not isinstance(rules, list):
+        raise ConfigurationError("bias rules must be a list")
+    parsed = []
+    for rule in rules:
+        try:
+            when = sorted(rule.get("when", {}).items())
+            parsed.append((when, as_fraction(rule["bias"])))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ConfigurationError(f"malformed bias rule: {exc}") from exc
+    scale = as_fraction(scale)
+    column = {name: index for index, (name, _) in enumerate(attributes)}
+    tests = []
+    for when, bias in parsed:
+        for name, _ in when:
+            if name not in column:
+                raise ConfigurationError(
+                    f"bias rule references unknown attribute {name!r}"
+                )
+        tests.append(([(column[name], value) for name, value in when], bias * scale))
+    if math.prod(len(values) for _, values in attributes) > _MAX_RULE_ELEMENTS:
+        raise ConfigurationError(
+            f"bias_rules apply to at most {_MAX_RULE_ELEMENTS} attribute-product "
+            "elements; give z and an explicit bias instead"
+        )
+    product = itertools.product(*(values for _, values in attributes))
+    zero = Fraction(0)
+    entries = {
+        f"e{index}": next(
+            (bias for when, bias in tests if all(element[i] == v for i, v in when)),
+            zero,
+        )
+        for index, element in enumerate(product, start=1)
+    }
+    values = entries.values()
+    return BiasFunction(entries, lower=min(values), upper=max(values))
+
+
 def load_config(path: str) -> AnalysisConfig:
     """Parse and validate a configuration file (shape in module docs)."""
     data = _read_json(path)
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: config must be a JSON object")
 
-    domain: RankDomain | None = None
+    attributes = None
     if "attributes" in data:
-        raw_attrs = data["attributes"]
-        if not isinstance(raw_attrs, list):
-            raise ConfigurationError("attributes must be a list")
-        try:
-            domain = build_rank_domain(
-                AttributeDomain(str(a["name"]), tuple(a["values"]))
-                for a in raw_attrs
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"malformed attribute entry: {exc}") from exc
-
+        attributes = _read_attributes(data["attributes"])
     universe_size = _integer(data, "z")
-    if universe_size is None:
-        if domain is None:
-            raise ConfigurationError("config needs either z or attributes")
-        universe_size = domain.size
-    elif domain is not None and domain.size != universe_size:
-        raise ConfigurationError(
-            f"z={universe_size} disagrees with the {domain.size}-element "
-            "attribute product"
-        )
+    if attributes is not None:
+        size = math.prod(len(values) for _, values in attributes)
+        # A product beyond the bound stands in for z: the check below refuses it.
+        if universe_size is None or size > _MAX_MAGNITUDE:
+            universe_size = size
+        elif size != universe_size:
+            raise ConfigurationError(
+                f"z={universe_size} disagrees with the {size}-element "
+                "attribute product"
+            )
+    elif universe_size is None:
+        raise ConfigurationError("config needs either z or attributes")
 
     if "bias" in data:
         bias = BiasFunction.from_jsonable(data["bias"])
     elif "bias_rules" in data:
-        if domain is None:
+        if attributes is None:
             raise ConfigurationError("bias_rules require attributes")
-        bias = assign_bias(
-            BiasConfig.from_jsonable(
-                {"rules": data["bias_rules"], "scale": data.get("scale", 1)}
-            ),
-            domain,
-        )
+        bias = _rule_bias(attributes, data["bias_rules"], data.get("scale", 1))
     else:
         bias = BiasFunction.zero()
 
@@ -288,6 +350,8 @@ def _cmd_equilibrium(args: argparse.Namespace) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> str:
+    if args.runs < 1:
+        raise ConfigurationError(f"--runs must be at least 1, got {args.runs}")
     sizes = None
     if args.m:
         try:

@@ -1,20 +1,17 @@
-"""Weak orders, rank domains, and bias assignments.
+"""Weak orders, bias functions, and the error hierarchy.
 
 This module holds the small set of domain types every analysis in the
-package shares: finite attribute domains and their Cartesian rank
-domains, weak orders (ranked lists with ties) over opaque tuple keys,
-bias functions mapping keys to exact rational offsets, and the ordered
-attribute rules (first match wins, times a scale) that assign a bias to
-every rank-domain element.
+package shares: weak orders (ranked lists with ties) over opaque tuple
+keys, and bias functions mapping keys to exact rational offsets.  The
+config's attribute form (``attributes`` plus ``bias_rules``) is read by
+``cli.load_config``, which turns it into a universe size and a
+``BiasFunction``.
 
 Conventions
 -----------
 * Ranks are 1-based.  A tie block occupying list positions ``i..j``
   assigns rank ``i`` to every member (the position of the block's first
   member), so a weak order without ties ranks its keys ``1..n`` exactly.
-* A second, dense numbering — the *block index* — counts blocks
-  ``1..#blocks`` and is available via ``WeakOrder.block_index_map`` for
-  callers that need consecutive numbers instead of positions.
 * Absent keys have no rank: lookups either raise ``KeyError`` or return
   a caller-supplied "omitted" rank strictly greater than the number of
   ranked keys.
@@ -28,34 +25,25 @@ across threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
 __all__ = [
-    "AttributeDomain",
-    "BiasConfig",
     "BiasFunction",
-    "BiasRule",
     "ConfigurationError",
     "DomainError",
     "InfeasibleQueryError",
     "Key",
     "QueryAnalysisError",
     "Rank",
-    "RankDomain",
-    "Relation",
     "SearchBudgetError",
     "WeakOrder",
     "as_fraction",
-    "assign_bias",
-    "build_rank_domain",
 ]
 
-# Opaque identifier for a ranked tuple (or rank-domain element).
+# Opaque identifier for a ranked tuple.
 Key = str
 
 # 1-based position in a ranking; values above the universe size denote
@@ -114,84 +102,8 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
 
 
 # --------------------------------------------------------------------------- #
-# Attribute and rank domains
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class AttributeDomain:
-    """A named, totally ordered finite domain of attribute values.
-
-    The value order given at construction is authoritative and fixed;
-    categorical domains keep their source order.
-    """
-
-    name: str
-    values: tuple[object, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.name:
-            raise ConfigurationError("attribute name must be nonempty")
-        if not self.values:
-            raise ConfigurationError(f"attribute {self.name!r} has an empty domain")
-        if len(set(self.values)) != len(self.values):
-            raise ConfigurationError(f"attribute {self.name!r} has duplicate values")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class RankDomain:
-    """The Cartesian product of attribute domains, enumerated once.
-
-    Elements are listed in lexicographic order of the attribute value
-    sequences and keyed ``"e1" .. "e{m}"`` in that order.  Two calls to
-    :func:`build_rank_domain` with equal inputs enumerate identically.
-    """
-
-    attributes: tuple[AttributeDomain, ...]
-    elements: tuple[tuple[object, ...], ...]
-
-    @property
-    def size(self) -> int:
-        """Number of elements (the product of attribute cardinalities)."""
-        return len(self.elements)
-
-    def keys(self) -> tuple[Key, ...]:
-        return tuple(f"e{i}" for i in range(1, self.size + 1))
-
-    def __len__(self) -> int:
-        return self.size
-
-
-def build_rank_domain(attributes: Iterable[AttributeDomain]) -> RankDomain:
-    """Enumerate the product of ``attributes`` as a :class:`RankDomain`.
-
-    Raises:
-        ConfigurationError: if no attributes are given (empty attribute
-            domains are rejected at ``AttributeDomain`` construction).
-    """
-    attrs = tuple(attributes)
-    if not attrs:
-        raise ConfigurationError("rank domain needs at least one attribute")
-    elements = tuple(itertools.product(*(a.values for a in attrs)))
-    return RankDomain(attributes=attrs, elements=elements)
-
-
-# --------------------------------------------------------------------------- #
 # Weak orders
 # --------------------------------------------------------------------------- #
-
-
-class Relation(Enum):
-    """Pairwise relation of two keys inside one weak order."""
-
-    PRECEDES = "precedes"
-    TIED = "tied"
-    FOLLOWS = "follows"
-    ABSENT = "absent"
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,14 +183,6 @@ class WeakOrder:
         return ranks
 
     @cached_property
-    def _block_index_by_key(self) -> dict[Key, int]:
-        return {
-            key: index
-            for index, block in enumerate(self.blocks, start=1)
-            for key in block
-        }
-
-    @cached_property
     def key_set(self) -> frozenset[Key]:
         return frozenset(self._rank_by_key)
 
@@ -294,19 +198,6 @@ class WeakOrder:
         if omitted is not None:
             return omitted
         raise KeyError(key)
-
-    def block_index_map(self) -> dict[Key, int]:
-        """Key → dense block index, e.g. ``(1, 2, 2, 3)`` after tying the
-        middle two keys of a four-key total order."""
-        return dict(self._block_index_by_key)
-
-    def relation(self, a: Key, b: Key) -> Relation:
-        ranks = self._rank_by_key
-        if a not in ranks or b not in ranks:
-            return Relation.ABSENT
-        if self._block_index_by_key[a] == self._block_index_by_key[b]:
-            return Relation.TIED
-        return Relation.PRECEDES if ranks[a] < ranks[b] else Relation.FOLLOWS
 
     def __len__(self) -> int:
         return sum(len(b) for b in self.blocks)
@@ -423,84 +314,3 @@ class BiasFunction:
             f"BiasFunction({len(self.entries)} entries, "
             f"range [{self.lower}, {self.upper}])"
         )
-
-
-# --------------------------------------------------------------------------- #
-# Attribute bias rules
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class BiasRule:
-    """One first-match rule: a conjunction of attribute = value tests."""
-
-    conditions: tuple[tuple[str, object], ...]
-    bias: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "conditions", tuple(self.conditions))
-        object.__setattr__(self, "bias", as_fraction(self.bias))
-
-    def matches(self, attributes: dict[str, object]) -> bool:
-        return all(attributes.get(name) == value for name, value in self.conditions)
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "BiasRule":
-        try:
-            when = data.get("when", {})
-            return cls(tuple(sorted(when.items())), as_fraction(data["bias"]))
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ConfigurationError(f"malformed bias rule: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class BiasConfig:
-    """Ordered bias rules plus a global scale factor."""
-
-    rules: tuple[BiasRule, ...]
-    scale: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "scale", as_fraction(self.scale))
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "BiasConfig":
-        rules = data.get("rules", [])
-        if not isinstance(rules, (list, tuple)):
-            raise ConfigurationError("bias rules must be a list")
-        return cls(
-            tuple(BiasRule.from_jsonable(r) for r in rules),
-            as_fraction(data.get("scale", 1)),
-        )
-
-
-def assign_bias(config: BiasConfig, domain: RankDomain) -> BiasFunction:
-    """Evaluate the rules over every rank-domain element.
-
-    Each element takes the first matching rule's value times the
-    configured scale, or an explicit zero when nothing matches.  The
-    returned range bounds are tight: both are achieved by some element.
-    """
-    names = [attribute.name for attribute in domain.attributes]
-    known = set(names)
-    for rule in config.rules:
-        for name, _ in rule.conditions:
-            if name not in known:
-                raise ConfigurationError(
-                    f"bias rule references unknown attribute {name!r}"
-                )
-    entries: dict[str, Fraction] = {}
-    for key, element in zip(domain.keys(), domain.elements):
-        attributes = dict(zip(names, element))
-        value = Fraction(0)
-        for rule in config.rules:
-            if rule.matches(attributes):
-                value = rule.bias * config.scale
-                break
-        entries[key] = value
-    return BiasFunction(
-        entries,
-        lower=min(entries.values()),
-        upper=max(entries.values()),
-    )

@@ -73,6 +73,34 @@ def iter_coarsenings(keys):
 
 
 # --------------------------------------------------------------------------- #
+# Attribute bias rules by enumeration
+# --------------------------------------------------------------------------- #
+
+
+def rule_bias_oracle(document: dict) -> dict[str, Fraction]:
+    """Per-element bias of an ``attributes`` + ``bias_rules`` config.
+
+    Lists the whole attribute product, reads each element as a name to
+    value map (a repeated name keeps its last value), and scans the rules
+    for the first whose every condition holds: its bias times ``scale``,
+    else 0.
+    """
+    attributes = document["attributes"]
+    scale = Fraction(document.get("scale", 1))
+    product = list(itertools.product(*(a["values"] for a in attributes)))
+    biases = {}
+    for index, element in enumerate(product, start=1):
+        named = {a["name"]: value for a, value in zip(attributes, element)}
+        bias = Fraction(0)
+        for rule in document["bias_rules"]:
+            if all(named.get(name) == value for name, value in rule["when"].items()):
+                bias = Fraction(rule["bias"]) * scale
+                break
+        biases[f"e{index}"] = bias
+    return biases
+
+
+# --------------------------------------------------------------------------- #
 # Displacement membership (trust baseline)
 # --------------------------------------------------------------------------- #
 
@@ -428,6 +456,9 @@ class SupermodularWitness(NamedTuple):
 class SupermodularCheck(NamedTuple):
     holds: bool
     witness: SupermodularWitness | None
+
+    def __bool__(self) -> bool:  # a failed check must be falsy, not a 2-tuple
+        return self.holds
 
 
 UtilityCallable = Callable[[int, int, Fraction], Fraction]

@@ -34,7 +34,7 @@ from coiquery import (
 from coiquery.cli import load_config, run_command
 from coiquery.equilibrium import commission_game
 from coiquery.utility import UtilityKind
-from oracles import closed_form_gap_shift, delta_query_oracle
+from oracles import closed_form_gap_shift, delta_query_oracle, rule_bias_oracle
 
 
 def _round_trip(payload):
@@ -616,7 +616,16 @@ def test_configuration_errors_exit_two(tmp_path, capsys):
         == 2
     )
     assert run_command(["bench", "--suite", "dp", "--m", "8,oops"]) == 2
-    capsys.readouterr()
+    for runs in ("0", "-1"):
+        assert run_command(["bench", "--suite", "dp", "--m", "4", "--runs", runs]) == 2
+    captured = capsys.readouterr()
+    assert "--runs must be at least 1, got -1" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def _ten_value_attributes(count):
+    """``count`` attributes of ten values each: a 10**count-element product."""
+    return [{"name": f"a{i}", "values": list(range(10))} for i in range(count)]
 
 
 @pytest.mark.parametrize(
@@ -634,6 +643,8 @@ def test_configuration_errors_exit_two(tmp_path, capsys):
         {**_RULES_CONFIG, "bias_rules": [{"when": {"brand": "JBL"}, "bias": True}]},
         {**_RULES_CONFIG, "scale": True},
         {"z": 4, "bias": {"entries": {"e1": "1e10000000"}}},
+        # 10**7 elements: past the bias_rules cap, refused before any is built
+        {"attributes": _ten_value_attributes(7), "bias_rules": []},
     ],
 )
 def test_malformed_config_values_exit_two(tmp_path, capsys, document):
@@ -700,6 +711,8 @@ _BOUND = 10**300
         {"z": 10, "bias": {"entries": {"a": 0}, "upper": f"{_BOUND}.5"}},
         {"z": 10, "bias": {"entries": {"a": 0}, "lower": -_BOUND - 1}},
         {**_RULES_CONFIG, "bias_rules": [{"when": {}, "bias": _BOUND}], "scale": 2},
+        {"attributes": _ten_value_attributes(301)},
+        {"z": 5, "attributes": _ten_value_attributes(301), "bias": {"entries": {}}},
     ],
 )
 def test_values_beyond_the_magnitude_bound_exit_two(tmp_path, capsys, document):
@@ -1049,3 +1062,171 @@ def test_analysis_config_builds_a_context(tmp_path):
     assert ctx.kind_user is UtilityKind.PRODUCT_USER
     assert ctx.kind_source is UtilityKind.QUADRATIC_SOURCE_BIASED
     assert ctx.bias("e1") == 0
+
+
+_BRAND = [{"name": "brand", "values": ["JBL", "Sony"]}]
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"attributes": "brand"}, "attributes must be a list"),
+        ({"attributes": []}, "rank domain needs at least one attribute"),
+        ({"attributes": [{"values": ["a"]}]}, "malformed attribute entry: 'name'"),
+        (
+            {"attributes": [7]},
+            "malformed attribute entry: 'int' object is not subscriptable",
+        ),
+        (
+            {"attributes": [{"name": "brand", "values": 3}]},
+            "malformed attribute entry: 'int' object is not iterable",
+        ),
+        (
+            {"attributes": [{"name": "", "values": []}]},
+            "attribute name must be nonempty",
+        ),
+        (
+            {"attributes": [{"name": "brand", "values": []}], "z": "x"},
+            "attribute 'brand' has an empty domain",
+        ),
+        (
+            {"attributes": [{"name": "brand", "values": [1, True]}]},
+            "attribute 'brand' has duplicate values",
+        ),
+        (
+            {"attributes": [{"name": "brand", "values": [[1], [2]]}]},
+            "malformed attribute entry: unhashable type: 'list'",
+        ),
+        ({"attributes": _BRAND, "z": "3"}, "z must be an integer, got '3'"),
+        (
+            {"attributes": _BRAND, "z": 3},
+            "z=3 disagrees with the 2-element attribute product",
+        ),
+        ({"z": 4, "bias_rules": []}, "bias_rules require attributes"),
+        ({"attributes": _BRAND, "bias_rules": None}, "bias rules must be a list"),
+        (
+            {"attributes": _BRAND, "bias_rules": [["brand"]]},
+            "malformed bias rule: 'list' object has no attribute 'get'",
+        ),
+        (
+            {"attributes": _BRAND, "bias_rules": [{"when": None, "bias": 1}]},
+            "malformed bias rule: 'NoneType' object has no attribute 'items'",
+        ),
+        (
+            {"attributes": _BRAND, "bias_rules": [{"when": {"nope": 1}}]},
+            "malformed bias rule: 'bias'",
+        ),
+        (
+            {"attributes": _BRAND, "bias_rules": [], "scale": None},
+            "not a rational value: None",
+        ),
+        (
+            {
+                "attributes": _BRAND,
+                "bias_rules": [{"when": {"nope": 1}, "bias": 1}],
+                "scale": "x",
+            },
+            "not a rational value: 'x'",
+        ),
+        (
+            {
+                "attributes": _BRAND,
+                "bias_rules": [
+                    {"when": {"brand": "x"}, "bias": 1},
+                    {"when": {"b": 1, "a": 2}, "bias": 1},
+                ],
+            },
+            "bias rule references unknown attribute 'a'",
+        ),
+        (
+            {"attributes": _ten_value_attributes(7), "bias_rules": "x"},
+            "bias rules must be a list",
+        ),
+        (
+            {"attributes": _ten_value_attributes(7), "bias_rules": []},
+            "bias_rules apply to at most 1000000 attribute-product elements; "
+            "give z and an explicit bias instead",
+        ),
+    ],
+)
+def test_malformed_attribute_configs_report_the_first_defect(
+    tmp_path, document, message
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ConfigurationError) as caught:
+        load_config(str(path))
+    assert str(caught.value) == message
+
+
+def test_attribute_names_and_values_are_read_as_str_and_tuple(tmp_path):
+    # A null name reads as "None" and a string of values as its characters;
+    # an explicit bias wins and leaves malformed rules unread.
+    path = tmp_path / "config.json"
+    attributes = [{"name": None, "values": "ab"}]
+    rules = [{"when": {"None": "b"}, "bias": 3}]
+    path.write_text(json.dumps({"attributes": attributes, "bias_rules": rules}))
+    ctx = load_config(str(path)).context
+    assert ctx.universe_size == 2
+    assert ctx.bias.entries == {"e1": 0, "e2": 3}
+    explicit = {"entries": {"e1": 1}}
+    path.write_text(
+        json.dumps({"attributes": attributes, "bias_rules": "x", "bias": explicit})
+    )
+    assert load_config(str(path)).context.bias.entries == {"e1": 1}
+
+
+def test_trust_answers_an_attribute_product_without_building_it(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"attributes": _ten_value_attributes(8), "k": 2}))
+    beta = _write_order(tmp_path, "beta.json", [["e1"], ["e2"]])
+    started = time.monotonic()
+    code = run_command(["trust", "--config", str(config), "--beta", str(beta)])
+    assert time.monotonic() - started < 1.0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["trustworthy"] == ["e1", "e2"]
+    assert load_config(str(config)).context.universe_size == 10**8
+
+
+_RULE_VALUES = st.sampled_from(["a", "b", 1, 1.0, True, None])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.fixed_dictionaries(
+            {
+                "name": st.sampled_from(["brand", "tier", "size"]),
+                "values": st.lists(_RULE_VALUES, min_size=1, max_size=3, unique=True),
+            }
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(
+        st.fixed_dictionaries(
+            {
+                "when": st.dictionaries(
+                    st.sampled_from(["brand", "tier", "size"]), _RULE_VALUES, max_size=2
+                ),
+                "bias": st.integers(-3, 3) | st.sampled_from(["1/2", "-0.25"]),
+            }
+        ),
+        max_size=4,
+    ),
+    st.integers(-2, 2) | st.sampled_from(["1/3", "2.5"]),
+)
+def test_rule_bias_agrees_with_the_naive_oracle(attributes, rules, scale):
+    document = {"attributes": attributes, "bias_rules": rules, "scale": scale}
+    names = {attribute["name"] for attribute in attributes}
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "config.json"
+        path.write_text(json.dumps(document))
+        if any(name not in names for rule in rules for name in rule["when"]):
+            with pytest.raises(ConfigurationError, match="unknown attribute"):
+                load_config(str(path))
+            return
+        bias = load_config(str(path)).context.bias
+    expected = rule_bias_oracle(json.loads(json.dumps(document)))
+    assert bias.entries == expected
+    assert (bias.lower, bias.upper) == (min(expected.values()), max(expected.values()))

@@ -1,24 +1,15 @@
-"""Shared vocabulary: weak orders, rank domains, bias functions and rules."""
+"""Shared vocabulary: weak orders and bias functions, and the attribute form
+of a universe and its bias that the config loader reads."""
 
 from __future__ import annotations
 
-import random
+import json
 from fractions import Fraction
 
 import pytest
 
-from coiquery import (
-    AttributeDomain,
-    BiasConfig,
-    BiasFunction,
-    BiasRule,
-    ConfigurationError,
-    Relation,
-    WeakOrder,
-    as_fraction,
-    assign_bias,
-    build_rank_domain,
-)
+from coiquery import BiasFunction, ConfigurationError, WeakOrder, as_fraction
+from coiquery.cli import load_config
 
 
 # --------------------------------------------------------------------------- #
@@ -35,7 +26,6 @@ def test_ranks_use_competition_numbering_across_tie_blocks():
         "d": 4,
         "e": 4,
     }
-    assert order.block_index_map() == {"a": 1, "b": 1, "c": 2, "d": 3, "e": 3}
 
 
 def test_total_order_ranks_are_positions():
@@ -84,73 +74,54 @@ def test_from_lists_reports_the_first_defect_shape_errors_first(data, message):
     assert str(caught.value) == message
 
 
-def test_pairwise_relation_covers_all_four_cases():
-    order = WeakOrder.of(["a", "b"], ["c"])
-    assert order.relation("a", "b") is Relation.TIED
-    assert order.relation("a", "c") is Relation.PRECEDES
-    assert order.relation("c", "a") is Relation.FOLLOWS
-    assert order.relation("a", "w") is Relation.ABSENT
-
-
-def test_relation_is_antisymmetric_on_random_orders():
-    rng = random.Random(11)
-    keys = [f"e{i}" for i in range(1, 9)]
-    for _ in range(50):
-        shuffled = keys[:]
-        rng.shuffle(shuffled)
-        blocks = []
-        start = 0
-        while start < len(shuffled):
-            width = rng.randint(1, len(shuffled) - start)
-            blocks.append(shuffled[start : start + width])
-            start += width
-        order = WeakOrder.of(*blocks)
-        for left in keys:
-            for right in keys:
-                forward = order.relation(left, right)
-                backward = order.relation(right, left)
-                if forward is Relation.PRECEDES:
-                    assert backward is Relation.FOLLOWS
-                elif forward is Relation.TIED:
-                    assert backward is Relation.TIED
-                    assert order.rank_of(left) == order.rank_of(right)
-
-
 # --------------------------------------------------------------------------- #
-# Rank domains
+# Attribute domains (read by ``cli.load_config``)
 # --------------------------------------------------------------------------- #
 
 
-def test_rank_domain_orders_elements_lexicographically_by_attribute():
-    domain = build_rank_domain(
-        [
-            AttributeDomain("color", ("red", "blue")),
-            AttributeDomain("size", (3, 2, 1)),
-        ]
-    )
-    assert domain.elements == (
+def _load(tmp_path, document):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    return load_config(str(path)).context
+
+
+def test_rank_domain_orders_elements_lexicographically_by_attribute(tmp_path):
+    product_order = [
         ("red", 3),
         ("red", 2),
         ("red", 1),
         ("blue", 3),
         ("blue", 2),
         ("blue", 1),
-    )
+    ]
+    # One rule per element, biased by its expected position.
+    rules = [
+        {"when": {"color": color, "size": size}, "bias": index}
+        for index, (color, size) in enumerate(product_order, start=1)
+    ]
+    attributes = [
+        {"name": "color", "values": ["red", "blue"]},
+        {"name": "size", "values": [3, 2, 1]},
+    ]
+    ctx = _load(tmp_path, {"attributes": attributes, "bias_rules": rules})
+    assert ctx.universe_size == 6
+    assert ctx.bias.entries == {f"e{i}": Fraction(i) for i in range(1, 7)}
 
 
-def test_rank_domain_size_is_product_of_attribute_sizes():
-    domain = build_rank_domain(
-        [
-            AttributeDomain("price", tuple(range(41))),
-            AttributeDomain("rating", tuple(range(30))),
-        ]
-    )
-    assert len(domain.elements) == 41 * 30
+def test_rank_domain_size_is_product_of_attribute_sizes(tmp_path):
+    attributes = [
+        {"name": "price", "values": list(range(41))},
+        {"name": "rating", "values": list(range(30))},
+    ]
+    ctx = _load(tmp_path, {"attributes": attributes})
+    assert ctx.universe_size == 41 * 30
+    assert ctx.bias.entries == {}
 
 
-def test_empty_attribute_rejected():
-    with pytest.raises(ConfigurationError):
-        build_rank_domain([AttributeDomain("empty", ())])
+def test_empty_attribute_rejected(tmp_path):
+    with pytest.raises(ConfigurationError) as caught:
+        _load(tmp_path, {"attributes": [{"name": "empty", "values": []}]})
+    assert str(caught.value) == "attribute 'empty' has an empty domain"
 
 
 # --------------------------------------------------------------------------- #
@@ -226,29 +197,25 @@ def test_as_fraction_keeps_floats_exact_not_decimal():
 
 
 # --------------------------------------------------------------------------- #
-# Attribute bias rules
+# Attribute bias rules (read by ``cli.load_config``)
 # --------------------------------------------------------------------------- #
 
 
-def _headphone_domain():
-    return build_rank_domain(
-        [
-            AttributeDomain("brand", ("JBL", "Skullcandy")),
-            AttributeDomain("price", ("[0,50)", "[50,100]")),
-        ]
-    )
+_HEADPHONES = [
+    {"name": "brand", "values": ["JBL", "Skullcandy"]},
+    {"name": "price", "values": ["[0,50)", "[50,100]"]},
+]
+_NARROW = {"when": {"brand": "Skullcandy", "price": "[0,50)"}, "bias": 5}
+_BROAD = {"when": {"brand": "Skullcandy"}, "bias": 2}
 
 
-def test_bias_rules_apply_first_match_and_scale():
-    domain = _headphone_domain()
-    config = BiasConfig(
-        (
-            BiasRule((("brand", "Skullcandy"), ("price", "[0,50)")), Fraction(5)),
-            BiasRule((("brand", "Skullcandy"),), Fraction(2)),
-        ),
-        scale=Fraction(1, 2),
-    )
-    bias = assign_bias(config, domain)
+def _rule_bias(tmp_path, rules, scale=1):
+    document = {"attributes": _HEADPHONES, "bias_rules": rules, "scale": scale}
+    return _load(tmp_path, document).bias
+
+
+def test_bias_rules_apply_first_match_and_scale(tmp_path):
+    bias = _rule_bias(tmp_path, [_NARROW, _BROAD], scale="1/2")
     # e3 = (Skullcandy, [0,50)) hits the specific rule; e4 only the brand rule.
     assert bias.entries == {
         "e1": Fraction(0),
@@ -259,51 +226,19 @@ def test_bias_rules_apply_first_match_and_scale():
     assert (bias.lower, bias.upper) == (Fraction(0), Fraction(5, 2))
 
 
-def test_rule_order_matters():
-    domain = _headphone_domain()
-    config = BiasConfig(
-        (
-            BiasRule((("brand", "Skullcandy"),), Fraction(2)),
-            BiasRule((("brand", "Skullcandy"), ("price", "[0,50)")), Fraction(5)),
-        ),
-        scale=Fraction(1, 2),
-    )
-    bias = assign_bias(config, domain)
+def test_rule_order_matters(tmp_path):
+    bias = _rule_bias(tmp_path, [_BROAD, _NARROW], scale="1/2")
     assert bias.entries["e3"] == Fraction(1)  # broad rule shadows the narrow one
     assert bias.entries["e4"] == Fraction(1)
 
 
-def test_bias_rules_reject_unknown_attribute():
-    config = BiasConfig((BiasRule((("nope", "x"),), Fraction(1)),))
-    with pytest.raises(ConfigurationError, match="unknown attribute 'nope'"):
-        assign_bias(config, _headphone_domain())
+def test_bias_rules_reject_unknown_attribute(tmp_path):
+    with pytest.raises(ConfigurationError) as caught:
+        _rule_bias(tmp_path, [{"when": {"nope": "x"}, "bias": 1}])
+    assert str(caught.value) == "bias rule references unknown attribute 'nope'"
 
 
-def test_bias_config_from_jsonable():
-    config = BiasConfig.from_jsonable(
-        {
-            "rules": [
-                {"when": {"brand": "Skullcandy", "price": "[0,50)"}, "bias": 5},
-                {"when": {"brand": "Skullcandy"}, "bias": 2},
-            ],
-            "scale": "1/2",
-        }
-    )
-    assert config.scale == Fraction(1, 2)
-    assert len(config.rules) == 2
-    assert config.rules[0].bias == Fraction(5)
-    bias = assign_bias(config, _headphone_domain())
-    assert bias.entries["e3"] == Fraction(5, 2)
-
-
-def test_bias_config_from_jsonable_rejects_non_list_rules():
-    with pytest.raises(ConfigurationError, match="must be a list"):
-        BiasConfig.from_jsonable({"rules": "nope"})
-
-
-def test_no_matching_rule_leaves_zero_bias():
-    domain = _headphone_domain()
-    config = BiasConfig((BiasRule((("brand", "Bose"),), Fraction(3)),))
-    bias = assign_bias(config, domain)
+def test_no_matching_rule_leaves_zero_bias(tmp_path):
+    bias = _rule_bias(tmp_path, [{"when": {"brand": "Bose"}, "bias": 3}])
     assert set(bias.entries.values()) == {Fraction(0)}
     assert (bias.lower, bias.upper) == (Fraction(0), Fraction(0))

@@ -35,7 +35,7 @@ def test_merging_middle_blocks_compacts_the_dense_ranks():
     base = WeakOrder.total(["a", "b", "c", "d"])
     merged = apply_merge(base, 2, 3)
     assert merged.as_lists() == [["a"], ["b", "c"], ["d"]]
-    assert merged.block_index_map() == {"a": 1, "b": 2, "c": 2, "d": 3}
+    assert merged.blocks == (("a",), ("b", "c"), ("d",))
 
 
 def test_merging_everything_or_nothing():

@@ -1,0 +1,91 @@
+"""README.md stays true: its config samples load, and each value its
+Library snippet states in a comment is the value the code returns."""
+
+from __future__ import annotations
+
+import ast
+import json
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from coiquery.cli import load_config
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+    encoding="utf-8"
+)
+
+
+def _blocks(language: str) -> list[str]:
+    return re.findall(rf"^```{language}\n(.*?)^```", README, re.DOTALL | re.MULTILINE)
+
+
+def _load(tmp_path, sample: str):
+    path = tmp_path / "config.json"
+    path.write_text(sample)
+    return load_config(str(path)).context
+
+
+@pytest.mark.parametrize(
+    "sample", [pytest.param(s, id=f"json{i}") for i, s in enumerate(_blocks("json"))]
+)
+def test_every_config_sample_loads(tmp_path, sample):
+    ctx = _load(tmp_path, sample)
+    assert ctx.universe_size >= ctx.top_k >= 1
+
+
+def test_the_config_samples_mean_what_the_text_says(tmp_path):
+    plain, rules = _blocks("json")
+    ctx = _load(tmp_path, plain)
+    assert (ctx.universe_size, ctx.top_k, ctx.bias("e1")) == (10, 3, 2)
+    assert json.loads(rules)["scale"] == "1/2"
+    ctx = _load(tmp_path, rules)
+    assert (ctx.universe_size, ctx.top_k) == (4, 2)
+    # "here e3 and e4 are the Sony ones, each with bias 2 × 1/2 = 1"
+    assert ctx.bias.entries == {"e1": 0, "e2": 0, "e3": 1, "e4": 1}
+
+
+def _stated_values(snippet: str) -> dict[int, str]:
+    """Line number to stated value, for each bare expression the snippet
+    annotates: in the comment that ends its line (continued on comment-only
+    lines) or, when that is absent, on the comment line below it."""
+    lines = snippet.splitlines()
+    stated = {}
+    for node in ast.parse(snippet).body:
+        if not isinstance(node, ast.Expr):
+            continue
+        comment = lines[node.end_lineno - 1][node.end_col_offset :].strip()
+        parts = [comment.removeprefix("#")] if comment else []
+        for line in lines[node.end_lineno :]:
+            if not line.strip().startswith("#"):
+                break
+            parts.append(line.strip().removeprefix("#"))
+            if not comment:
+                break  # a comment line below states one value
+        stated[node.lineno] = " ".join(parts)
+    return stated
+
+
+def test_library_snippet_returns_the_values_its_comments_state():
+    (snippet,) = _blocks("python")
+    stated = _stated_values(snippet)
+    namespace: dict = {}
+    checked = []
+    for node in ast.parse(snippet).body:
+        if node.lineno not in stated:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        expression = ast.Expression(node.value)
+        value = eval(compile(expression, "README.md", "eval"), namespace)
+        assert "".join(repr(value).split()) == "".join(stated[node.lineno].split())
+        checked.append(ast.unparse(node))
+    assert checked == ["gsd_values(10, 4)", "report.trustworthy", "report.flagged['a']"]
+    report = namespace["report"]
+    assert report.trustworthy == ("c",)
+    (witness,) = report.flagged["a"]
+    assert (witness.interval_low, witness.interval_high) == (
+        Fraction(74, 39),
+        Fraction(32, 13),
+    )

@@ -138,7 +138,11 @@ def test_failed_check_is_falsy_and_tiny_universe_rejected():
     def flat(intent_rank, response_rank, bias):
         return Fraction(0)
 
+    def convex_reward(intent_rank, response_rank, bias):
+        return (Fraction(intent_rank) - response_rank) ** 2
+
     assert check_supermodular(flat, 3, [0])  # constant gains pass
+    assert not check_supermodular(convex_reward, 5, [0])
     with pytest.raises(ConfigurationError):
         check_supermodular(QU, 1, [0])
 
