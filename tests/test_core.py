@@ -226,6 +226,16 @@ def test_bias_rules_apply_first_match_and_scale(tmp_path):
     assert (bias.lower, bias.upper) == (Fraction(0), Fraction(5, 2))
 
 
+def test_bias_config_from_jsonable(tmp_path):
+    # Rule biases and the scale may each be any rational spelling; the loader
+    # reads them to exact fractions, so 5 * "1/2" is 5/2, not 2.5.
+    rules = [{**_NARROW, "bias": "5"}, {**_BROAD, "bias": 2.0}]
+    bias = _rule_bias(tmp_path, rules, scale="1/2")
+    assert bias.entries["e3"] == Fraction(5, 2)
+    assert bias.entries["e4"] == Fraction(1)
+    assert all(type(value) is Fraction for value in bias.entries.values())
+
+
 def test_rule_order_matters(tmp_path):
     bias = _rule_bias(tmp_path, [_BROAD, _NARROW], scale="1/2")
     assert bias.entries["e3"] == Fraction(1)  # broad rule shadows the narrow one
