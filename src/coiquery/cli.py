@@ -205,8 +205,10 @@ def _rule_bias(
         )
         for index, element in enumerate(product, start=1)
     }
-    values = entries.values()
-    return BiasFunction(entries, lower=min(values), upper=max(values))
+    # Each entry is one of these objects: the range needs only those in use.
+    used = set(map(id, entries.values()))
+    assigned = [bias for bias in (*(b for _, b in tests), zero) if id(bias) in used]
+    return BiasFunction(entries, lower=min(assigned), upper=max(assigned))
 
 
 def load_config(path: str) -> AnalysisConfig:

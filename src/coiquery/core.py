@@ -89,6 +89,10 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     convert to their exact binary expansion.  Booleans, and decimal
     strings whose exponent exceeds ``±4300``, are rejected.
     """
+    if type(value) is int:  # the common JSON case: nothing to check
+        return Fraction(value)
+    if type(value) is Fraction:
+        return value
     try:
         if isinstance(value, bool):
             raise TypeError("a boolean is not a rational value")
@@ -122,7 +126,8 @@ class WeakOrder:
     blocks: tuple[tuple[Key, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
+        if type(self.blocks) is not tuple or {*map(type, self.blocks)} - {tuple}:
+            object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
 
     # -- constructors -------------------------------------------------------
 
@@ -239,7 +244,7 @@ class BiasFunction:
     from the stored values (and the default).  Explicit bounds must
     cover every stored entry but may deliberately exclude the default,
     which only applies to keys outside the analyzed universe.  Each value
-    becomes a ``Fraction`` once; entries are range-checked as integers.
+    becomes a ``Fraction`` at most once; entries are range-checked as integers.
     """
 
     entries: Mapping[Key, Fraction]
@@ -257,7 +262,7 @@ class BiasFunction:
             raise ConfigurationError(f"bias range is empty: [{lower}, {upper}]")
         (lo_n, lo_d), (up_n, up_d) = lower.as_integer_ratio(), upper.as_integer_ratio()
         for key, value in entries.items():
-            n, d = value.numerator, value.denominator
+            n, d = value.as_integer_ratio()
             if n * lo_d < lo_n * d or n * up_d > up_n * d:
                 raise ConfigurationError(
                     f"bias for {key!r} ({value}) outside range [{lower}, {upper}]"

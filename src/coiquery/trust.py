@@ -15,7 +15,8 @@ rightmost on ties.  It finds the *pivot* (below) in O(log z) integer
 steps per universe size; two cuts there settle each key by integer
 comparisons, and only a bias at or above the high one is searched.  An
 exhaustive report lists every separation whose window meets the range;
-they form one interval, so it costs O(log z) plus its length.
+they form one interval, so it costs O(log z) plus its length.  Witnesses
+stay integers, so a key settled at the pivot builds no ``Fraction``.
 
 The search rests on three monotonicity facts.  Write
 ``gap = G(d) / S(d)`` and ``shift = H(d) / S(d)`` over their shared
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from .core import BiasFunction, ConfigurationError, DomainError, Key, WeakOrder
@@ -122,30 +123,41 @@ class TrustWitness(NamedTuple):
     interval_high: Fraction  # exclusive
 
 
+_Bounds = tuple[int, int, int, int]  # separation, low and high over a denominator
+
+
 @dataclass(frozen=True, eq=False)
 class TrustReport:
     """Partition of a returned ranking into trustworthy and flagged keys.
 
     Each flagged key carries its least-floor witness (the rightmost on
     ties among separations whose gap clears ``bias - range_high``), or
-    every witness in separation order when screened exhaustively.
+    every witness in separation order when screened exhaustively.  They
+    are held as integers; ``flagged`` builds reduced fractions on first use.
     """
 
     trustworthy: tuple[Key, ...]
-    flagged: dict[Key, tuple[TrustWitness, ...]]
+    _bounds: dict[Key, tuple[_Bounds, ...]]
+
+    @cached_property
+    def flagged(self) -> dict[Key, tuple[TrustWitness, ...]]:
+        return {
+            key: tuple(
+                TrustWitness(separation, Fraction(low, den), Fraction(high, den))
+                for separation, low, high, den in bounds
+            )
+            for key, bounds in self._bounds.items()
+        }
 
     def as_jsonable(self) -> dict:
         flagged = [
             {
                 "key": key,
-                "delta": witness.separation,
-                "interval": [
-                    float(witness.interval_low),
-                    float(witness.interval_high),
-                ],
+                "delta": separation,
+                "interval": [low / den, high / den],  # rounds as float(Fraction)
             }
-            for key, witnesses in self.flagged.items()
-            for witness in witnesses
+            for key, bounds in self._bounds.items()
+            for separation, low, high, den in bounds
         ]
         return {"trustworthy": list(self.trustworthy), "flagged": flagged}
 
@@ -198,13 +210,21 @@ def _floor_pivot(universe_size: int) -> _Window | None:
     return min((_window(z, d) for d in candidates), key=lambda w: w.floor)
 
 
+def _bounds(bias_value: Fraction, universe_size: int, separation: int) -> _Bounds:
+    """The window ``[bias - gap, bias - floor)`` at one separation."""
+    n, d = bias_value.as_integer_ratio()
+    gap, shift, scale = _threshold_numerators(universe_size, separation)
+    floor = max(gap - scale, shift)
+    return separation, n * scale - gap * d, n * scale - floor * d, d * scale
+
+
 def _witness(
     bias_value: Fraction,
     universe_size: int,
     pivot: _Window,
     range_low: Fraction,
     range_high: Fraction,
-) -> TrustWitness | None:
+) -> _Bounds | None:
     """Witness for a bias at or above the high cut: the first separation
     right of the pivot whose gap clears ``bias - range_high``."""
     cut = bias_value - range_high
@@ -219,18 +239,16 @@ def _witness(
     window = _window(universe_size, at)
     if not window.floor < bias_value - range_low:
         return None
-    return TrustWitness(
-        window.separation, bias_value - window.gap, bias_value - window.floor
-    )
+    return _bounds(bias_value, universe_size, at)
 
 
 def _witnesses(
     bias_value: Fraction,
     universe_size: int,
-    witness: TrustWitness,
+    witness: int,
     range_low: Fraction,
     range_high: Fraction,
-) -> tuple[TrustWitness, ...]:
+) -> tuple[_Bounds, ...]:
     """Every separation whose window meets the range, in ascending order.
 
     They form an interval around the least-floor ``witness``.  Left of
@@ -254,14 +272,9 @@ def _witnesses(
             and floor * ceiling.denominator < ceiling.numerator * scale
         )
 
-    at = witness.separation
-    first = _first_where(1, at, qualifies)
-    end = _first_where(at + 1, z, lambda d: not qualifies(d))
-    windows = (_window(z, d) for d in range(first, end))
-    return tuple(
-        TrustWitness(w.separation, bias_value - w.gap, bias_value - w.floor)
-        for w in windows
-    )
+    first = _first_where(1, witness, qualifies)
+    end = _first_where(witness + 1, z, lambda d: not qualifies(d))
+    return tuple(_bounds(bias_value, z, d) for d in range(first, end))
 
 
 def detect_trustworthy(
@@ -282,7 +295,7 @@ def detect_trustworthy(
     witness, and otherwise (a default above the range) it binary-searches
     past the pivot.  ``exhaustive`` reports every qualifying separation in
     ascending order; they form one interval, found with two more binary
-    searches per flagged key.
+    searches per flagged key.  Witnesses stay integers (see ``TrustReport``).
     """
     range_low, range_high = ctx.bias.lower, ctx.bias.upper
     assert range_low is not None and range_high is not None  # BiasFunction derives bounds
@@ -292,27 +305,25 @@ def detect_trustworthy(
         return TrustReport(beta.keys(), {})
     low_n, low_d = (range_low + pivot.floor).as_integer_ratio()
     high_n, high_d = (range_high + pivot.gap).as_integer_ratio()
-    gap_n, gap_d = pivot.gap.as_integer_ratio()
-    floor_n, floor_d = pivot.floor.as_integer_ratio()
+    at = pivot.separation
+    gap, shift, scale = _threshold_numerators(z, at)  # ``_bounds``'s terms, once
+    floor = max(gap - scale, shift)
+    lookup, default = ctx.bias.entries.get, ctx.bias.default
     trustworthy: list[Key] = []
-    flagged: dict[Key, tuple[TrustWitness, ...]] = {}
+    flagged: dict[Key, tuple[_Bounds, ...]] = {}
     for key in beta.keys():
-        bias_value = ctx.bias(key)
-        n, d = bias_value.numerator, bias_value.denominator
+        bias_value = lookup(key, default)
+        n, d = bias_value.as_integer_ratio()
         if n * low_d <= low_n * d:
-            witness: TrustWitness | None = None
+            witness: _Bounds | None = None
         elif n * high_d < high_n * d:
-            witness = TrustWitness(
-                pivot.separation,
-                Fraction(n * gap_d - gap_n * d, d * gap_d),
-                Fraction(n * floor_d - floor_n * d, d * floor_d),
-            )
+            witness = (at, n * scale - gap * d, n * scale - floor * d, d * scale)
         else:
             witness = _witness(bias_value, z, pivot, range_low, range_high)
         if witness is None:
             trustworthy.append(key)
         elif exhaustive:
-            flagged[key] = _witnesses(bias_value, z, witness, range_low, range_high)
+            flagged[key] = _witnesses(bias_value, z, witness[0], range_low, range_high)
         else:
             flagged[key] = (witness,)
     return TrustReport(tuple(trustworthy), flagged)

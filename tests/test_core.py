@@ -42,6 +42,17 @@ def test_rank_of_missing_key_uses_omitted_or_raises():
         order.rank_of("w")
 
 
+def test_blocks_are_stored_as_a_tuple_of_tuples():
+    blocks = (("a", "b"), ("c",))
+    assert WeakOrder(blocks).blocks is blocks  # already tuples: kept, not copied
+    for raw in ([["a", "b"], ["c"]], (["a", "b"], ("c",)), [("a", "b"), ("c",)]):
+        order = WeakOrder(raw)
+        assert order.blocks == blocks and type(order.blocks) is tuple
+        assert all(type(block) is tuple for block in order.blocks)
+        assert order == WeakOrder.of(["a", "b"], ["c"])
+    assert WeakOrder(()).blocks == () and len(WeakOrder([])) == 0
+
+
 def test_equality_ignores_member_order_inside_a_block():
     assert WeakOrder.of(["b", "a"], ["c"]) == WeakOrder.of(["a", "b"], ["c"])
     assert hash(WeakOrder.of(["b", "a"])) == hash(WeakOrder.of(["a", "b"]))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +22,8 @@ from coiquery import (
     gsd_values,
     pairwise_indifference,
 )
+import coiquery.trust
+from coiquery.cli import run_command
 from coiquery.trust import _floor_pivot, _threshold_numerators
 from oracles import (
     _feasible_windows,
@@ -448,6 +452,108 @@ def test_report_serialization_shape():
     low, high = entry["interval"]
     assert low == pytest.approx(31 / 51)
     assert high == pytest.approx(82 / 51)
+
+
+# Bias spellings a config may hold: integers, decimal strings, and
+# fractions whose denominators are not powers of two, some beyond 2**53.
+_SPELLED = st.one_of(
+    st.integers(-60, 60),
+    st.decimals(-60, 60, places=3, allow_nan=False, allow_infinity=False).map(str),
+    st.builds(Fraction, st.integers(-600, 600), st.sampled_from([3, 7, 10, 99, 997])),
+    st.builds(Fraction, st.integers(-(10**19), 10**19), st.integers(10**17, 10**18)),
+)
+
+
+@st.composite
+def _spelled_screens(draw):
+    """A universe size and a bias of drawn spellings with its range.
+
+    The range runs from below the least entry to above the greatest; the
+    default lies above it (where the past-pivot search runs) or anywhere.
+    """
+    z = draw(st.integers(2, 300))
+    entries = draw(st.lists(_SPELLED, min_size=1, max_size=4))
+    values = [Fraction(value) for value in entries]
+    low = min(values) - draw(st.integers(0, 3))
+    high = max(values) + draw(_SPELLED.map(lambda v: abs(Fraction(v))))
+    offset = abs(Fraction(draw(_SPELLED))) + Fraction(draw(st.integers(0, 10 * z)), 20)
+    default = high + offset if draw(st.booleans()) else draw(_SPELLED)
+    entries = {f"k{i}": value for i, value in enumerate(entries)}
+    return z, BiasFunction(entries, default=default, lower=low, upper=high)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spelled_screens())
+def test_report_floats_are_those_of_the_reduced_witnesses(screen):
+    z, bias = screen
+    keys = [*bias.entries, "out"]
+    beta, ctx = WeakOrder.total(keys), UtilityContext(z, z, bias)
+    low, high = bias.lower, bias.upper
+    for exhaustive in (False, True):
+        report = detect_trustworthy(beta, ctx, exhaustive=exhaustive)
+        expected = [
+            [key, w.separation, float(w.interval_low).hex(), float(w.interval_high).hex()]
+            for key, witnesses in report.flagged.items()
+            for w in witnesses
+        ]
+        written = [
+            [entry["key"], entry["delta"], *(end.hex() for end in entry["interval"])]
+            for entry in report.as_jsonable()["flagged"]
+        ]
+        assert written == expected
+        for key in keys:
+            if exhaustive:
+                oracle = trust_witnesses_oracle(bias(key), z, low, high)
+            else:
+                witness = trust_witness_oracle(bias(key), z, low, high)
+                oracle = (witness,) if witness else ()
+            assert report.flagged.get(key, ()) == oracle
+            for w in report.flagged.get(key, ()):
+                for end in (w.interval_low, w.interval_high):
+                    assert type(end) is Fraction
+                    assert math.gcd(end.numerator, end.denominator) == 1
+
+
+class _CountedFraction(Fraction):
+    """A ``Fraction`` that counts how many are made."""
+
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        _CountedFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+def test_pivot_flagged_keys_build_no_fraction(tmp_path, capsys, monkeypatch):
+    # Integer biases inside the range all settle at the pivot, so the
+    # screen should stay in integers from the config to the report.
+    rng = random.Random(3)
+    z, upper = 50_000, 15_000
+    keys = [f"e{i}" for i in rng.sample(range(1, z + 1), 1_000)]
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "z": z,
+                "bias": {
+                    "entries": {key: rng.randint(0, upper) for key in keys},
+                    "lower": 0,
+                    "upper": upper,
+                },
+            }
+        )
+    )
+    beta = tmp_path / "beta.json"
+    beta.write_text(json.dumps([[key] for key in keys]))
+    pivot = _floor_pivot(z)  # per universe, not per key
+    monkeypatch.setattr(coiquery.trust, "Fraction", _CountedFraction)
+    monkeypatch.setattr(_CountedFraction, "made", 0)
+    code = run_command(["trust", "--config", str(config), "--beta", str(beta)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(report["flagged"]) > 300
+    assert {entry["delta"] for entry in report["flagged"]} == {pivot.separation}
+    assert _CountedFraction.made == 0
 
 
 # --------------------------------------------------------------------------- #
