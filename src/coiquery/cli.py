@@ -10,15 +10,16 @@ maximize     run the merge dynamic program (optionally against the
 equilibrium  analyze a finite game: witness search plus every
              pure equilibrium, found among the source's best replies
 bench        timing sweeps (trust filter or merge DP) as CSV
-verify       reduced oracle cross-checks; nonzero exit on disagreement
 
 Reports go to standard output (or the ``--output`` file) as one line of
 compact JSON with sorted keys and a trailing newline (CSV for bench);
 ``python3 -m json.tool`` indents one for reading.  Diagnostics go to
 standard error.  Exit codes: 0 success, 1 analysis failure (a report
 value beyond the float range among them), 2 usage or configuration error
-(invalid or too deeply nested JSON among them).  The ``COI_LOG``
-environment variable sets the stderr log level (``DEBUG``, ``INFO``, ...).
+(invalid or too deeply nested JSON, an ``--output`` that cannot be
+written, and a ``bench --suite dp`` size above 4000 among them).  The
+``COI_LOG`` environment variable sets the stderr log level (``DEBUG``,
+``INFO``, ...).
 
 The configuration file is a JSON object; all keys optional unless
 noted::
@@ -58,16 +59,14 @@ import json
 import logging
 import math
 import os
-import random
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import bench as bench_mod
 from .core import (
     BiasFunction,
     ConfigurationError,
-    InfeasibleQueryError,
     QueryAnalysisError,
     WeakOrder,
     as_fraction,
@@ -77,12 +76,10 @@ from .influence import (
     base_query,
     build_delta_query,
     classify_ranking_set,
-    delta_star_for_gap,
     order_by_case_sketch,
 )
 from .merge import brute_force_merge_opt, maximize_merge_dp
-from .posterior import Region, RegionSide, region_means
-from .trust import detect_trustworthy, gsd_values
+from .trust import detect_trustworthy
 from .utility import UtilityContext, UtilityKind
 
 __all__ = ["AnalysisConfig", "load_config", "main", "run_command"]
@@ -106,6 +103,10 @@ _MAX_MAGNITUDE = 10**300
 
 #: Most attribute-product elements that ``bias_rules`` are evaluated over.
 _MAX_RULE_ELEMENTS = 10**6
+
+#: Largest ``bench --suite dp`` size: the merge DP's score table has
+#: ``(m + 1)**2`` cells.
+_MAX_DP_SIZE = 4000
 
 
 def _read_json(path: str) -> object:
@@ -362,6 +363,10 @@ def _cmd_bench(args: argparse.Namespace) -> str:
             raise ConfigurationError(f"bad --m list {args.m!r}: {exc}") from exc
         if not sizes or any(s < 1 for s in sizes):
             raise ConfigurationError(f"bad --m list {args.m!r}")
+        if args.suite == "dp" and max(sizes) > _MAX_DP_SIZE:
+            raise ConfigurationError(
+                f"dp sizes must be at most {_MAX_DP_SIZE}, got {max(sizes)}"
+            )
     if args.suite == "trust":
         rows = bench_mod.run_trust_suite(
             sizes or bench_mod.DEFAULT_TRUST_SIZES,
@@ -376,164 +381,6 @@ def _cmd_bench(args: argparse.Namespace) -> str:
     buffer = io.StringIO()
     bench_mod.write_csv(rows, buffer)
     return buffer.getvalue()
-
-
-# --------------------------------------------------------------------------- #
-# verify: reduced oracle cross-checks
-# --------------------------------------------------------------------------- #
-
-
-def _check_region_means(seed: int) -> list[str]:
-    problems = []
-    for z in range(2, 11):
-        for separation in range(1, z):
-            for side in RegionSide:
-                closed = region_means(z, separation, side)
-                pairs = list(Region(z, separation, side).pairs())
-                brute = (
-                    Fraction(sum(subject for subject, _ in pairs), len(pairs)),
-                    Fraction(sum(rival for _, rival in pairs), len(pairs)),
-                    len(pairs),
-                )
-                if closed != brute:
-                    problems.append(
-                        f"region_means mismatch z={z} delta={separation} "
-                        f"{side.value}: {closed} vs {brute}"
-                    )
-    return problems
-
-
-def _check_gap_invariant(seed: int) -> list[str]:
-    expected = Fraction(2, 3)
-    return [
-        f"gap threshold at separation 1 is {gsd_values(z, 1).gap}, not 2/3 (z={z})"
-        for z in range(2, 61)
-        if gsd_values(z, 1).gap != expected
-    ]
-
-
-def _check_dp_against_brute(seed: int) -> list[str]:
-    problems = []
-    rng = random.Random(seed)
-    for size in (4, 6, 8):
-        for _ in range(5):
-            keys = [f"e{i}" for i in range(1, size + 1)]
-            order = list(keys)
-            rng.shuffle(order)
-            intent = WeakOrder.total(order)
-            bias = BiasFunction(
-                {k: Fraction(rng.randint(0, 20), 10) for k in keys}
-            )
-            ctx = UtilityContext(size, max(1, size // 2), bias)
-            fast = maximize_merge_dp(intent, ctx, base=intent)
-            brute = brute_force_merge_opt(intent, ctx, base=intent)
-            if fast.opt_value != brute.opt_value:
-                problems.append(
-                    f"merge OPT mismatch m={size}: "
-                    f"{fast.opt_value} vs {brute.opt_value}"
-                )
-            elif fast.partition != brute.partition:
-                problems.append(f"merge partition mismatch m={size}")
-    return problems
-
-
-def _check_delta_star(seed: int) -> list[str]:
-    problems = []
-    for z in (8, 32):
-        windows = [gsd_values(z, separation).gap for separation in range(1, z)]
-        for quarter in range(-12, 13):
-            gap = Fraction(quarter, 4)
-            solved = delta_star_for_gap(gap, z)
-            scanned = next(
-                (d for d, top in enumerate(windows, 1) if top - 1 < gap <= top),
-                None,
-            )
-            if solved != scanned:
-                problems.append(
-                    f"delta* mismatch z={z} gap={gap}: "
-                    f"solved={solved} scanned={scanned}"
-                )
-    return problems
-
-
-def _check_query_soundness(seed: int) -> list[str]:
-    problems = []
-    rng = random.Random(seed)
-    for trial in range(50):
-        size = rng.randint(2, 8)
-        keys = [f"e{i}" for i in range(1, size + 1)]
-        rng.shuffle(keys)
-        blocks: list[list[str]] = []
-        for key in keys:
-            if blocks and rng.random() < 0.25:
-                blocks[-1].append(key)
-            else:
-                blocks.append([key])
-        intent = WeakOrder.of(*blocks)
-        bias = BiasFunction(
-            {k: Fraction(rng.randint(0, 30), 10) for k in keys}
-        )
-        query = build_delta_query(intent, bias, size)
-        if not query.satisfied_by(intent):
-            problems.append(f"delta query unsatisfied by its intent, trial {trial}")
-            continue
-        try:
-            if not query.satisfied_by(base_query(query)):
-                problems.append(f"base ranking violates its query, trial {trial}")
-        except InfeasibleQueryError as exc:
-            biases = {key: str(bias(key)) for key in sorted(keys)}
-            problems.append(
-                f"no base ranking for trial {trial} ({exc}): intent "
-                f"{intent.as_lists()}, biases {biases}, z={size}"
-            )
-    return problems
-
-
-def _check_equilibrium_iff(seed: int) -> list[str]:
-    problems = []
-    rng = random.Random(seed)
-    for trial in range(100):
-        game = FiniteGame.build(
-            ("t1", "t2"),
-            ("q1", "q2"),
-            ("b1", "b2"),
-            payoff_user=[
-                [rng.randint(-3, 3) for _ in range(2)] for _ in range(2)
-            ],
-            payoff_source=[
-                [rng.randint(-3, 3) for _ in range(2)] for _ in range(2)
-            ],
-            prior=(Fraction(1, 2), Fraction(1, 2)),
-            set_equivalent=True,
-        )
-        has_witness = influential_witness(game) is not None
-        has_influential = any(
-            entry.classification.value != "NonInfluential"
-            for entry in enumerate_pure_equilibria(game)
-        )
-        if has_witness != has_influential:
-            problems.append(
-                f"witness/equilibrium disagreement on trial {trial}: "
-                f"witness={has_witness} influential={has_influential}"
-            )
-    return problems
-
-
-_VERIFY_CHECKS: tuple[tuple[str, Callable[[int], list[str]]], ...] = (
-    ("region_means", _check_region_means),
-    ("gap_invariant", _check_gap_invariant),
-    ("merge_dp", _check_dp_against_brute),
-    ("delta_star", _check_delta_star),
-    ("query_soundness", _check_query_soundness),
-    ("equilibrium_iff", _check_equilibrium_iff),
-)
-
-
-def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    outcomes = {name: check(args.seed) for name, check in _VERIFY_CHECKS}
-    checks = {name: {"ok": not p, "disagreements": p} for name, p in outcomes.items()}
-    all_ok = all(entry["ok"] for entry in checks.values())
-    return {"checks": checks, "ok": all_ok}, 0 if all_ok else 1
 
 
 # --------------------------------------------------------------------------- #
@@ -584,17 +431,16 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--output")
 
-    verify = commands.add_parser("verify", help="run oracle cross-checks")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--output")
-
     return parser
 
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {output!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -619,7 +465,6 @@ def run_command(argv: Sequence[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        exit_code = 0
         if args.command == "trust":
             report: object = _cmd_trust(args)
         elif args.command == "influence":
@@ -628,14 +473,12 @@ def run_command(argv: Sequence[str]) -> int:
             report = _cmd_maximize(args)
         elif args.command == "equilibrium":
             report = _cmd_equilibrium(args)
-        elif args.command == "verify":
-            report, exit_code = _cmd_verify(args)
         else:  # bench emits CSV, not JSON
             _emit(_cmd_bench(args), args.output)
             return 0
         text = json.dumps(report, sort_keys=True, separators=(",", ":"))
         _emit(text + "\n", args.output)
-        return exit_code
+        return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

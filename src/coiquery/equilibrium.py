@@ -85,7 +85,11 @@ class FiniteGame:
         if any(weight < 0 for weight in self.prior.values()):
             raise ConfigurationError("prior weights must be nonnegative")
         if abs(total - 1) > _PRIOR_TOLERANCE:
-            raise ConfigurationError(f"prior sums to {float(total)}, not 1")
+            try:
+                shown = str(total)
+            except ValueError:  # a term past the int-to-str digit limit
+                shown = "more than 1" if total > 1 else "less than 1"
+            raise ConfigurationError(f"prior sums to {shown}, not 1")
 
     @classmethod
     def build(

@@ -23,18 +23,16 @@ so concurrent readers are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .core import DomainError, Key, Rank, WeakOrder, as_fraction
 from .utility import UtilityContext, UtilityKind
 
 __all__ = [
     "PosteriorSummary",
-    "Region",
     "RegionSide",
     "best_response_rank",
     "block_expected_user_utility",
@@ -58,43 +56,6 @@ class PosteriorSummary(NamedTuple):
     support_count: int
 
 
-@dataclass(frozen=True)
-class Region:
-    """A separation region inside the square of (subject, rival) ranks."""
-
-    universe_size: int
-    separation: int
-    side: RegionSide
-
-    def __post_init__(self) -> None:
-        if self.universe_size < 2:
-            raise DomainError("regions need a universe of size >= 2")
-        if not 1 <= self.separation <= self.universe_size - 1:
-            raise DomainError(
-                f"separation {self.separation} outside "
-                f"1..{self.universe_size - 1}"
-            )
-
-    def contains(self, subject_rank: Rank, rival_rank: Rank) -> bool:
-        favored = rival_rank - subject_rank >= self.separation
-        return favored if self.side is RegionSide.FAVORED else not favored
-
-    def pairs(self) -> Iterator[tuple[Rank, Rank]]:
-        """Every (subject, rival) pair of the region, row by row."""
-        for subject in range(1, self.universe_size + 1):
-            for rival in range(1, self.universe_size + 1):
-                if self.contains(subject, rival):
-                    yield subject, rival
-
-    @property
-    def count(self) -> int:
-        z, d = self.universe_size, self.separation
-        favored = (z - d) * (z - d + 1) // 2
-        if self.side is RegionSide.FAVORED:
-            return favored
-        return z * z - favored
-
-
 @lru_cache(maxsize=None)
 def region_means(
     universe_size: int, separation: int, side: RegionSide
@@ -106,15 +67,20 @@ def region_means(
     """
     z = universe_size
     d = separation
-    region = Region(z, d, side)
+    if z < 2:
+        raise DomainError("regions need a universe of size >= 2")
+    if not 1 <= d <= z - 1:
+        raise DomainError(f"separation {d} outside 1..{z - 1}")
+    favored = (z - d) * (z - d + 1) // 2
     if side is RegionSide.FAVORED:
         return PosteriorSummary(
-            Fraction(z - d + 2, 3), Fraction(2 * z + d + 1, 3), region.count
+            Fraction(z - d + 2, 3), Fraction(2 * z + d + 1, 3), favored
         )
+    count = z * z - favored
     scale = 3 * (z * z - z + d * (2 * z + 1) - d * d)
     # The complement has exactly scale / 6 pairs; anything else means the
     # closed forms drifted from the region definition.
-    assert 6 * region.count == scale
+    assert 6 * count == scale
     subject_numerator = (
         d**3 - 3 * (z + 1) * d**2 + (3 * z * z + 6 * z + 2) * d + 2 * z * (z * z - 1)
     )
@@ -122,7 +88,7 @@ def region_means(
     return PosteriorSummary(
         Fraction(subject_numerator, scale),
         Fraction(rival_numerator, scale),
-        region.count,
+        count,
     )
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import coiquery.cli
 from coiquery.cli import load_config
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
@@ -26,6 +27,23 @@ def _load(tmp_path, sample: str):
     path = tmp_path / "config.json"
     path.write_text(sample)
     return load_config(str(path)).context
+
+
+def _subcommands() -> set[str]:
+    (action,) = [
+        action
+        for action in coiquery.cli._build_parser()._actions
+        if action.dest == "command"
+    ]
+    return set(action.choices)
+
+
+def test_readme_and_cli_docstring_name_exactly_the_subcommands():
+    (commands,) = [b for b in _blocks("sh") if b.startswith("coiquery ")]
+    assert {line.split()[1] for line in commands.splitlines()} == _subcommands()
+    table = coiquery.cli.__doc__.split("-----------\n", 1)[1].split("\n\n", 1)[0]
+    named = {line.split()[0] for line in table.splitlines() if line[:1].strip()}
+    assert named == _subcommands()
 
 
 @pytest.mark.parametrize(
