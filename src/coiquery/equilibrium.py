@@ -5,11 +5,11 @@ submits a query, and the source answers with an interpretation.  This
 module builds small explicit games (notably the two-intent commission
 game), searches for the aligned-preference witness that characterizes
 influential communication between set-equivalent intents, enumerates
-all pure-strategy equilibria, and classifies each as non-influential,
-influential, or fully influential.  The enumeration visits only the
-source's best replies to each user strategy, found once per set of
-intents sharing a query; every source map that is not a best reply
-fails the source's condition anyway.
+all pure-strategy equilibria, and labels each Influential (two intents
+get different responses) or NonInfluential.  The enumeration visits
+only the source's best replies to each user strategy, found once per
+set of intents sharing a query; every source map that is not a best
+reply fails the source's condition anyway.
 
 Conventions
 -----------
@@ -28,8 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import ConfigurationError, DomainError, WeakOrder, as_fraction
-from .merge import is_super_rank
+from .core import ConfigurationError, DomainError, as_fraction
 
 __all__ = [
     "ClassifiedEquilibrium",
@@ -37,7 +36,6 @@ __all__ = [
     "FiniteGame",
     "StrategyPair",
     "bayes_posterior",
-    "classify_equilibrium",
     "commission_game",
     "enumerate_pure_equilibria",
     "influential_witness",
@@ -256,7 +254,6 @@ class StrategyPair:
 class EquilibriumClass(Enum):
     NON_INFLUENTIAL = "NonInfluential"
     INFLUENTIAL = "Influential"
-    FULLY_INFLUENTIAL = "FullyInfluential"
 
 
 class ClassifiedEquilibrium(NamedTuple):
@@ -283,20 +280,6 @@ def bayes_posterior(
     return {intent: weight / total for intent, weight in weights.items()}
 
 
-def _validate_pair(pair: StrategyPair, game: FiniteGame) -> None:
-    if set(pair.user) != set(game.intents):
-        raise ConfigurationError("user strategy must cover exactly the intents")
-    if set(pair.source) != set(game.queries):
-        raise ConfigurationError("source strategy must cover exactly the queries")
-    if any(query not in game.queries for query in pair.user.values()):
-        raise ConfigurationError("user strategy plays an unknown query")
-    if any(
-        interpretation not in game.interpretations
-        for interpretation in pair.source.values()
-    ):
-        raise ConfigurationError("source strategy plays an unknown interpretation")
-
-
 def _best_replies(game: FiniteGame, belief: Mapping[str, Fraction]) -> tuple[str, ...]:
     """Interpretations maximizing the source's expected payoff, in label order."""
     value = {
@@ -310,69 +293,15 @@ def _best_replies(game: FiniteGame, belief: Mapping[str, Fraction]) -> tuple[str
     return tuple(b for b in game.interpretations if value[b] == best)
 
 
-def _is_equilibrium(pair: StrategyPair, game: FiniteGame) -> bool:
-    for intent in game.intents:
-        achieved = game.user_payoff(intent, pair.source[pair.user[intent]])
-        if any(
-            game.user_payoff(intent, pair.source[alternative]) > achieved
-            for alternative in game.queries
-        ):
-            return False
-    return all(
-        pair.source[query]
-        in _best_replies(game, bayes_posterior(game, pair.user, query))
-        for query in game.queries
-    )
-
-
-def classify_equilibrium(
-    pair: StrategyPair,
-    game: FiniteGame,
-    *,
-    rankings: Mapping[str, WeakOrder] | None = None,
-) -> EquilibriumClass:
-    """Classification of an equilibrium by how much it communicates.
-
-    Influential means at least two intents end up with different
-    responses; fully influential additionally requires, for every
-    intent, that its ranking is a super-rank of its response's ranking
-    (checked only when ``rankings`` maps the labels involved).
-    Non-equilibrium input is rejected.
-    """
-    _validate_pair(pair, game)
-    if not _is_equilibrium(pair, game):
-        raise DomainError("strategy pair is not an equilibrium of the game")
-    return _classify(pair, game, rankings)
-
-
-def _classify(
-    pair: StrategyPair,
-    game: FiniteGame,
-    rankings: Mapping[str, WeakOrder] | None,
-) -> EquilibriumClass:
-    """:func:`classify_equilibrium` for a pair already known to be an equilibrium."""
-    on_path = {
-        intent: pair.source[pair.user[intent]] for intent in game.intents
-    }
-    if len(set(on_path.values())) < 2:
+def _classify(pair: StrategyPair, game: FiniteGame) -> EquilibriumClass:
+    """Influential when at least two intents end up with different responses."""
+    responses = {pair.source[pair.user[intent]] for intent in game.intents}
+    if len(responses) < 2:
         return EquilibriumClass.NON_INFLUENTIAL
-    if rankings is None:
-        return EquilibriumClass.INFLUENTIAL
-    for intent, response in on_path.items():
-        if intent not in rankings or response not in rankings:
-            raise ConfigurationError(
-                f"rankings missing for {intent!r} or {response!r}"
-            )
-        if not is_super_rank(rankings[intent], rankings[response]):
-            return EquilibriumClass.INFLUENTIAL
-    return EquilibriumClass.FULLY_INFLUENTIAL
+    return EquilibriumClass.INFLUENTIAL
 
 
-def enumerate_pure_equilibria(
-    game: FiniteGame,
-    *,
-    rankings: Mapping[str, WeakOrder] | None = None,
-) -> list[ClassifiedEquilibrium]:
+def enumerate_pure_equilibria(game: FiniteGame) -> list[ClassifiedEquilibrium]:
     """All pure-strategy equilibria, classified, in deterministic order.
 
     The order is that of every pure profile: user maps in query-label
@@ -429,7 +358,5 @@ def enumerate_pure_equilibria(
                 for ranks, index in zip(user_rank, sent)
             ):
                 pair = StrategyPair(user, dict(zip(game.queries, source_choice)))
-                found.append(
-                    ClassifiedEquilibrium(pair, _classify(pair, game, rankings))
-                )
+                found.append(ClassifiedEquilibrium(pair, _classify(pair, game)))
     return found

@@ -38,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .core import (
     BiasFunction,
@@ -60,10 +60,7 @@ __all__ = [
     "base_query",
     "build_delta_query",
     "classify_ranking_set",
-    "complement_constraint",
-    "delta_star",
     "delta_star_for_gap",
-    "delta_star_solutions",
     "order_by_case_sketch",
 ]
 
@@ -139,25 +136,9 @@ def delta_star_for_gap(
     its integer numerators give the answer in O(log z) evaluations and
     O(log z) memory, whatever the universe size.  The covering
     condition routinely holds for a run of consecutive separations;
-    multiplicity is logged at DEBUG level and the full set is
-    available from :func:`delta_star_solutions`.
+    multiplicity is logged at DEBUG level.
     """
     return _smallest_covering(universe_size, *as_fraction(gap).as_integer_ratio(), {})
-
-
-def delta_star_solutions(
-    subject: Key, rival: Key, bias: BiasFunction, universe_size: int
-) -> tuple[int, ...]:
-    """Every separation covering the pair's bias gap, ascending."""
-    gap = (bias(subject) - bias(rival)).as_integer_ratio()
-    return tuple(_covering_separations(universe_size, *gap, {}))
-
-
-def delta_star(
-    subject: Key, rival: Key, bias: BiasFunction, universe_size: int
-) -> int | None:
-    """Separation protecting subject against rival's bias advantage."""
-    return delta_star_for_gap(bias(subject) - bias(rival), universe_size)
 
 
 # --------------------------------------------------------------------------- #
@@ -181,20 +162,6 @@ class RelativeRankConstraint(NamedTuple):
         return {"e": self.subject, "eprime": self.rival, "delta": self.min_gap}
 
 
-def complement_constraint(
-    constraint: RelativeRankConstraint,
-) -> RelativeRankConstraint:
-    """Negation of a constraint on integer ranks, as a constraint again.
-
-    ``not (rank(rival) - rank(subject) >= g)`` is
-    ``rank(subject) - rank(rival) >= 1 - g`` because ranks are
-    integers; complementing twice gives back an equivalent constraint.
-    """
-    return RelativeRankConstraint(
-        constraint.rival, constraint.subject, 1 - constraint.min_gap
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class DeltaQuery:
     """A conjunction of relative-rank constraints over a key universe."""
@@ -202,58 +169,11 @@ class DeltaQuery:
     constraints: tuple[RelativeRankConstraint, ...]
     universe: tuple[Key, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "universe", tuple(self.universe))
-        if not self.universe:
-            raise ConfigurationError("query universe is empty")
-        known = set(self.universe)
-        if len(known) != len(self.universe):
-            raise ConfigurationError("query universe has duplicate keys")
-        seen: set[tuple[Key, Key]] = set()
-        for constraint in self.constraints:
-            if constraint.subject == constraint.rival:
-                raise ConfigurationError(
-                    f"constraint relates {constraint.subject!r} to itself"
-                )
-            if constraint.subject not in known or constraint.rival not in known:
-                raise ConfigurationError(
-                    f"constraint {constraint} references keys outside the universe"
-                )
-            pair = (constraint.subject, constraint.rival)
-            if pair in seen:
-                raise ConfigurationError(
-                    f"duplicate constraint for pair {pair!r}"
-                )
-            seen.add(pair)
-
-    @classmethod
-    def _unchecked(cls, constraints: tuple, universe: tuple) -> DeltaQuery:
-        """A query from parts its builder already knows are valid."""
-        query = object.__new__(cls)
-        query.__dict__.update(constraints=constraints, universe=universe)
-        return query
-
     def satisfied_by(self, order: WeakOrder) -> bool:
         return all(c.satisfied_by(order) for c in self.constraints)
 
     def as_jsonable(self) -> dict:
         return {"constraints": [c.as_jsonable() for c in self.constraints]}
-
-    @classmethod
-    def from_jsonable(cls, data: dict, universe: Sequence[Key]) -> DeltaQuery:
-        if not isinstance(data, dict) or not isinstance(data.get("constraints"), list):
-            raise ConfigurationError("query document needs a 'constraints' list")
-        constraints = []
-        for item in data["constraints"]:
-            try:
-                subject, rival, gap = item["e"], item["eprime"], item["delta"]
-            except (KeyError, TypeError) as exc:
-                raise ConfigurationError(f"bad constraint entry: {item!r}") from exc
-            if type(gap) is not int:  # not a bool, not a float
-                raise ConfigurationError(f"constraint delta not an integer: {gap!r}")
-            constraints.append(RelativeRankConstraint(str(subject), str(rival), gap))
-        return cls(tuple(constraints), tuple(universe))
 
 
 def build_delta_query(
@@ -272,8 +192,7 @@ def build_delta_query(
     The separation is solved once per distinct numerator, and all the
     solves share one memo of threshold evaluations: a query over m keys
     costs O(m²) integer work plus O(g log z) evaluations for g distinct
-    gaps, most of them memo hits.  Each pair of the intent's keys is
-    visited once, so the query skips the per-pair validation.
+    gaps, most of them memo hits.
     """
     keys = intent.keys()
     if not keys:
@@ -308,7 +227,7 @@ def build_delta_query(
             )
     rank_by_key = dict(zip(keys, ranks))
     assert all(rank_by_key[r] - rank_by_key[s] >= g for s, r, g in constraints)
-    return DeltaQuery._unchecked(tuple(constraints), keys)
+    return DeltaQuery(tuple(constraints), keys)
 
 
 # --------------------------------------------------------------------------- #

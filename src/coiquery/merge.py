@@ -42,7 +42,6 @@ __all__ = [
     "IntervalPartition",
     "MergeResult",
     "SuperRankCheck",
-    "apply_merge",
     "brute_force_merge_opt",
     "count_super_ranks",
     "interval_score",
@@ -93,21 +92,6 @@ class MergeResult:
             "ranking": self.ranking.as_lists(),
             "opt": float(self.opt_value),
         }
-
-
-def apply_merge(base: WeakOrder, start: int, end: int) -> WeakOrder:
-    """Tie base's blocks start..end into one block (1-based block indices).
-
-    Earlier blocks keep their indices, the merged span collapses to
-    position ``start``, and later blocks shift up by the span's width.
-    """
-    block_count = len(base.blocks)
-    if not 1 <= start <= end <= block_count:
-        raise DomainError(
-            f"merge span {start}..{end} outside 1..{block_count}"
-        )
-    merged = sum(base.blocks[start - 1 : end], ())
-    return WeakOrder(base.blocks[: start - 1] + (merged,) + base.blocks[end:])
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Per-tuple utilities, the shared analysis context, and saturation.
+"""Per-tuple utility kinds, the shared analysis context, and saturation.
 
 The package models a user querying a data source whose preferences are
 shifted by a per-tuple bias.  Four per-tuple utility shapes cover both
@@ -16,8 +16,9 @@ coefficient (r_intent − bias > 0) pushes the tuple to the bottom rank,
 a negative one promotes it to the top.
 
 ``saturation_check`` classifies whether the bias is so large that the
-source's grid best response cannot depend on the intent at all, in
-which case no query can extract information.
+source's best response on the rank grid cannot depend on the intent at
+all, in which case no query can extract information.  It costs O(1)
+per distinct bias value, whatever the universe size.
 """
 
 from __future__ import annotations
@@ -27,19 +28,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (
-    BiasFunction,
-    ConfigurationError,
-    Key,
-    Rank,
-    as_fraction,
-)
+from .core import BiasFunction, ConfigurationError, Key, Rank
 
 __all__ = [
     "SaturationOutcome",
     "UtilityContext",
     "UtilityKind",
-    "per_tuple_utility",
     "saturation_check",
 ]
 
@@ -96,28 +90,6 @@ class UtilityContext:
             raise ConfigurationError(f"{self.kind_source} is not a source utility")
 
 
-def per_tuple_utility(
-    kind: UtilityKind,
-    intent_rank: Rank,
-    response_rank: Rank,
-    bias_value: int | float | str | Fraction = 0,
-) -> Fraction:
-    """Utility one tuple contributes given its intent and response ranks."""
-    if intent_rank < 1 or response_rank < 1:
-        raise ConfigurationError("ranks are 1-based")
-    bias = as_fraction(bias_value)
-    if kind is UtilityKind.QUADRATIC_USER:
-        return -Fraction((intent_rank - response_rank) ** 2)
-    if kind is UtilityKind.QUADRATIC_SOURCE_BIASED:
-        gap = Fraction(intent_rank) - (Fraction(response_rank) + bias)
-        return -(gap * gap)
-    if kind is UtilityKind.PRODUCT_USER:
-        return -Fraction(intent_rank * response_rank)
-    if kind is UtilityKind.PRODUCT_SOURCE_BIASED:
-        return (Fraction(intent_rank) - bias) * response_rank
-    raise ConfigurationError(f"unknown utility kind: {kind!r}")
-
-
 # --------------------------------------------------------------------------- #
 # Saturation
 # --------------------------------------------------------------------------- #
@@ -132,20 +104,22 @@ class SaturationOutcome(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def _grid_argmin_set(
-    ctx: UtilityContext, intent_rank: Rank, bias: Fraction
-) -> frozenset[Rank]:
-    """Response ranks maximizing the source utility for one intent rank."""
-    best: Fraction | None = None
-    argmin: set[Rank] = set()
-    for response in range(1, ctx.universe_size + 1):
-        value = per_tuple_utility(ctx.kind_source, intent_rank, response, bias)
-        if best is None or value > best:
-            best = value
-            argmin = {response}
-        elif value == best:
-            argmin.add(response)
-    return frozenset(argmin)
+def _has_common_response(kind: UtilityKind, z: int, bias: Fraction) -> bool:
+    """Whether one response maximizes the source utility at every intent rank.
+
+    With ``z`` the universe size, the quadratic source's best responses
+    at intent rank ``t`` are the ranks in ``1..z`` nearest ``t - bias``.
+    Over ``t = 1..z`` they share rank 1 exactly when ``z - bias <= 3/2``
+    (at ``3/2`` both 1 and 2 are nearest) and rank z exactly when
+    ``1 - bias >= z - 1/2``; otherwise two intent ranks are answered
+    apart.  The product source pushes a tuple to rank z when
+    ``t > bias``, to rank 1 when ``t < bias``, and is indifferent at
+    ``t == bias``, so a common response needs every ``t >= bias`` or
+    every ``t <= bias``.  Either test is O(1).
+    """
+    if kind is UtilityKind.PRODUCT_SOURCE_BIASED:
+        return bias <= 1 or bias >= z
+    return abs(bias) >= z - Fraction(3, 2)
 
 
 def saturation_check(
@@ -156,32 +130,22 @@ def saturation_check(
     Checks, in order of precedence:
 
     1. every |bias| ≥ top_k − 3/2 — saturated outright;
-    2. for every distinct bias value, the grid argmax sets of the source
-       utility share a common response across all intent ranks — the
-       source can answer identically no matter the intent (convex
-       saturation);
+    2. for every distinct bias value, one response rank maximizes the
+       source utility at every intent rank — the source can answer
+       identically no matter the intent (convex saturation), decided in
+       closed form per value;
     3. all bias values equal — symmetric bias still admits influence;
     4. otherwise inconclusive.
 
     ``keys`` restricts the bias values considered; by default the stored
     entries (or the default value, when nothing is stored) are used.
     """
-    values = sorted(ctx.bias.distinct_values(keys))
+    values = ctx.bias.distinct_values(keys)
     threshold = Fraction(2 * ctx.top_k - 3, 2)
     if all(abs(v) >= threshold for v in values):
         return SaturationOutcome.NON_INFLUENTIAL_BY_COROLLARY
-    saturated = True
-    for value in values:
-        common: frozenset[Rank] | None = None
-        for intent_rank in range(1, ctx.universe_size + 1):
-            argmin = _grid_argmin_set(ctx, intent_rank, value)
-            common = argmin if common is None else common & argmin
-            if not common:
-                saturated = False
-                break
-        if not saturated:
-            break
-    if saturated:
+    z, kind = ctx.universe_size, ctx.kind_source
+    if all(_has_common_response(kind, z, v) for v in values):
         return SaturationOutcome.NON_INFLUENTIAL_BY_CONVEX_SATURATION
     if len(values) == 1:
         return SaturationOutcome.SYMMETRIC_BIAS_INFLUENTIAL

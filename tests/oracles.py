@@ -4,8 +4,8 @@ Everything here is deliberately naive -- enumerate, scan, filter --
 and shares no code path with the package beyond plain data types, so
 a defect in a closed form cannot vouch for itself.  Keep these slow
 and obvious; speed lives in the package, trust lives here.  The utility
-sums and the supermodularity check are the exception: they evaluate
-``per_tuple_utility``, the code their tests check.
+sums, the supermodularity check and the saturation grid all evaluate
+``per_tuple_utility``, the four utility shapes written out.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from typing import Callable, Literal, NamedTuple
 
 from coiquery import (
     ConfigurationError,
+    SaturationOutcome,
     TrustWitness,
     UtilityContext,
     UtilityKind,
     WeakOrder,
     as_fraction,
-    per_tuple_utility,
 )
 
 
@@ -188,21 +188,6 @@ def trust_witness_oracle(value, z: int, low, high) -> TrustWitness | None:
         return None
     delta, gap, floor = best
     return TrustWitness(delta, value - gap, value - floor)
-
-
-def trust_witnesses_oracle(value, z: int, low, high) -> tuple[TrustWitness, ...]:
-    """Every feasible window that meets the range, in separation order.
-
-    The window ``[value - gap, value - floor)`` meets the closed range
-    ``[low, high]`` when the larger left end lies strictly below the
-    smaller right end.
-    """
-    witnesses = []
-    for delta, gap, floor in _feasible_windows(z):
-        interval_low, interval_high = value - gap, value - floor
-        if max(interval_low, low) < min(interval_high, high):
-            witnesses.append(TrustWitness(delta, interval_low, interval_high))
-    return tuple(witnesses)
 
 
 # --------------------------------------------------------------------------- #
@@ -417,8 +402,25 @@ def region_means_oracle(z: int, separation: int, side):
 
 
 # --------------------------------------------------------------------------- #
-# Utility sums and supermodularity of the per-tuple utilities
+# Per-tuple utilities, their sums and supermodularity
 # --------------------------------------------------------------------------- #
+
+
+def per_tuple_utility(kind: UtilityKind, intent_rank, response_rank, bias_value=0):
+    """Utility one tuple contributes given its intent and response ranks."""
+    if intent_rank < 1 or response_rank < 1:
+        raise ConfigurationError("ranks are 1-based")
+    bias = as_fraction(bias_value)
+    if kind is UtilityKind.QUADRATIC_USER:
+        return -Fraction((intent_rank - response_rank) ** 2)
+    if kind is UtilityKind.QUADRATIC_SOURCE_BIASED:
+        gap = Fraction(intent_rank) - (Fraction(response_rank) + bias)
+        return -(gap * gap)
+    if kind is UtilityKind.PRODUCT_USER:
+        return -Fraction(intent_rank * response_rank)
+    if kind is UtilityKind.PRODUCT_SOURCE_BIASED:
+        return (Fraction(intent_rank) - bias) * response_rank
+    raise ConfigurationError(f"unknown utility kind: {kind!r}")
 
 
 def aggregate_utility(
@@ -560,12 +562,43 @@ def has_intent_independent_response(z: int, bias_value) -> bool:
     return bool(frozenset.intersection(*sets))
 
 
+def common_response_oracle(kind, z: int, bias_value) -> bool:
+    """Whether one response is optimal at every intent rank, for either
+    source kind: the z-by-z grid of ``per_tuple_utility`` values, each
+    intent rank's argmax set intersected with the others'."""
+    common = None
+    for intent_rank in range(1, z + 1):
+        values = {
+            response: per_tuple_utility(kind, intent_rank, response, bias_value)
+            for response in range(1, z + 1)
+        }
+        best = max(values.values())
+        argmax = {response for response, value in values.items() if value == best}
+        common = argmax if common is None else common & argmax
+    return bool(common)
+
+
+def saturation_oracle(ctx: UtilityContext, keys=None) -> SaturationOutcome:
+    """``saturation_check``'s classification with every common response
+    found on the grid by :func:`common_response_oracle`."""
+    values = ctx.bias.distinct_values(keys)
+    if all(abs(v) >= ctx.top_k - Fraction(3, 2) for v in values):
+        return SaturationOutcome.NON_INFLUENTIAL_BY_COROLLARY
+    if all(
+        common_response_oracle(ctx.kind_source, ctx.universe_size, v) for v in values
+    ):
+        return SaturationOutcome.NON_INFLUENTIAL_BY_CONVEX_SATURATION
+    if len(values) == 1:
+        return SaturationOutcome.SYMMETRIC_BIAS_INFLUENTIAL
+    return SaturationOutcome.INCONCLUSIVE
+
+
 # --------------------------------------------------------------------------- #
 # Pure equilibria by brute force
 # --------------------------------------------------------------------------- #
 
 
-def pure_equilibria_oracle(game, rankings=None):
+def pure_equilibria_oracle(game):
     """Every pure profile of ``game`` checked longhand, in enumeration order.
 
     User maps in query-label order, each crossed with every source map
@@ -584,9 +617,7 @@ def pure_equilibria_oracle(game, rankings=None):
             if _source_never_gains(game, user, source) and _user_never_gains(
                 game, user, source
             ):
-                found.append(
-                    (user, source, _classification(game, user, source, rankings))
-                )
+                found.append((user, source, _classification(game, user, source)))
     return found
 
 
@@ -627,38 +658,6 @@ def _user_never_gains(game, user, source):
     return True
 
 
-def _classification(game, user, source, rankings):
-    responses = {t: source[user[t]] for t in game.intents}
-    if len(set(responses.values())) < 2:
-        return "NonInfluential"
-    if rankings is None:
-        return "Influential"
-    for t, response in responses.items():
-        if not _longhand_super_rank(rankings[t].blocks, rankings[response].blocks):
-            return "Influential"
-    return "FullyInfluential"
-
-
-def _longhand_super_rank(candidate_blocks, base_blocks):
-    """Super-rank test on raw blocks: base ties kept, order never reversed,
-    new keys strictly below every base key."""
-
-    def ranks(blocks):
-        table, position = {}, 1
-        for block in blocks:
-            for key in block:
-                table[key] = position
-            position += len(block)
-        return table
-
-    candidate, base = ranks(candidate_blocks), ranks(base_blocks)
-    if not set(base) <= set(candidate):
-        return False
-    for a in base:
-        for b in base:
-            if base[a] == base[b] and candidate[a] != candidate[b]:
-                return False
-            if base[a] < base[b] and candidate[a] > candidate[b]:
-                return False
-    deepest = max(candidate[key] for key in base)
-    return all(candidate[key] > deepest for key in set(candidate) - set(base))
+def _classification(game, user, source):
+    responses = {source[user[t]] for t in game.intents}
+    return "Influential" if len(responses) > 1 else "NonInfluential"

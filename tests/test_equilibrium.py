@@ -15,9 +15,7 @@ from coiquery import (
     EquilibriumClass,
     FiniteGame,
     StrategyPair,
-    WeakOrder,
     bayes_posterior,
-    classify_equilibrium,
     commission_game,
     enumerate_pure_equilibria,
     influential_witness,
@@ -287,84 +285,6 @@ def test_enumeration_matches_the_brute_force_oracle(shape):
             assert _triples(enumerate_pure_equilibria(game)) == (
                 pure_equilibria_oracle(game)
             ), (shape, variant)
-
-
-def test_enumeration_matches_the_oracle_with_rankings():
-    one, two = WeakOrder.total(["a", "b"]), WeakOrder.total(["b", "a"])
-    pool = [
-        one,
-        two,
-        WeakOrder.of(["a", "b"]),
-        WeakOrder.total(["a", "b", "c"]),
-        WeakOrder.of(["b"], ["a"], ["c"]),
-    ]
-    reflexive = {"tau": one, "tau_prime": two, "beta_prime": one, "beta": two}
-    cases = [(commission_game(1, 2), reflexive), (commission_game(0, 3), reflexive)]
-    rng = random.Random(67)
-    for shape, variant in [((2, 2, 3), "integer"), ((3, 3, 2), "zero_prior")] * 30:
-        game = _random_game(rng, shape, variant)
-        labels = game.intents + game.interpretations
-        cases.append((game, {label: rng.choice(pool) for label in labels}))
-    classes = set()
-    for game, rankings in cases:
-        expected = pure_equilibria_oracle(game, rankings)
-        found = enumerate_pure_equilibria(game, rankings=rankings)
-        assert _triples(found) == expected
-        classes.update(entry[2] for entry in expected)
-    assert classes == {"NonInfluential", "Influential", "FullyInfluential"}
-
-
-def test_classification_requires_an_equilibrium():
-    game = commission_game(1, 2)
-    broken = StrategyPair(
-        {"tau": "q", "tau_prime": "q_prime"},
-        {"q": "beta", "q_prime": "beta_prime"},
-    )
-    with pytest.raises(DomainError):
-        classify_equilibrium(broken, game)
-
-
-def test_strategy_pair_labels_validated():
-    game = commission_game(1, 2)
-    with pytest.raises(ConfigurationError):
-        classify_equilibrium(
-            StrategyPair({"tau": "q"}, {"q": "beta", "q_prime": "beta"}), game
-        )
-    with pytest.raises(ConfigurationError):
-        classify_equilibrium(
-            StrategyPair(
-                {"tau": "nope", "tau_prime": "q"},
-                {"q": "beta", "q_prime": "beta"},
-            ),
-            game,
-        )
-
-
-def test_rankings_upgrade_separating_equilibria_to_fully_influential():
-    game = commission_game(1, 2)
-    separating = StrategyPair(
-        {"tau": "q", "tau_prime": "q_prime"},
-        {"q": "beta_prime", "q_prime": "beta"},
-    )
-    one = WeakOrder.total(["a", "b"])
-    two = WeakOrder.total(["b", "a"])
-    reflexive = {
-        "tau": one,
-        "tau_prime": two,
-        "beta_prime": one,
-        "beta": two,
-        "q": one,
-        "q_prime": two,
-    }
-    assert (
-        classify_equilibrium(separating, game, rankings=reflexive)
-        is EquilibriumClass.FULLY_INFLUENTIAL
-    )
-    crossed = dict(reflexive, beta_prime=two, beta=one)
-    assert (
-        classify_equilibrium(separating, game, rankings=crossed)
-        is EquilibriumClass.INFLUENTIAL
-    )
 
 
 def test_enumeration_profile_cap():

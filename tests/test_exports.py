@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +52,42 @@ def test_package_names_are_the_submodule_objects(name):
 def test_every_submodule_is_reexported_or_a_named_entry_point():
     found = set(MODULES) - {"coiquery"}
     assert set(REEXPORTED) | {"coiquery.cli", "coiquery.bench"} == found
+
+
+ROOT = Path(__file__).resolve().parent.parent
+#: Where a public name must be reached: every module of the package, or
+#: the release gate.  The entry points and the gate may reach a name by
+#: importing it; a library module must use it.
+REACH = sorted((ROOT / "src" / "coiquery").glob("*.py"))
+REACH.append(ROOT / "tests" / "test_acceptance.py")
+IMPORTS_COUNT = {"cli.py", "bench.py", "test_acceptance.py"}
+
+
+def _defined(statement: ast.stmt) -> set[str]:
+    """Names a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
+def _references(path: Path) -> set[str]:
+    """Names a file mentions outside the top-level definition of each."""
+    found = set()
+    for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+        mentioned = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.name in IMPORTS_COUNT:
+                mentioned.update(alias.name for alias in node.names)
+        found |= mentioned - _defined(statement)
+    return found
+
+
+def test_every_public_name_is_reached_by_a_subcommand_or_the_gate():
+    reached = set().union(*map(_references, REACH))
+    unreached = sorted(set(coiquery.__all__) - {"__version__"} - reached)
+    assert not unreached, f"no subcommand or gate test reaches {unreached}"

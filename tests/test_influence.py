@@ -34,10 +34,7 @@ from coiquery import (
     base_query,
     build_delta_query,
     classify_ranking_set,
-    complement_constraint,
-    delta_star,
     delta_star_for_gap,
-    delta_star_solutions,
     gsd_values,
     order_by_case_sketch,
 )
@@ -48,61 +45,30 @@ from coiquery import (
 # --------------------------------------------------------------------------- #
 
 
-def test_complement_flips_subject_and_negates_the_gap():
-    constraint = RelativeRankConstraint("e", "ep", 2)
-    assert complement_constraint(constraint) == RelativeRankConstraint(
-        "ep", "e", -1
-    )
-    assert complement_constraint(complement_constraint(constraint)) == constraint
-
-
 def test_exactly_one_of_constraint_and_complement_holds():
+    # ``build_delta_query`` writes the complement of (a, b, g) on integer
+    # ranks as (b, a, 1 - g).
     keys = ["a", "b", "c", "d", "e"]
     constraint = RelativeRankConstraint("a", "b", 2)
-    flipped = complement_constraint(constraint)
+    flipped = RelativeRankConstraint("b", "a", -1)
     for ranks in itertools.permutations(range(1, 6)):
         order = WeakOrder.total(
             [key for _, key in sorted(zip(ranks, keys))]
         )
-        query = DeltaQuery((constraint,), tuple(keys))
-        other = DeltaQuery((flipped,), tuple(keys))
-        assert query.satisfied_by(order) != other.satisfied_by(order)
+        assert constraint.satisfied_by(order) != flipped.satisfied_by(order)
 
 
-def test_query_json_round_trip():
+def test_query_serialization_shape():
     query = DeltaQuery(
         (RelativeRankConstraint("a", "b", 1), RelativeRankConstraint("b", "c", -2)),
         ("a", "b", "c"),
     )
-    payload = query.as_jsonable()
-    assert payload == {
+    assert query.as_jsonable() == {
         "constraints": [
             {"e": "a", "eprime": "b", "delta": 1},
             {"e": "b", "eprime": "c", "delta": -2},
         ]
     }
-    again = DeltaQuery.from_jsonable(payload, ("a", "b", "c"))
-    assert again.constraints == query.constraints
-    assert again.universe == query.universe
-
-
-@pytest.mark.parametrize(
-    "document",
-    [
-        {"constraints": [{"e": "a", "eprime": "b", "delta": 2.7}]},
-        {"constraints": [{"e": "a", "eprime": "b", "delta": 2.0}]},
-        {"constraints": [{"e": "a", "eprime": "b", "delta": True}]},
-        {"constraints": [{"e": "a", "eprime": "b", "delta": "2"}]},
-        {"constraints": [{"e": "a", "eprime": "b", "delta": None}]},
-        {"constraints": [{"e": "a", "eprime": "b"}]},
-        {"constraints": [["a", "b", 1]]},
-        {"constraints": 5},
-        {},
-    ],
-)
-def test_query_documents_need_integer_gaps(document):
-    with pytest.raises(ConfigurationError):
-        DeltaQuery.from_jsonable(document, ("a", "b"))
 
 
 # --------------------------------------------------------------------------- #
@@ -121,18 +87,25 @@ def test_threshold_windows_at_z_ten():
 
 def test_bias_gap_is_subject_minus_rival():
     bias = BiasFunction({"s": Fraction(1)})
-    assert delta_star("s", "r", bias, 4) == 2
+    assert delta_star_for_gap(bias("s") - bias("r"), 4) == 2
     # swapped roles give gap -1, below every window
-    assert delta_star("r", "s", bias, 4) is None
+    assert delta_star_for_gap(bias("r") - bias("s"), 4) is None
     shallow = BiasFunction({"s": Fraction(1, 4)})
-    assert delta_star("r", "s", shallow, 4) == 1  # gap -1/4 is in the first window
+    # gap -1/4 is in the first window
+    assert delta_star_for_gap(shallow("r") - shallow("s"), 4) == 1
+
+
+def _covering(gap, z):
+    """Every separation covering ``gap``, from the run the solver bisects."""
+    return tuple(
+        influence._covering_separations(z, *Fraction(gap).as_integer_ratio(), {})
+    )
 
 
 def test_all_solutions_listed_ascending_and_smallest_returned():
-    bias = BiasFunction({"s": Fraction(1)})
-    solutions = delta_star_solutions("s", "r", bias, 4)
+    solutions = _covering(1, 4)
     assert solutions == (2, 3)
-    assert delta_star("s", "r", bias, 4) == solutions[0]
+    assert delta_star_for_gap(1, 4) == solutions[0]
 
 
 def test_returned_separation_satisfies_its_window():
@@ -167,14 +140,10 @@ def test_multiplicity_is_surfaced_as_a_warning(caplog):
 
 
 def test_all_solutions_match_the_scan_over_the_bias_sweep():
-    biases = {
-        cents: BiasFunction({"s": Fraction(cents, 100)})
-        for cents in range(-600, 601)
-    }
     for z in range(2, 129):
-        for cents, bias in biases.items():
-            expected = delta_star_solutions_oracle(Fraction(cents, 100), z)
-            assert delta_star_solutions("s", "r", bias, z) == expected, (z, cents)
+        for cents in range(-600, 601):
+            gap = Fraction(cents, 100)
+            assert _covering(gap, z) == delta_star_solutions_oracle(gap, z), (z, cents)
 
 
 def test_huge_universes_are_solved_without_a_table():
@@ -183,7 +152,7 @@ def test_huge_universes_are_solved_without_a_table():
     for gap in (Fraction(-1, 4), Fraction(1, 2), Fraction(7, 3), 40):
         assert delta_star_for_gap(gap, z) == delta_star_oracle(gap, z)
     assert delta_star_for_gap(Fraction(-1, 3), z) is None  # gap(1) - 1 = -1/3
-    covering = delta_star_solutions("s", "r", BiasFunction({"s": 40}), z)
+    covering = _covering(40, z)
     assert covering and covering[0] == delta_star_for_gap(40, z)
 
 
@@ -662,20 +631,6 @@ def test_large_conflict_intents_stay_within_a_small_node_count(
     assert summary.nodes <= nodes
 
 
-def test_public_queries_are_validated_and_empty_intents_rejected():
-    pair = RelativeRankConstraint("a", "b", 1)
-    for constraints, universe in [
-        ((pair,), ()),
-        ((pair,), ("a", "a", "b")),
-        ((RelativeRankConstraint("a", "a", 1),), ("a", "b")),
-        ((RelativeRankConstraint("a", "c", 1),), ("a", "b")),
-        ((pair, RelativeRankConstraint("a", "b", 2)), ("a", "b")),
-    ]:
-        with pytest.raises(ConfigurationError):
-            DeltaQuery(constraints, universe)
-        with pytest.raises(ConfigurationError):
-            DeltaQuery.from_jsonable(
-                {"constraints": [c.as_jsonable() for c in constraints]}, universe
-            )
+def test_empty_intents_are_rejected():
     with pytest.raises(ConfigurationError):
         build_delta_query(WeakOrder.total([]), BiasFunction({}), 4)

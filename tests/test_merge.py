@@ -14,7 +14,6 @@ from coiquery import (
     UtilityContext,
     UtilityKind,
     WeakOrder,
-    apply_merge,
     block_expected_user_utility,
     brute_force_merge_opt,
     count_super_ranks,
@@ -24,39 +23,6 @@ from coiquery import (
 )
 from coiquery.merge import _score12_table
 from oracles import brute_block_utility, iter_coarsenings, iter_weak_orders
-
-
-# --------------------------------------------------------------------------- #
-# Applying merges
-# --------------------------------------------------------------------------- #
-
-
-def test_merging_middle_blocks_compacts_the_dense_ranks():
-    base = WeakOrder.total(["a", "b", "c", "d"])
-    merged = apply_merge(base, 2, 3)
-    assert merged.as_lists() == [["a"], ["b", "c"], ["d"]]
-    assert merged.blocks == (("a",), ("b", "c"), ("d",))
-
-
-def test_merging_everything_or_nothing():
-    base = WeakOrder.total(["a", "b", "c"])
-    assert apply_merge(base, 1, 3) == WeakOrder.of(["a", "b", "c"])
-    assert apply_merge(base, 2, 2) == base
-
-
-def test_merge_spans_count_blocks_not_positions():
-    base = WeakOrder.of(["a", "b"], ["c"], ["d"])
-    assert apply_merge(base, 2, 3) == WeakOrder.of(["a", "b"], ["c", "d"])
-
-
-def test_out_of_range_merge_rejected():
-    base = WeakOrder.total(["a", "b"])
-    with pytest.raises(DomainError):
-        apply_merge(base, 0, 1)
-    with pytest.raises(DomainError):
-        apply_merge(base, 2, 3)
-    with pytest.raises(DomainError):
-        apply_merge(base, 2, 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -100,7 +66,10 @@ def test_merges_are_always_super_ranks():
         base = WeakOrder.total([f"e{i}" for i in range(1, size + 1)])
         start = rng.randint(1, size)
         end = rng.randint(start, size)
-        assert is_super_rank(apply_merge(base, start, end), base)
+        blocks = base.blocks
+        tied = sum(blocks[start - 1 : end], ())
+        merged = WeakOrder(blocks[: start - 1] + (tied,) + blocks[end:])
+        assert is_super_rank(merged, base)
 
 
 # --------------------------------------------------------------------------- #

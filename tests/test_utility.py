@@ -1,14 +1,18 @@
 """Per-tuple utilities, their sums and supermodularity, saturation.
 
-The sums and the supermodularity check are oracles in ``tests/oracles.py``
-that drive ``per_tuple_utility``.
+The per-tuple utilities, their sums and the supermodularity check are
+oracles in ``tests/oracles.py``; the saturation screen is checked
+against a grid scan built on them.
 """
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coiquery import (
     BiasFunction,
@@ -17,10 +21,16 @@ from coiquery import (
     UtilityContext,
     UtilityKind,
     WeakOrder,
-    per_tuple_utility,
     saturation_check,
 )
-from oracles import aggregate_utility, check_supermodular
+from coiquery.utility import _has_common_response
+from oracles import (
+    aggregate_utility,
+    check_supermodular,
+    common_response_oracle,
+    per_tuple_utility,
+    saturation_oracle,
+)
 
 QU = UtilityKind.QUADRATIC_USER
 QSB = UtilityKind.QUADRATIC_SOURCE_BIASED
@@ -194,3 +204,52 @@ def test_keys_argument_restricts_the_bias_values_considered():
     assert saturation_check(ctx, keys=("a",)) is (
         SaturationOutcome.NON_INFLUENTIAL_BY_COROLLARY
     )
+
+
+# Biases n/d near and beyond both rules' boundaries, which sit at
+# half-integers for the quadratic source and integers for the product one.
+def _biases(z):
+    return st.builds(Fraction, st.integers(-4 * z - 8, 4 * z + 8), st.integers(1, 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([QSB, PSB]), st.integers(1, 9), st.data())
+def test_common_response_rule_matches_the_grid_scan(kind, z, data):
+    value = data.draw(_biases(z))
+    assert _has_common_response(kind, z, value) == common_response_oracle(
+        kind, z, value
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QSB, PSB]), st.integers(1, 7), st.data())
+def test_saturation_matches_the_grid_oracle(kind, z, data):
+    top_k = data.draw(st.integers(1, z))
+    values = data.draw(st.lists(_biases(z), min_size=1, max_size=3))
+    bias = BiasFunction({f"e{i}": v for i, v in enumerate(values)})
+    user = QU if kind is QSB else PU
+    ctx = UtilityContext(z, top_k, bias, kind_user=user, kind_source=kind)
+    assert saturation_check(ctx) is saturation_oracle(ctx)
+
+
+def test_saturation_answers_at_once_in_a_huge_universe():
+    z = 10**300
+    half = Fraction(1, 2)
+    outcome = SaturationOutcome
+    for kind, entries, expected in [
+        (QSB, {"a": half}, outcome.SYMMETRIC_BIAS_INFLUENTIAL),
+        (QSB, {"a": half, "b": 1}, outcome.INCONCLUSIVE),
+        (PSB, {"a": half, "b": 1}, outcome.NON_INFLUENTIAL_BY_CONVEX_SATURATION),
+        (PSB, {"a": half, "b": z}, outcome.NON_INFLUENTIAL_BY_CONVEX_SATURATION),
+        (PSB, {"a": half, "b": 2}, outcome.INCONCLUSIVE),
+        (PSB, {"a": 2, "b": z}, outcome.NON_INFLUENTIAL_BY_COROLLARY),
+    ]:
+        user = QU if kind is QSB else PU
+        bias = BiasFunction(entries)
+        ctx = UtilityContext(z, 3, bias, kind_user=user, kind_source=kind)
+        timings = []
+        for _ in range(3):
+            started = time.perf_counter()
+            assert saturation_check(ctx) is expected, (kind, entries)
+            timings.append(time.perf_counter() - started)
+        assert min(timings) < 0.01
