@@ -60,7 +60,6 @@ import logging
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import bench as bench_mod
@@ -69,6 +68,7 @@ from .core import (
     ConfigurationError,
     QueryAnalysisError,
     WeakOrder,
+    _exact,
     as_fraction,
 )
 from .equilibrium import FiniteGame, enumerate_pure_equilibria, influential_witness
@@ -191,24 +191,23 @@ def _rule_bias(
                 raise ConfigurationError(
                     f"bias rule references unknown attribute {name!r}"
                 )
-        tests.append(([(column[name], value) for name, value in when], bias * scale))
+        tests.append(([(column[name], v) for name, v in when], _exact(bias * scale)))
     if math.prod(len(values) for _, values in attributes) > _MAX_RULE_ELEMENTS:
         raise ConfigurationError(
             f"bias_rules apply to at most {_MAX_RULE_ELEMENTS} attribute-product "
             "elements; give z and an explicit bias instead"
         )
     product = itertools.product(*(values for _, values in attributes))
-    zero = Fraction(0)
     entries = {
         f"e{index}": next(
             (bias for when, bias in tests if all(element[i] == v for i, v in when)),
-            zero,
+            0,
         )
         for index, element in enumerate(product, start=1)
     }
     # Each entry is one of these objects: the range needs only those in use.
     used = set(map(id, entries.values()))
-    assigned = [bias for bias in (*(b for _, b in tests), zero) if id(bias) in used]
+    assigned = [bias for bias in (*(b for _, b in tests), 0) if id(bias) in used]
     return BiasFunction(entries, lower=min(assigned), upper=max(assigned))
 
 
@@ -242,7 +241,7 @@ def load_config(path: str) -> AnalysisConfig:
             raise ConfigurationError("bias_rules require attributes")
         bias = _rule_bias(attributes, data["bias_rules"], data.get("scale", 1))
     else:
-        bias = BiasFunction.zero()
+        bias = BiasFunction({})
 
     # Entries lie in [lower, upper] (rule values included), so four checks do.
     extremes = (universe_size, bias.lower, bias.upper, bias.default)

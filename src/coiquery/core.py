@@ -15,9 +15,9 @@ Conventions
 * Absent keys have no rank: lookups either raise ``KeyError`` or return
   a caller-supplied "omitted" rank strictly greater than the number of
   ranked keys.
-* All numeric state is stored as ``fractions.Fraction``; callers may
-  pass ints, floats, decimal strings, or Fractions and get exact
-  arithmetic back.  Floats convert to their exact binary value.
+* A bias value is held as an ``int`` when integral, else as a reduced
+  ``fractions.Fraction``.  Callers may pass ints, floats, decimal
+  strings or Fractions; floats convert to their exact binary value.
 
 Everything here is immutable after construction and safe to share
 across threads.
@@ -103,6 +103,12 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigurationError(f"not a rational value: {value!r}") from exc
+
+
+def _exact(value: int | float | str | Fraction) -> int | Fraction:
+    """``as_fraction(value)``, as an ``int`` when integral: bias values' form."""
+    value = value if type(value) is int else as_fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 # --------------------------------------------------------------------------- #
@@ -244,29 +250,38 @@ class BiasFunction:
     from the stored values (and the default).  Explicit bounds must
     cover every stored entry but may deliberately exclude the default,
     which only applies to keys outside the analyzed universe.  Each value
-    becomes a ``Fraction`` at most once; entries are range-checked as integers.
+    is converted once, to an ``int`` when integral and else to a reduced
+    ``Fraction``; one pass over integer ratios finds the entries' extremes.
     """
 
-    entries: Mapping[Key, Fraction]
-    default: Fraction = Fraction(0)
-    lower: Fraction | None = None
-    upper: Fraction | None = None
+    entries: Mapping[Key, int | Fraction]
+    default: int | Fraction = 0
+    lower: int | Fraction | None = None
+    upper: int | Fraction | None = None
 
     def __post_init__(self) -> None:
-        entries = {k: as_fraction(v) for k, v in self.entries.items()}
-        default = as_fraction(self.default)
-        observed = [*entries.values(), default]
-        lower = min(observed) if self.lower is None else as_fraction(self.lower)
-        upper = max(observed) if self.upper is None else as_fraction(self.upper)
+        entries = {
+            k: v if type(v) is int else _exact(v) for k, v in self.entries.items()
+        }
+        default = _exact(self.default)
+        # The entries' extremes, in one pass over cross-multiplied integers.
+        low = high = next(iter(entries.values()), default)
+        (lo_n, lo_d), (up_n, up_d) = low.as_integer_ratio(), high.as_integer_ratio()
+        for value in entries.values():
+            n, d = value.as_integer_ratio()
+            if n * lo_d < lo_n * d:
+                low, lo_n, lo_d = value, n, d
+            elif n * up_d > up_n * d:
+                high, up_n, up_d = value, n, d
+        lower = min(low, default) if self.lower is None else _exact(self.lower)
+        upper = max(high, default) if self.upper is None else _exact(self.upper)
         if lower > upper:
             raise ConfigurationError(f"bias range is empty: [{lower}, {upper}]")
-        (lo_n, lo_d), (up_n, up_d) = lower.as_integer_ratio(), upper.as_integer_ratio()
-        for key, value in entries.items():
-            n, d = value.as_integer_ratio()
-            if n * lo_d < lo_n * d or n * up_d > up_n * d:
-                raise ConfigurationError(
-                    f"bias for {key!r} ({value}) outside range [{lower}, {upper}]"
-                )
+        if entries and not lower <= low <= high <= upper:
+            key = next(k for k, v in entries.items() if not lower <= v <= upper)
+            raise ConfigurationError(
+                f"bias for {key!r} ({entries[key]}) outside range [{lower}, {upper}]"
+            )
         if not entries and not lower <= default <= upper:
             raise ConfigurationError(
                 f"default bias {default} outside range [{lower}, {upper}]"
@@ -276,14 +291,12 @@ class BiasFunction:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    @classmethod
-    def zero(cls) -> "BiasFunction":
-        return cls(entries={})
-
-    def __call__(self, key: Key) -> Fraction:
+    def __call__(self, key: Key) -> int | Fraction:
         return self.entries.get(key, self.default)
 
-    def distinct_values(self, keys: Iterable[Key] | None = None) -> frozenset[Fraction]:
+    def distinct_values(
+        self, keys: Iterable[Key] | None = None
+    ) -> frozenset[int | Fraction]:
         """Distinct bias values over ``keys`` (default: stored entries,
         or just the default when nothing is stored)."""
         if keys is not None:

@@ -122,7 +122,7 @@ def best_response_rank(
     return min(candidates, key=lambda a: (abs(a - target), abs(a - mean), a))
 
 
-def _assigned_rank(mean: Fraction, bias: Fraction, ctx: UtilityContext) -> Rank:
+def _assigned_rank(mean: Fraction, bias: int | Fraction, ctx: UtilityContext) -> Rank:
     """Rank the source assigns a tuple whose posterior mean rank is known."""
     if ctx.kind_source is UtilityKind.QUADRATIC_SOURCE_BIASED:
         return best_response_rank(mean, bias, ctx.universe_size)

@@ -197,20 +197,20 @@ def _floor_pivot(universe_size: int) -> _Window | None:
     return min((_window(z, d) for d in candidates), key=lambda w: w.floor)
 
 
-def _bounds(bias_value: Fraction, universe_size: int, separation: int) -> _Bounds:
+def _bounds(bias: int | Fraction, universe_size: int, separation: int) -> _Bounds:
     """The window ``[bias - gap, bias - floor)`` at one separation."""
-    n, d = bias_value.as_integer_ratio()
+    n, d = bias.as_integer_ratio()
     gap, shift, scale = _threshold_numerators(universe_size, separation)
     floor = max(gap - scale, shift)
     return separation, n * scale - gap * d, n * scale - floor * d, d * scale
 
 
 def _witness(
-    bias_value: Fraction,
+    bias_value: int | Fraction,
     universe_size: int,
     pivot: _Window,
-    range_low: Fraction,
-    range_high: Fraction,
+    range_low: int | Fraction,
+    range_high: int | Fraction,
 ) -> _Bounds | None:
     """Witness for a bias at or above the high cut: the first separation
     right of the pivot whose gap clears ``bias - range_high``."""

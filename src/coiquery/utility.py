@@ -104,7 +104,7 @@ class SaturationOutcome(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def _has_common_response(kind: UtilityKind, z: int, bias: Fraction) -> bool:
+def _has_common_response(kind: UtilityKind, z: int, bias: int | Fraction) -> bool:
     """Whether one response maximizes the source utility at every intent rank.
 
     With ``z`` the universe size, the quadratic source's best responses

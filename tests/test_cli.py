@@ -27,6 +27,7 @@ from coiquery import (
     FiniteGame,
     UtilityContext,
     WeakOrder,
+    as_fraction,
     base_query,
     build_delta_query,
     classify_ranking_set,
@@ -938,6 +939,104 @@ def test_any_ranking_document_exits_zero_one_or_two(ranking):
                 )
             assert code in (0, 1, 2)
             assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# Exact bias values.  An integral one is drawn as an int and spelled by the
+# rendering below; any other carries its own spelling: "p/q", a decimal
+# string or a float that is not an integer.
+_INTEGRAL = st.integers(-12, 12) | st.sampled_from([10**300, -(10**300), 2**53 + 1])
+_FRACTIONAL = st.one_of(
+    st.fractions(-12, 12, max_denominator=9)
+    .filter(lambda value: value.denominator > 1)
+    .map(lambda value: f"{value.numerator}/{value.denominator}"),
+    st.integers(1, 1299)
+    .filter(lambda cents: cents % 100)
+    .map(lambda cents: f"{cents // 100}.{cents % 100:02d}"),
+    st.sampled_from(["-0.5", "-3.25", "-11.75"]),
+    st.floats(-12, 12).filter(lambda value: not value.is_integer()),
+)
+_BIAS_VALUES = _INTEGRAL | _FRACTIONAL
+_INTEGRAL_SPELLINGS = (
+    lambda n: n,
+    lambda n: float(n) if float(n) == n else n,  # n.0 where the float is exact
+    lambda n: f"{n}/1",
+    lambda n: f"{n}.0",
+)
+
+
+def _spelled(value, spell):
+    """``value`` with every int in it written by ``spell``."""
+    if isinstance(value, dict):
+        return {key: _spelled(item, spell) for key, item in value.items()}
+    return spell(value) if type(value) is int else value
+
+
+def _stored_form(value: object) -> bool:
+    """A bias value as stored: an ``int``, or a ``Fraction`` that is not integral."""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_BIAS_VALUES, min_size=1, max_size=5),
+    _BIAS_VALUES,
+    st.sampled_from(["derived", "tight", "drawn"]),
+    st.tuples(_BIAS_VALUES, _BIAS_VALUES),
+    st.data(),
+)
+def test_integral_bias_spellings_are_stored_and_answered_alike(
+    values, default, range_kind, drawn, data
+):
+    keys = [f"e{i}" for i in range(1, len(values) + data.draw(st.integers(0, 3)) + 1)]
+    exact = sorted(as_fraction(value) for value in values)
+    tight = [int(v) if v.denominator == 1 else str(v) for v in (exact[0], exact[-1])]
+    bounds = {"derived": (), "tight": tight, "drawn": drawn}[range_kind]
+    bounds = dict(zip(("lower", "upper"), bounds))
+    raw = {"entries": dict(zip(keys, values)), "default": default, **bounds}
+    ranking = [[key] for key in data.draw(st.permutations(keys))]
+    z = len(keys) + data.draw(st.integers(0, 4))
+    answers = set()
+    with tempfile.TemporaryDirectory() as workdir:
+        config, order = Path(workdir) / "config.json", Path(workdir) / "order.json"
+        order.write_text(json.dumps(ranking))
+
+        def run(document, *argv):
+            config.write_text(json.dumps(document))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_command([*argv[:1], "--config", str(config), *argv[1:]])
+            return code, out.getvalue(), err.getvalue()
+
+        for spell in _INTEGRAL_SPELLINGS:
+            spelled = _spelled(raw, spell)
+            document = {"z": z, "k": max(1, z // 2), "bias": spelled}
+            config.write_text(json.dumps(document))
+            try:
+                bias = load_config(str(config)).context.bias
+            except ConfigurationError:
+                pass
+            else:
+                given_values = [*spelled["entries"].values(), spelled["default"]]
+                stored = [*bias.entries.values(), bias.default]
+                for name in bounds:
+                    given_values.append(spelled[name])
+                    stored.append(getattr(bias, name))
+                assert stored == [as_fraction(value) for value in given_values]
+                assert all(map(_stored_form, [*stored, bias.lower, bias.upper]))
+            answers.add(
+                (
+                    run(document, "trust", "--beta", str(order)),
+                    run(document, "influence", "--intent", str(order)),
+                    run(document, "maximize", "--intent", str(order), "--oracle"),
+                )
+            )
+        assert len(answers) == 1
+        field = data.draw(st.sampled_from(["entries", "default", "lower", "upper"]))
+        flag = data.draw(st.booleans())
+        spelled = {**raw, field: {keys[0]: flag} if field == "entries" else flag}
+        code, out, err = run({"z": z, "bias": spelled}, "trust", "--beta", str(order))
+        assert (code, out) == (2, "")
+        assert err == f"configuration error: not a rational value: {flag}\n"
 
 
 @pytest.mark.parametrize(

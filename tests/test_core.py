@@ -7,7 +7,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coiquery.core
 from coiquery import BiasFunction, ConfigurationError, WeakOrder, as_fraction
 from coiquery.cli import load_config
 
@@ -181,7 +184,8 @@ def test_bias_from_jsonable_converts_each_spelling_once():
         {"entries": {"a": "1/3", "b": 0.5, "c": 2}, "default": "7", "upper": "5/2"}
     )
     assert bias.entries == {"a": Fraction(1, 3), "b": Fraction(1, 2), "c": Fraction(2)}
-    assert all(type(value) is Fraction for value in bias.entries.values())
+    stored = [*bias.entries.values(), bias.default, bias.lower, bias.upper]
+    assert list(map(type, stored)) == [Fraction, Fraction, int, int, Fraction, Fraction]
     assert (bias.default, bias.lower, bias.upper) == (7, Fraction(1, 3), Fraction(5, 2))
     for document, message in (
         ({"entries": {"a": "x"}, "default": "y"}, "not a rational value: 'x'"),
@@ -191,6 +195,77 @@ def test_bias_from_jsonable_converts_each_spelling_once():
     ):
         with pytest.raises(ConfigurationError) as caught:
             BiasFunction.from_jsonable(document)
+        assert str(caught.value) == message
+
+
+def _stored_form(value: object) -> bool:
+    """A stored bias value: an ``int``, or a ``Fraction`` that is not integral."""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
+
+
+def test_bias_values_are_ints_when_integral_and_reduced_fractions_otherwise():
+    integral = [2, 2.0, "7", "4/2", "-3/1", "1e2", " 5 ", Fraction(6, 3), -(10**300)]
+    integral.append(1e300 / 7)  # every float this large is an integer
+    fractional = ["1/3", 0.5, "0.25", "-5/2", "1e-3", Fraction(6, 4), 0.1]
+    fractional.append(Fraction(10**300 + 1, 7))
+    for kind, spellings in ((int, integral), (Fraction, fractional)):
+        for raw in spellings:
+            bias = BiasFunction({"a": raw}, default=raw, lower=raw, upper=raw)
+            for value in (bias("a"), bias("elsewhere"), bias.lower, bias.upper):
+                assert type(value) is kind and _stored_form(value), raw
+                assert value == as_fraction(raw)
+    for field in ("entries", "default", "lower", "upper"):
+        document = {field: {"a": True} if field == "entries" else True}
+        with pytest.raises(ConfigurationError) as caught:
+            BiasFunction.from_jsonable({"entries": {}, **document})
+        assert str(caught.value) == "not a rational value: True"
+
+
+_close = st.integers(-(10**6), 10**6).map(lambda n: 1 + Fraction(n, 10**20))
+_values = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.integers(-3, 3),
+    st.fractions(-5, 5, max_denominator=10**9),
+    _close,
+    st.floats(-1e6, 1e6),
+    _close.map(lambda value: f"{value.numerator}/{value.denominator}"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_values, max_size=12), _values, st.sampled_from(["", "lower", "upper"]))
+def test_derived_bias_range_is_the_exact_extremes(values, default, given_bound):
+    # Integer-pair extremes against min/max over Fractions, one bound
+    # possibly given (as the exact extreme, so the other is derived).
+    exact = [as_fraction(value) for value in (*values, default)]
+    low, high = min(exact), max(exact)
+    bound = {"lower": {"lower": low}, "upper": {"upper": high}}.get(given_bound, {})
+    entries = {f"e{index}": value for index, value in enumerate(values)}
+    bias = BiasFunction(entries, default=default, **bound)
+    assert (bias.lower, bias.upper) == (low, high)
+    stored = [*bias.entries.values(), bias.default, bias.lower, bias.upper]
+    assert all(map(_stored_form, stored))
+    assert stored == [*exact, low, high]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_values, min_size=1, max_size=8), _values, _values)
+def test_a_given_range_reports_the_first_entry_outside_it(values, lower, upper):
+    entries = {f"e{index}": value for index, value in enumerate(values)}
+    low, high = as_fraction(lower), as_fraction(upper)
+    outside = [k for k, v in entries.items() if not low <= as_fraction(v) <= high]
+    if low <= high and not outside:
+        bias = BiasFunction(entries, lower=lower, upper=upper)
+        assert (bias.lower, bias.upper) == (low, high)
+        return
+    with pytest.raises(ConfigurationError) as caught:
+        BiasFunction(entries, lower=lower, upper=upper)
+    if low > high:
+        assert str(caught.value) == f"bias range is empty: [{low}, {high}]"
+    else:
+        key = outside[0]
+        value = as_fraction(entries[key])
+        message = f"bias for {key!r} ({value}) outside range [{low}, {high}]"
         assert str(caught.value) == message
 
 
@@ -244,7 +319,33 @@ def test_bias_config_from_jsonable(tmp_path):
     bias = _rule_bias(tmp_path, rules, scale="1/2")
     assert bias.entries["e3"] == Fraction(5, 2)
     assert bias.entries["e4"] == Fraction(1)
-    assert all(type(value) is Fraction for value in bias.entries.values())
+    stored = [*bias.entries.values(), bias.lower, bias.upper]
+    assert list(map(type, stored)) == [int, int, Fraction, int, int, Fraction]
+
+
+def test_rule_values_are_made_stored_form_once_per_rule(tmp_path, monkeypatch):
+    # Each rule's bias times scale is made an int (or a reduced Fraction)
+    # once, and unmatched elements take the int 0, so the bias function
+    # converts no element of the product again.
+    calls = []
+    convert = coiquery.core.as_fraction
+
+    def counted(value):
+        calls.append(value)
+        return convert(value)
+
+    monkeypatch.setattr(coiquery.core, "as_fraction", counted)
+    attributes = [{"name": name, "values": [0, 1, 2, 3]} for name in "abc"]
+    rules = [
+        {"when": {"a": 1}, "bias": 3},
+        {"when": {"b": 2}, "bias": "1/2"},
+        {"when": {"c": 0}, "bias": 2.0},
+    ]
+    document = {"attributes": attributes, "bias_rules": rules, "scale": 2}
+    bias = _load(tmp_path, document).bias
+    assert len(calls) == len(rules)
+    assert sorted(set(bias.entries.values())) == [0, 1, 4, 6]
+    assert {type(value) for value in bias.entries.values()} == {int}
 
 
 def test_rule_order_matters(tmp_path):

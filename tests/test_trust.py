@@ -20,7 +20,10 @@ from coiquery import (
     detect_trustworthy,
     gsd_values,
 )
+import coiquery.cli
+import coiquery.core
 import coiquery.trust
+import coiquery.utility
 from coiquery.cli import run_command
 from coiquery.trust import _floor_pivot, _threshold_numerators
 from oracles import (
@@ -498,7 +501,8 @@ class _CountedFraction(Fraction):
 
 def test_pivot_flagged_keys_build_no_fraction(tmp_path, capsys, monkeypatch):
     # Integer biases inside the range all settle at the pivot, so the
-    # screen should stay in integers from the config to the report.
+    # screen should stay in integers from the config to the report: no
+    # module on the path (loader, bias, screen) builds a ``Fraction``.
     rng = random.Random(3)
     z, upper = 50_000, 15_000
     keys = [f"e{i}" for i in rng.sample(range(1, z + 1), 1_000)]
@@ -518,7 +522,9 @@ def test_pivot_flagged_keys_build_no_fraction(tmp_path, capsys, monkeypatch):
     beta = tmp_path / "beta.json"
     beta.write_text(json.dumps([[key] for key in keys]))
     pivot = _floor_pivot(z)  # per universe, not per key
-    monkeypatch.setattr(coiquery.trust, "Fraction", _CountedFraction)
+    for module in (coiquery.cli, coiquery.core, coiquery.trust, coiquery.utility):
+        if hasattr(module, "Fraction"):
+            monkeypatch.setattr(module, "Fraction", _CountedFraction)
     monkeypatch.setattr(_CountedFraction, "made", 0)
     code = run_command(["trust", "--config", str(config), "--beta", str(beta)])
     report = json.loads(capsys.readouterr().out)
