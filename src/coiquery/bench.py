@@ -55,7 +55,6 @@ def _rng_for(seed: int, size: int) -> random.Random:
 def run_trust_suite(
     sizes: Sequence[int] = DEFAULT_TRUST_SIZES,
     *,
-    top_k: int = 80,
     seed: int = 1,
     runs: int = 5,
 ) -> list[BenchRow]:
@@ -75,7 +74,7 @@ def run_trust_suite(
             lower=Fraction(0),
             upper=Fraction(3),
         )
-        ctx = UtilityContext(universe_size=size, top_k=min(top_k, size), bias=bias)
+        ctx = UtilityContext(universe_size=size, top_k=size, bias=bias)
         samples = []
         for _ in range(runs):
             _floor_pivot.cache_clear()

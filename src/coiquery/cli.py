@@ -369,7 +369,6 @@ def _cmd_bench(args: argparse.Namespace) -> str:
     if args.suite == "trust":
         rows = bench_mod.run_trust_suite(
             sizes or bench_mod.DEFAULT_TRUST_SIZES,
-            top_k=args.top_k,
             seed=args.seed,
             runs=args.runs,
         )
@@ -426,7 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", required=True, choices=("trust", "dp"))
     bench.add_argument("--m", help="comma-separated sizes, e.g. 100,200,400")
     bench.add_argument("--runs", type=int, default=5)
-    bench.add_argument("--top-k", type=int, default=80, dest="top_k")
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--output")
 

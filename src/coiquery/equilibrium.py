@@ -15,9 +15,9 @@ Conventions
 -----------
 Strategies are pure: the user maps every intent to one query, the
 source maps every query to one interpretation (point distributions).
-Posterior beliefs follow Bayes' rule on path; off-path queries fall
-back to the prior, isolated in :func:`off_path_belief` so tests can
-swap the rule.
+The source answers a query with a best reply to its Bayes posterior
+over the intents sending it; a query whose senders carry no prior mass
+falls back to the prior (see ``_best_replies``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import ConfigurationError, DomainError, as_fraction
 
@@ -35,11 +35,9 @@ __all__ = [
     "EquilibriumClass",
     "FiniteGame",
     "StrategyPair",
-    "bayes_posterior",
     "commission_game",
     "enumerate_pure_equilibria",
     "influential_witness",
-    "off_path_belief",
 ]
 
 _PROFILE_CAP = 10**6
@@ -126,12 +124,6 @@ class FiniteGame:
             {intent: as_fraction(w) for intent, w in zip(intents, prior)},
             set_equivalent,
         )
-
-    def user_payoff(self, intent: str, interpretation: str) -> Fraction:
-        return self.payoff_user[(intent, interpretation)]
-
-    def source_payoff(self, intent: str, interpretation: str) -> Fraction:
-        return self.payoff_source[(intent, interpretation)]
 
     def as_jsonable(self) -> dict:
         return {
@@ -225,13 +217,14 @@ def influential_witness(
         raise DomainError(
             "witness search applies only to set-equivalent intents"
         )
+    user, source = game.payoff_user, game.payoff_source
     for a, b in itertools.permutations(game.intents, 2):
         for x, y in itertools.permutations(game.interpretations, 2):
             if (
-                game.user_payoff(a, x) >= game.user_payoff(a, y)
-                and game.user_payoff(b, y) >= game.user_payoff(b, x)
-                and game.source_payoff(a, x) >= game.source_payoff(a, y)
-                and game.source_payoff(b, y) >= game.source_payoff(b, x)
+                user[a, x] >= user[a, y]
+                and user[b, y] >= user[b, x]
+                and source[a, x] >= source[a, y]
+                and source[b, y] >= source[b, x]
             ):
                 return (a, b, x, y)
     return None
@@ -261,44 +254,26 @@ class ClassifiedEquilibrium(NamedTuple):
     classification: EquilibriumClass
 
 
-def off_path_belief(game: FiniteGame) -> dict[str, Fraction]:
-    """Belief at a query no intent sends: the prior, by convention."""
-    return dict(game.prior)
+def _best_replies(game: FiniteGame, senders: int) -> tuple[str, ...]:
+    """Interpretations maximizing the source's expected payoff, in label order.
 
-
-def bayes_posterior(
-    game: FiniteGame, user_strategy: Mapping[str, str], query: str
-) -> dict[str, Fraction]:
-    """Posterior over intents given a query under a pure user strategy."""
-    weights = {
-        intent: game.prior[intent] if user_strategy[intent] == query else Fraction(0)
-        for intent in game.intents
-    }
-    total = sum(weights.values(), start=Fraction(0))
-    if total == 0:
-        return off_path_belief(game)
-    return {intent: weight / total for intent, weight in weights.items()}
-
-
-def _best_replies(game: FiniteGame, belief: Mapping[str, Fraction]) -> tuple[str, ...]:
-    """Interpretations maximizing the source's expected payoff, in label order."""
+    ``senders`` has bit i set when intent i sends the query.  The Bayes
+    posterior is the senders' prior weights divided by their mass, and
+    that common positive divisor does not change which interpretation
+    is best, so each is valued by ``sum(prior[t] * payoff_source[t, b])``
+    over the senders.  When the senders carry no prior mass (a query no
+    intent sends, or only zero-weight intents), the belief is the prior:
+    every intent is summed.
+    """
+    weighed = [
+        t for bit, t in enumerate(game.intents) if senders >> bit & 1 and game.prior[t]
+    ] or game.intents
     value = {
-        b: sum(
-            (belief[t] * game.source_payoff(t, b) for t in game.intents),
-            start=Fraction(0),
-        )
+        b: sum(game.prior[t] * game.payoff_source[t, b] for t in weighed)
         for b in game.interpretations
     }
     best = max(value.values())
     return tuple(b for b in game.interpretations if value[b] == best)
-
-
-def _classify(pair: StrategyPair, game: FiniteGame) -> EquilibriumClass:
-    """Influential when at least two intents end up with different responses."""
-    responses = {pair.source[pair.user[intent]] for intent in game.intents}
-    if len(responses) < 2:
-        return EquilibriumClass.NON_INFLUENTIAL
-    return EquilibriumClass.INFLUENTIAL
 
 
 def enumerate_pure_equilibria(game: FiniteGame) -> list[ClassifiedEquilibrium]:
@@ -332,10 +307,9 @@ def enumerate_pure_equilibria(game: FiniteGame) -> list[ClassifiedEquilibrium]:
     # the deviation check compares one intent's payoffs only.
     user_rank = []
     for intent in game.intents:
-        levels = sorted({game.user_payoff(intent, b) for b in game.interpretations})
-        user_rank.append(
-            {b: levels.index(game.user_payoff(intent, b)) for b in game.interpretations}
-        )
+        payoff = {b: game.payoff_user[intent, b] for b in game.interpretations}
+        levels = sorted(set(payoff.values()))
+        user_rank.append({b: levels.index(value) for b, value in payoff.items()})
     best_by_senders: dict[int, tuple[str, ...]] = {}
     found: list[ClassifiedEquilibrium] = []
     for user_choice in itertools.product(game.queries, repeat=len(game.intents)):
@@ -345,11 +319,9 @@ def enumerate_pure_equilibria(game: FiniteGame) -> list[ClassifiedEquilibrium]:
         for bit, index in enumerate(sent):
             senders[index] |= 1 << bit
         replies = []
-        for query, mask in zip(game.queries, senders):
+        for mask in senders:
             if mask not in best_by_senders:
-                best_by_senders[mask] = _best_replies(
-                    game, bayes_posterior(game, user, query)
-                )
+                best_by_senders[mask] = _best_replies(game, mask)
             replies.append(best_by_senders[mask])
         for source_choice in itertools.product(*replies):
             if all(
@@ -358,5 +330,9 @@ def enumerate_pure_equilibria(game: FiniteGame) -> list[ClassifiedEquilibrium]:
                 for ranks, index in zip(user_rank, sent)
             ):
                 pair = StrategyPair(user, dict(zip(game.queries, source_choice)))
-                found.append(ClassifiedEquilibrium(pair, _classify(pair, game)))
+                if len({source_choice[index] for index in sent}) > 1:
+                    label = EquilibriumClass.INFLUENTIAL
+                else:
+                    label = EquilibriumClass.NON_INFLUENTIAL
+                found.append(ClassifiedEquilibrium(pair, label))
     return found

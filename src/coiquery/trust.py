@@ -243,7 +243,8 @@ def detect_trustworthy(beta: WeakOrder, ctx: UtilityContext) -> TrustReport:
     cached pivot: at or below ``range_low + pivot.floor`` it is
     trustworthy, below ``range_high + pivot.gap`` the pivot is its
     witness, and otherwise (a default above the range) it binary-searches
-    past the pivot.  Witnesses stay integers (see ``TrustReport``).
+    past the pivot, once per request.  Witnesses stay integers (see
+    ``TrustReport``).
     """
     range_low, range_high = ctx.bias.lower, ctx.bias.upper
     assert range_low is not None and range_high is not None  # BiasFunction derives bounds
@@ -259,6 +260,8 @@ def detect_trustworthy(beta: WeakOrder, ctx: UtilityContext) -> TrustReport:
     lookup, default = ctx.bias.entries.get, ctx.bias.default
     trustworthy: list[Key] = []
     flagged: dict[Key, _Bounds] = {}
+    # Entries lie in the range, so only the default gets past the pivot.
+    beyond: dict[int | Fraction, _Bounds | None] = {}
     for key in beta.keys():
         bias_value = lookup(key, default)
         n, d = bias_value.as_integer_ratio()
@@ -266,8 +269,11 @@ def detect_trustworthy(beta: WeakOrder, ctx: UtilityContext) -> TrustReport:
             witness: _Bounds | None = None
         elif n * high_d < high_n * d:
             witness = (at, n * scale - gap * d, n * scale - floor * d, d * scale)
+        elif bias_value in beyond:
+            witness = beyond[bias_value]
         else:
             witness = _witness(bias_value, z, pivot, range_low, range_high)
+            beyond[bias_value] = witness
         if witness is None:
             trustworthy.append(key)
         else:

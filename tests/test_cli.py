@@ -240,6 +240,12 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     assert stdout.splitlines()[0] == "m,millis"
 
 
+def test_bench_has_no_top_k_flag(capsys):
+    # The trust filter reads no cutoff, so the suite takes none.
+    assert run_command(["bench", "--suite", "trust", "--top-k", "5"]) == 2
+    assert "unrecognized arguments: --top-k 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["trust", "influence", "maximize", "equilibrium"])
 def test_every_report_is_one_line_of_canonical_json(
     tmp_path, mixed_config, capsys, command

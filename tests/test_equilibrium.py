@@ -15,11 +15,9 @@ from coiquery import (
     EquilibriumClass,
     FiniteGame,
     StrategyPair,
-    bayes_posterior,
     commission_game,
     enumerate_pure_equilibria,
     influential_witness,
-    off_path_belief,
 )
 
 
@@ -35,10 +33,10 @@ def test_commission_game_shape():
     assert game.interpretations == ("beta", "beta_prime")
     assert game.set_equivalent
     assert game.prior == {"tau": Fraction(1, 2), "tau_prime": Fraction(1, 2)}
-    assert game.user_payoff("tau", "beta") == 0
-    assert game.user_payoff("tau", "beta_prime") == 2
-    assert game.source_payoff("tau", "beta") == -1  # commission minus loss
-    assert game.source_payoff("tau_prime", "beta_prime") == -2
+    assert game.payoff_user["tau", "beta"] == 0
+    assert game.payoff_user["tau", "beta_prime"] == 2
+    assert game.payoff_source["tau", "beta"] == -1  # commission minus loss
+    assert game.payoff_source["tau_prime", "beta_prime"] == -2
 
 
 def test_build_validates_prior_and_shapes():
@@ -62,14 +60,8 @@ def test_game_json_round_trip():
     assert again.interpretations == game.interpretations
     assert again.prior == game.prior
     assert again.set_equivalent == game.set_equivalent
-    for intent in game.intents:
-        for interp in game.interpretations:
-            assert again.user_payoff(intent, interp) == game.user_payoff(
-                intent, interp
-            )
-            assert again.source_payoff(intent, interp) == game.source_payoff(
-                intent, interp
-            )
+    assert again.payoff_user == game.payoff_user
+    assert again.payoff_source == game.payoff_source
 
 
 # --------------------------------------------------------------------------- #
@@ -118,34 +110,13 @@ def test_all_equal_payoffs_satisfy_the_weak_inequalities():
 
 
 # --------------------------------------------------------------------------- #
-# Posterior bookkeeping
-# --------------------------------------------------------------------------- #
-
-
-def test_separating_strategy_gives_degenerate_posteriors():
-    game = commission_game(1, 2)
-    user = {"tau": "q", "tau_prime": "q_prime"}
-    assert bayes_posterior(game, user, "q") == {
-        "tau": Fraction(1),
-        "tau_prime": Fraction(0),
-    }
-
-
-def test_off_path_queries_fall_back_to_the_prior():
-    game = commission_game(1, 2)
-    pooled = {"tau": "q", "tau_prime": "q"}
-    assert bayes_posterior(game, pooled, "q") == game.prior
-    assert bayes_posterior(game, pooled, "q_prime") == off_path_belief(game)
-
-
-# --------------------------------------------------------------------------- #
 # Enumeration and classification
 # --------------------------------------------------------------------------- #
 
 
 def _expected_source_value(game, posterior, interp):
     return sum(
-        posterior[intent] * game.source_payoff(intent, interp)
+        posterior[intent] * game.payoff_source[intent, interp]
         for intent in game.intents
     )
 
@@ -161,15 +132,15 @@ def _is_equilibrium_longhand(pair, game):
                 for t in game.intents
             }
         else:
-            posterior = off_path_belief(game)
+            posterior = dict(game.prior)
         chosen = _expected_source_value(game, posterior, pair.source[query])
         for interp in game.interpretations:
             if _expected_source_value(game, posterior, interp) > chosen:
                 return False
     for intent in game.intents:
-        current = game.user_payoff(intent, pair.source[pair.user[intent]])
+        current = game.payoff_user[intent, pair.source[pair.user[intent]]]
         for query in game.queries:
-            if game.user_payoff(intent, pair.source[query]) > current:
+            if game.payoff_user[intent, pair.source[query]] > current:
                 return False
     return True
 
@@ -285,6 +256,24 @@ def test_enumeration_matches_the_brute_force_oracle(shape):
             assert _triples(enumerate_pure_equilibria(game)) == (
                 pure_equilibria_oracle(game)
             ), (shape, variant)
+
+
+def test_enumeration_makes_no_fraction_division(monkeypatch):
+    # Best replies compare the senders' prior-weighted payoffs; dividing
+    # by the senders' mass, as a normalized posterior would, is not needed.
+    divisions = []
+    divide = Fraction.__truediv__
+
+    def counted(a, b):
+        divisions.append((a, b))
+        return divide(a, b)
+
+    game = _random_game(random.Random(43), (4, 4, 3), "fractional")
+    monkeypatch.setattr(Fraction, "__truediv__", counted)
+    found = enumerate_pure_equilibria(game)
+    monkeypatch.undo()
+    assert found and not divisions
+    assert _triples(found) == pure_equilibria_oracle(game)
 
 
 def test_enumeration_profile_cap():

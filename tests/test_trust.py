@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,21 @@ def test_past_pivot_search_matches_the_scan_oracle_exactly():
             assert (key in report.trustworthy) == (expected is None)
             searched += expected is not None and bias(key) - high >= _floor_pivot(z).gap
     assert searched > 0
+
+
+def test_a_default_past_the_pivot_is_searched_once_per_request():
+    # At z=10^300 one search past the pivot takes tens of milliseconds;
+    # 1,000 keys that each searched again would take tens of seconds.
+    z = 10**300
+    keys = [f"e{i}" for i in range(1, 1001)]
+    bias = BiasFunction({"e0": 1}, default=2 * 10**299, lower=0, upper=3)
+    ctx = UtilityContext(z, z, bias)
+    assert bias.default - bias.upper >= _floor_pivot(z).gap
+    alone = detect_trustworthy(WeakOrder.total(keys[:1]), ctx).flagged[keys[0]]
+    started = time.perf_counter()
+    report = detect_trustworthy(WeakOrder.total(keys), ctx)
+    assert time.perf_counter() - started < 1.0
+    assert report.flagged == dict.fromkeys(keys, alone)
 
 
 def _range_and_biases(rng, z):
