@@ -94,6 +94,8 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     if type(value) is Fraction:
         return value
     try:
+        if type(value) is float:  # exact, without ``Fraction``'s ABC checks
+            return Fraction(*value.as_integer_ratio())
         if isinstance(value, bool):
             raise TypeError("a boolean is not a rational value")
         if isinstance(value, str):

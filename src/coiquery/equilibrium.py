@@ -6,10 +6,10 @@ module builds small explicit games (notably the two-intent commission
 game), searches for the aligned-preference witness that characterizes
 influential communication between set-equivalent intents, enumerates
 all pure-strategy equilibria, and labels each Influential (two intents
-get different responses) or NonInfluential.  The enumeration visits
-only the source's best replies to each user strategy, found once per
-set of intents sharing a query; every source map that is not a best
-reply fails the source's condition anyway.
+get different responses) or NonInfluential.  The enumeration works on
+one integer weight table, visits only the source's best replies (found
+once per set of intents sharing a query) and checks user deviations
+once per source map.
 
 Conventions
 -----------
@@ -17,12 +17,13 @@ Strategies are pure: the user maps every intent to one query, the
 source maps every query to one interpretation (point distributions).
 The source answers a query with a best reply to its Bayes posterior
 over the intents sending it; a query whose senders carry no prior mass
-falls back to the prior (see ``_best_replies``).
+falls back to the prior (see ``enumerate_pure_equilibria``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -254,26 +255,24 @@ class ClassifiedEquilibrium(NamedTuple):
     classification: EquilibriumClass
 
 
-def _best_replies(game: FiniteGame, senders: int) -> tuple[str, ...]:
-    """Interpretations maximizing the source's expected payoff, in label order.
+def _integers(values: Sequence[Fraction]) -> list[int]:
+    """``values`` times their least common denominator: exact ints."""
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = math.lcm(*(denominator for _, denominator in ratios))
+    return [numerator * (scale // denominator) for numerator, denominator in ratios]
 
-    ``senders`` has bit i set when intent i sends the query.  The Bayes
-    posterior is the senders' prior weights divided by their mass, and
-    that common positive divisor does not change which interpretation
-    is best, so each is valued by ``sum(prior[t] * payoff_source[t, b])``
-    over the senders.  When the senders carry no prior mass (a query no
-    intent sends, or only zero-weight intents), the belief is the prior:
-    every intent is summed.
+
+def _best_replies(weights: list[list[int]], senders: int) -> tuple[int, ...]:
+    """Indices of the interpretations best for the source, ascending.
+
+    ``weights[b][t]`` is ``prior[t] * payoff_source[t, b]``, an integer
+    over the table's common denominator, summed over the intents t whose
+    bit is set in ``senders``.  The Bayes posterior would also divide by
+    the senders' mass, which does not change which interpretation is best.
     """
-    weighed = [
-        t for bit, t in enumerate(game.intents) if senders >> bit & 1 and game.prior[t]
-    ] or game.intents
-    value = {
-        b: sum(game.prior[t] * game.payoff_source[t, b] for t in weighed)
-        for b in game.interpretations
-    }
-    best = max(value.values())
-    return tuple(b for b in game.interpretations if value[b] == best)
+    value = [sum(w for t, w in enumerate(row) if senders >> t & 1) for row in weights]
+    top = max(value)
+    return tuple(b for b, total in enumerate(value) if total == top)
 
 
 def enumerate_pure_equilibria(game: FiniteGame) -> list[ClassifiedEquilibrium]:
@@ -284,55 +283,59 @@ def enumerate_pure_equilibria(game: FiniteGame) -> list[ClassifiedEquilibrium]:
     Only the source's best replies are visited, though.  Under a fixed
     user strategy the posterior at a query depends only on the set of
     intents sending it, so the best replies at a query are computed
-    once per sender set (at most 2^|T| per call, exact) and the source
-    maps searched are the product of the per-query best sets, each in
-    label order -- a subsequence of the full product in the same order.
-    A profile is kept when no intent gains by switching queries.
+    once per sender set and the source maps searched are the product of
+    the per-query best sets, in label order: a subsequence of the full
+    product in the same order.  A profile is kept when no intent gains
+    by switching queries, which is checked once per source map.
 
-    Cost: |Q|^|T| user maps times the number of best-reply profiles of
-    each, plus one best-set evaluation per sender set.  A source that is
-    indifferent everywhere makes every profile a candidate, so the worst
-    case is still the full |Q|^|T|·|B|^|Q|; games whose profile count
-    exceeds a million are refused for that reason.
+    Cost: one integer weight table per call, so no ``Fraction`` arithmetic
+    per profile, and one deviation bitmask memoized per distinct source map:
+    at most |B|^|Q| of them, within the cap.  An indifferent source makes
+    all |Q|^|T|·|B|^|Q| profiles candidates; over 10^6 are refused.
     """
-    profile_count = len(game.queries) ** len(game.intents) * len(
-        game.interpretations
-    ) ** len(game.queries)
+    intents, queries, answers = game.intents, game.queries, game.interpretations
+    stride = len(queries)
+    profile_count = stride ** len(intents) * len(answers) ** stride
     if profile_count > _PROFILE_CAP:
-        raise DomainError(
-            f"{profile_count} pure profiles exceed the enumeration cap"
-        )
-    slot = {query: index for index, query in enumerate(game.queries)}
-    # Per intent, each interpretation's user payoff as its dense rank:
-    # the deviation check compares one intent's payoffs only.
-    user_rank = []
-    for intent in game.intents:
-        payoff = {b: game.payoff_user[intent, b] for b in game.interpretations}
-        levels = sorted(set(payoff.values()))
-        user_rank.append({b: levels.index(value) for b, value in payoff.items()})
-    best_by_senders: dict[int, tuple[str, ...]] = {}
+        raise DomainError(f"{profile_count} pure profiles exceed the enumeration cap")
+    prior = _integers([game.prior[t] for t in intents])
+    cells = iter(_integers([game.payoff_source[t, b] for b in answers for t in intents]))
+    weights = [[w * next(cells) for w in prior] for _ in answers]  # W[b][t]
+    positive = sum(1 << t for t, weight in enumerate(prior) if weight)
+    # Deviations compare one intent's payoffs: each row is scaled alone.
+    user_payoff = [_integers([game.payoff_user[t, b] for b in answers]) for t in intents]
+    best_by_senders: dict[int, tuple[int, ...]] = {}
+    # Per source map, bit t * stride + q is set when the answer to query
+    # q reaches intent t's best payoff among the map's answers.
+    accept_by_map: dict[tuple[int, ...], int] = {}
     found: list[ClassifiedEquilibrium] = []
-    for user_choice in itertools.product(game.queries, repeat=len(game.intents)):
-        user = dict(zip(game.intents, user_choice))
-        sent = [slot[query] for query in user_choice]
-        senders = [0] * len(game.queries)
-        for bit, index in enumerate(sent):
-            senders[index] |= 1 << bit
-        replies = []
+    for sent in itertools.product(range(stride), repeat=len(intents)):
+        senders, chosen, user = [0] * stride, 0, None
+        for t, query in enumerate(sent):
+            senders[query] |= 1 << t
+            chosen |= 1 << t * stride + query
         for mask in senders:
-            if mask not in best_by_senders:
-                best_by_senders[mask] = _best_replies(game, mask)
-            replies.append(best_by_senders[mask])
-        for source_choice in itertools.product(*replies):
-            if all(
-                ranks[source_choice[index]]
-                == max(map(ranks.__getitem__, source_choice))
-                for ranks, index in zip(user_rank, sent)
-            ):
-                pair = StrategyPair(user, dict(zip(game.queries, source_choice)))
-                if len({source_choice[index] for index in sent}) > 1:
-                    label = EquilibriumClass.INFLUENTIAL
-                else:
-                    label = EquilibriumClass.NON_INFLUENTIAL
-                found.append(ClassifiedEquilibrium(pair, label))
+            if mask not in best_by_senders:  # no prior mass: weigh every intent
+                weighed = mask & positive or (1 << len(intents)) - 1
+                best_by_senders[mask] = _best_replies(weights, weighed)
+        for source_choice in itertools.product(*map(best_by_senders.get, senders)):
+            accept = accept_by_map.get(source_choice)
+            if accept is None:
+                accept = 0
+                for t, row in enumerate(user_payoff):
+                    reached = [row[b] for b in source_choice]
+                    top = max(reached)
+                    for query, value in enumerate(reached):
+                        accept |= (value == top) << t * stride + query
+                accept_by_map[source_choice] = accept
+            if accept & chosen != chosen:
+                continue
+            if user is None:
+                user = dict(zip(intents, map(queries.__getitem__, sent)))
+            source = dict(zip(queries, map(answers.__getitem__, source_choice)))
+            if len({source_choice[query] for query in sent}) > 1:
+                label = EquilibriumClass.INFLUENTIAL
+            else:
+                label = EquilibriumClass.NON_INFLUENTIAL
+            found.append(ClassifiedEquilibrium(StrategyPair(user, source), label))
     return found

@@ -278,8 +278,19 @@ def test_as_fraction_accepts_the_usual_spellings():
 
 def test_as_fraction_keeps_floats_exact_not_decimal():
     # 0.1 the float is not 1/10; conversions must not silently round.
-    assert as_fraction(0.1) == Fraction(0.1)
+    for value in (0.1, 1e308, 5e-324, -2.5):
+        assert type(as_fraction(value)) is Fraction
+        assert as_fraction(value) == Fraction(value)
+        assert BiasFunction({"a": value})("a") == Fraction(value)
     assert as_fraction(0.1) != Fraction(1, 10)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_floats_are_not_rational(value):
+    for convert in (as_fraction, lambda v: BiasFunction({}, default=v)):
+        with pytest.raises(ConfigurationError) as caught:
+            convert(value)
+        assert str(caught.value) == f"not a rational value: {value!r}"
 
 
 # --------------------------------------------------------------------------- #

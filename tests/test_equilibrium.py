@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -258,22 +259,77 @@ def test_enumeration_matches_the_brute_force_oracle(shape):
             ), (shape, variant)
 
 
-def test_enumeration_makes_no_fraction_division(monkeypatch):
-    # Best replies compare the senders' prior-weighted payoffs; dividing
-    # by the senders' mass, as a normalized posterior would, is not needed.
-    divisions = []
-    divide = Fraction.__truediv__
+_FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+)
 
-    def counted(a, b):
-        divisions.append((a, b))
-        return divide(a, b)
 
+def test_enumeration_makes_no_fraction_arithmetic_per_profile(monkeypatch):
+    # The payoffs and prior are scaled to integers once; best replies
+    # and deviation checks then add and compare ints.  At most one
+    # operation per table cell (|T|·|B|) is allowed for building them,
+    # and no division at all.
+    calls = []
     game = _random_game(random.Random(43), (4, 4, 3), "fractional")
-    monkeypatch.setattr(Fraction, "__truediv__", counted)
+    for name in _FRACTION_ARITHMETIC:
+        method = getattr(Fraction, name)
+
+        def counted(a, b, method=method, name=name):
+            calls.append(name)
+            return method(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
     found = enumerate_pure_equilibria(game)
     monkeypatch.undo()
-    assert found and not divisions
+    assert found and len(calls) <= 4 * 3, sorted(set(calls))
+    assert "__truediv__" not in calls and "__rtruediv__" not in calls
     assert _triples(found) == pure_equilibria_oracle(game)
+
+
+def _game_document(prior, payoff_source, payoff_user=None):
+    """A 3-intent, 2-query game document with the given source payoffs."""
+    return {
+        "intents": ["t0", "t1", "t2"],
+        "queries": ["q0", "q1"],
+        "interpretations": [f"b{j}" for j in range(len(payoff_source[0]))],
+        "payoff_user": payoff_user or [[1, 0, 1], [0, 1, 1], [1, 1, 0]],
+        "payoff_source": payoff_source,
+        "prior": prior,
+    }
+
+
+_COMMON_DENOMINATOR_GAMES = {
+    # Binary floats: the exact sum is 1 only within the prior tolerance.
+    "binary-float-prior": _game_document(
+        [0.1, 0.2, 0.7], [[0.3, -0.1, 0.2], [0.1, 0.7, -0.3], [0.2, 0.2, 0.2]]
+    ),
+    # Payoffs 10^±4000 apart: ties broken only at the smallest scale.
+    "huge-exponents": _game_document(
+        ["0.25", "0.25", "0.5"],
+        [["1e4000", "1e4000", "-2e3999"], ["3e-4000", "0", "1e-4000"],
+         ["-1e4000", "-1e4000", "7E+3998"]],
+        [["1e-4000", "0", "1e-4000"], ["0", "-4e-4000", "0"], ["2e4000", "2e4000", "1"]],
+    ),
+    "tiny-prior-weight": _game_document(
+        ["1e-4000", "0.5", "0.5"],
+        [["1e4000", "0", "0"], ["0", "1", "1"], ["0", "1", "1"]],
+    ),
+    # Only the zero-weight intent sends one query: its belief is the prior.
+    "zero-weight-intent": _game_document(
+        [0, 0.25, 0.75], [[5, -1, 0], [-1, 1, 0], [0, -1, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _COMMON_DENOMINATOR_GAMES)
+def test_common_denominator_edge_cases_match_the_oracle(name):
+    game = FiniteGame.from_jsonable(_COMMON_DENOMINATOR_GAMES[name])
+    started = time.perf_counter()
+    found = enumerate_pure_equilibria(game)
+    assert time.perf_counter() - started < 1.0
+    assert found and _triples(found) == pure_equilibria_oracle(game)
 
 
 def test_enumeration_profile_cap():
