@@ -15,11 +15,10 @@ budget runs out first, :func:`base_query` raises
 
 The separation is solved in closed form: the gap threshold strictly
 increases in the separation (proven in :mod:`coiquery.trust`), so the
-covering separations are the run between two bisections over its
-integer numerators, O(log z) evaluations with no per-universe table.
-Caches live for one call only: :func:`build_delta_query` solves each
-distinct integer gap numerator once and shares one memo of threshold
-evaluations among those solves.
+least covering separation never decreases as the gap grows:
+:func:`build_delta_query` solves its distinct integer gaps in one
+ascending sweep that gallops from answer to answer over a per-call
+memo of threshold evaluations, with no per-universe table.
 
 Conventions
 -----------
@@ -33,12 +32,13 @@ is always relative to the universe's key order.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     BiasFunction,
@@ -72,56 +72,70 @@ logger = logging.getLogger(__name__)
 # --------------------------------------------------------------------------- #
 
 
-def _covering_separations(
-    universe_size: int, numerator: int, denominator: int, evaluated: dict
-) -> range:
-    """Separations covering the gap ``numerator / denominator``, ascending.
+def _least_reaching(
+    universe_size: int, targets: list[int], denominator: int, evaluated: dict
+) -> list[int]:
+    """Least separation whose gap threshold reaches each ascending target.
 
-    A separation covers ``x`` when ``threshold - 1 < x <= threshold``.
-    The threshold strictly increases in the separation (proven in the
-    :mod:`coiquery.trust` docstring), so these are the separations from
-    the first reaching ``x`` up to, excluding, the first reaching
-    ``x + 1``: two bisections over ``1..universe_size - 1``, each ending
-    at ``universe_size`` when nothing reaches its target.  ``evaluated``
-    memoizes ``separation -> (gap numerator, scale)``; the top midpoints
-    are the same for every gap, so a memo shared by the solves over one
-    universe turns most probes into lookups.
+    Targets are numerators over ``denominator``; ``universe_size`` means
+    none in ``1..universe_size - 1`` does.  The threshold strictly
+    increases in the separation (see :mod:`coiquery.trust`), so answers
+    never decrease: each search gallops up from the previous answer
+    (probes 0, 1, 3, 7, ... past it), then bisects the last step.
+    ``evaluated`` memoizes ``_threshold_numerators`` by separation.
     """
-    if universe_size < 2:
-        raise DomainError("separation solving needs a universe of size >= 2")
-    bounds = []
-    for target in (numerator, numerator + denominator):
-        lo, hi = 1, universe_size
+    def reaches(separation: int, target: int) -> bool:
+        if separation not in evaluated:
+            evaluated[separation] = _threshold_numerators(universe_size, separation)
+        gap, _, scale = evaluated[separation]
+        return gap * denominator >= target * scale
+
+    answers = []
+    lo = 1
+    for target in targets:
+        hi, step = lo, 1
+        while hi < universe_size and not reaches(hi, target):
+            lo, hi, step = hi + 1, hi + step, 2 * step
+        hi = min(hi, universe_size)  # reaches the target, or is past 1..z-1
         while lo < hi:
             mid = (lo + hi) // 2
-            threshold = evaluated.get(mid)
-            if threshold is None:
-                gap, _, scale = _threshold_numerators(universe_size, mid)
-                threshold = evaluated[mid] = (gap, scale)
-            if threshold[0] * denominator >= target * threshold[1]:
-                hi = mid
-            else:
-                lo = mid + 1
-        bounds.append(lo)
-    return range(*bounds)
+            lo, hi = (lo, mid) if reaches(mid, target) else (mid + 1, hi)
+        answers.append(lo)
+    return answers
 
 
-def _smallest_covering(
-    universe_size: int, numerator: int, denominator: int, evaluated: dict
-) -> int | None:
-    """The least covering separation, with multiplicity logged at DEBUG."""
-    covering = _covering_separations(universe_size, numerator, denominator, evaluated)
-    if not covering:
-        return None
-    if len(covering) > 1 and logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "%d separations cover bias gap %s at universe size %d; "
-            "returning the smallest",
-            len(covering),
-            Fraction(numerator, denominator),
-            universe_size,
-        )
-    return covering[0]
+def _smallest_coverings(
+    universe_size: int, gaps: Iterable[int], denominator: int
+) -> dict[int, int | None]:
+    """Least covering separation of each gap numerator, None if none covers.
+
+    A separation covers ``x`` when ``threshold - 1 < x <= threshold``:
+    the least one reaching ``x`` if its threshold is below ``x + 1``.
+    Only at DEBUG does a second sweep reach each ``x + 1``, ending the
+    covering run, to log runs of more than one separation.
+    """
+    gaps = sorted(set(gaps))
+    if gaps and universe_size < 2:
+        raise DomainError("separation solving needs a universe of size >= 2")
+    evaluated: dict[int, tuple[int, int, int]] = {}
+    least = _least_reaching(universe_size, gaps, denominator, evaluated)
+    if logger.isEnabledFor(logging.DEBUG):
+        ends = [gap + denominator for gap in gaps]
+        ends = _least_reaching(universe_size, ends, denominator, evaluated)
+        for gap, first, end in zip(gaps, least, ends):
+            if end - first > 1:
+                logger.debug(
+                    "%d separations cover bias gap %s at universe size %d; "
+                    "returning the smallest",
+                    end - first, Fraction(gap, denominator), universe_size,
+                )
+    solved: dict[int, int | None] = dict.fromkeys(gaps)
+    for gap, first in zip(gaps, least):
+        if first < universe_size:
+            threshold, _, scale = evaluated[first]
+            if threshold * denominator < (gap + denominator) * scale:
+                solved[gap] = first
+    return solved
 
 
 def delta_star_for_gap(
@@ -131,14 +145,13 @@ def delta_star_for_gap(
 
     Solves ``gap_threshold(separation) - 1 < gap <= gap_threshold``
     over separations ``1..universe_size - 1``; returns None when no
-    separation qualifies.  The threshold is evaluated in closed form
-    and strictly increases in the separation, so two bisections over
-    its integer numerators give the answer in O(log z) evaluations and
-    O(log z) memory, whatever the universe size.  The covering
-    condition routinely holds for a run of consecutive separations;
-    multiplicity is logged at DEBUG level.
+    separation qualifies: the one-gap case of :func:`build_delta_query`'s
+    sweep, O(log z) evaluations and memory at any universe size.  The
+    covering condition routinely holds for a run of consecutive
+    separations; multiplicity is logged at DEBUG level.
     """
-    return _smallest_covering(universe_size, *as_fraction(gap).as_integer_ratio(), {})
+    numerator, denominator = as_fraction(gap).as_integer_ratio()
+    return _smallest_coverings(universe_size, [numerator], denominator)[numerator]
 
 
 # --------------------------------------------------------------------------- #
@@ -189,10 +202,10 @@ def build_delta_query(
 
     Each key's rank and bias are read once, and the biases are put over
     their common denominator, so a pair's gap is an integer numerator.
-    The separation is solved once per distinct numerator, and all the
-    solves share one memo of threshold evaluations: a query over m keys
-    costs O(m²) integer work plus O(g log z) evaluations for g distinct
-    gaps, most of them memo hits.
+    The distinct numerators are solved in one ascending sweep, each
+    search galloping up from the previous answer: a query over m keys
+    costs O(m²) integer work plus O(g + log z) evaluations for g distinct
+    gaps when their answers are close, O(g log z) at most.
     """
     keys = intent.keys()
     if not keys:
@@ -203,28 +216,23 @@ def build_delta_query(
     numerators = [
         value.numerator * (denominator // value.denominator) for value in biases
     ]
-    solved: dict[int, int | None] = {}
-    evaluated: dict[int, tuple[int, int]] = {}
+    # Ranks never decrease along ``keys``: key i's untied rivals are a suffix.
+    starts = [bisect_right(ranks, rank) for rank in ranks]
+    gaps: set[int] = set()
+    for numerator, start in zip(numerators, starts):
+        gaps.update(map(numerator.__sub__, numerators[start:]))
+    solved = _smallest_coverings(universe_size, gaps, denominator)
     constraints: list[RelativeRankConstraint] = []
-    for i, subject in enumerate(keys):
-        rank, numerator = ranks[i], numerators[i]
-        for j in range(i + 1, len(keys)):
-            if ranks[j] == rank:
-                continue
-            gap = numerator - numerators[j]
-            if gap in solved:
-                separation = solved[gap]
-            else:
-                separation = solved[gap] = _smallest_covering(
-                    universe_size, gap, denominator, evaluated
+    for subject, rank, numerator, start in zip(keys, ranks, numerators, starts):
+        rivals = zip(keys[start:], ranks[start:], numerators[start:])
+        for rival, rival_rank, other in rivals:
+            separation = solved[numerator - other]
+            if separation is not None:
+                constraints.append(
+                    RelativeRankConstraint(subject, rival, separation)
+                    if rival_rank - rank >= separation
+                    else RelativeRankConstraint(rival, subject, 1 - separation)
                 )
-            if separation is None:
-                continue
-            constraints.append(
-                RelativeRankConstraint(subject, keys[j], separation)
-                if ranks[j] - rank >= separation
-                else RelativeRankConstraint(keys[j], subject, 1 - separation)
-            )
     rank_by_key = dict(zip(keys, ranks))
     assert all(rank_by_key[r] - rank_by_key[s] >= g for s, r, g in constraints)
     return DeltaQuery(tuple(constraints), keys)

@@ -27,11 +27,12 @@ reproduces the same choice.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .core import DomainError, WeakOrder
 from .influence import base_query, build_delta_query
@@ -211,19 +212,19 @@ def interval_score(
     return total
 
 
-def _run_dp(table: list[int], stride: int) -> tuple[int, list[tuple[int, int]]]:
-    """Interval-partition DP over a flat score table (cell i, j at
-    ``i * stride + j``); ties prefer the larger interval start."""
-    best = [0] * stride
-    parent = [0] * stride
-    for j in range(1, stride):
-        # best[i - 1] + score(i, j) for i = 1..j; the strided slice is column j.
-        values = list(map(add, best, table[stride + j : j * stride + j + 1 : stride]))
+def _run_dp(table: Sequence[int], blocks: int) -> tuple[int, list[tuple[int, int]]]:
+    """Interval-partition DP over the column-major upper triangle that
+    ``_score12_table`` fills; ties prefer the larger interval start."""
+    best = [0] * (blocks + 1)
+    parent = [0] * (blocks + 1)
+    for j in range(1, blocks + 1):
+        # best[i - 1] + score(i, j) for i = 1..j: column j, one contiguous run.
+        values = list(map(add, best, table[j * (j - 1) // 2 : j * (j + 1) // 2]))
         top = max(values)
         best[j] = top
         parent[j] = j - values[::-1].index(top)  # largest i reaching the max
     intervals = []
-    j = stride - 1
+    j = blocks
     while j >= 1:
         i = parent[j]
         intervals.append((i, j))
@@ -232,23 +233,27 @@ def _run_dp(table: list[int], stride: int) -> tuple[int, list[tuple[int, int]]]:
     return best[-1], intervals
 
 
-def _score12_table(base: WeakOrder, ctx: UtilityContext) -> list[int]:
-    """Every interval score times 12, as integers, at ``i * (blocks + 1) + j``.
+def _score12_table(base: WeakOrder, ctx: UtilityContext) -> array | list[int]:
+    """Every interval score times 12, as integers, cell (i, j) at
+    ``j * (j - 1) // 2 + i - 1``: the upper triangle, column by column.
 
     A member's per-tuple value depends only on the merged span's doubled
     midpoint ``s = low + high``, its width ``n`` and the member's own
     bias.  Twelve times it is ``-(n^2 - 1) - 3 (s - 2 r)^2`` under the
     quadratic user utility and ``-6 s r`` under the product one, where
     ``r`` is the response: the assigned rank, or the omitted rank past
-    top-k.  So one pass over the positions per ``s``, with a prefix sum,
-    yields every interval with that ``s`` in O(1); intervals are found
+    top-k.  So one prefix sum over the positions a span with that ``s``
+    can hold, ``max(1, s - m) .. min(m, s - 1)``, yields each interval
+    with that ``s`` in O(1): m^2 terms in all.  Intervals are found
     through position -> starting / ending block lookups.  The assigned
     rank mirrors ``posterior._assigned_rank`` in cross-multiplied
     integers, which ``interval_score`` (the exact reference) checks.
+    No cell reaches ``m^3 + 12 m (m + omitted_rank)^2`` in magnitude
+    (``r < omitted_rank``); below 2^63 the table is an ``array("q")``,
+    else a list, so no ``z`` or ``omitted_rank`` overflows it.
     """
     keys = [key for block in base.blocks for key in block]
     size = len(keys)
-    stride = len(base.blocks) + 1
     starts = [0] * (size + 1)  # position -> block starting there, else 0
     ends = [0] * (size + 1)  # position -> block ending there, else 0
     for index, (low, high) in enumerate(_position_spans(base), 1):
@@ -261,14 +266,17 @@ def _score12_table(base: WeakOrder, ctx: UtilityContext) -> list[int]:
     quadratic_source = ctx.kind_source is UtilityKind.QUADRATIC_SOURCE_BIASED
     # (2 * numerator, denominator) of each position's bias
     biases = [(2 * b.numerator, b.denominator) for b in map(ctx.bias, keys)]
-    table = [0] * (stride * stride)
+    cells = len(base.blocks) * (len(base.blocks) + 1) // 2
+    fits = size**3 + 12 * size * (size + omitted) ** 2 < 2**63
+    table = array("q", [0]) * cells if fits else [0] * cells
     prefix = [0] * (size + 1)
     for s in range(2, 2 * size + 1):
         # An indifferent product source defers to the user: rank 1 under a
         # product user, else s/2 projected onto 1..z (lower on a tie).
         indifferent = min(s // 2, z) if quadratic_user else 1
-        total = 0
-        for p, (bias2, den) in enumerate(biases, 1):
+        first = max(1, s - size)
+        prefix[first - 1] = total = 0
+        for p, (bias2, den) in enumerate(biases[first - 1 : s - 1], first):
             tn = s * den - bias2  # target s/2 - bias, over 2 * den
             if quadratic_source:
                 # Project onto 1..z: nearest rank, then nearest to s/2, then lower.
@@ -291,13 +299,14 @@ def _score12_table(base: WeakOrder, ctx: UtilityContext) -> list[int]:
             else:
                 total += 6 * s * rank
             prefix[p] = total
-        for low in range(max(1, s - size), s // 2 + 1):
+        for low in range(first, s // 2 + 1):
             i = starts[low]
             j = ends[s - low]
             if i and j:
                 width = s - 2 * low + 1
                 cubic = width * (width * width - 1) if quadratic_user else 0
-                table[i * stride + j] = -cubic - (prefix[s - low] - prefix[low - 1])
+                cell = j * (j - 1) // 2 + i - 1
+                table[cell] = -cubic - (prefix[s - low] - prefix[low - 1])
     return table
 
 
@@ -336,9 +345,7 @@ def maximize_merge_dp(
     resolved = _resolve_base(intent, ctx, base)
     if not resolved.blocks:
         raise DomainError("base ranking is empty")
-    opt12, intervals = _run_dp(
-        _score12_table(resolved, ctx), len(resolved.blocks) + 1
-    )
+    opt12, intervals = _run_dp(_score12_table(resolved, ctx), len(resolved.blocks))
     return _assemble(resolved, intervals, Fraction(opt12, 12))
 
 

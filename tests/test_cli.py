@@ -172,6 +172,28 @@ def test_maximize_command_agrees_with_its_oracle(tmp_path, capsys):
     assert report["oracle"]["opt"] == pytest.approx(float(expected.opt_value))
 
 
+def test_maximize_with_a_huge_omitted_rank_agrees_with_its_oracle(
+    tmp_path, capsys
+):
+    # Every response past top-3 takes rank 10^12, so the score table's
+    # cells exceed 64 bits and the DP must not overflow.
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "z": 8,
+                "k": 3,
+                "omitted_rank": 10**12,
+                "bias": {"entries": {"e1": 2, "e5": -3, "e7": "1/2"}, "default": 0},
+            }
+        )
+    )
+    intent = _write_order(tmp_path, "intent.json", [[f"e{i}"] for i in range(1, 9)])
+    argv = ["maximize", "--config", str(config), "--intent", str(intent), "--oracle"]
+    assert run_command(argv) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"]["agrees"] is True
+
+
 def test_oracle_rejects_a_base_over_its_limit_before_the_dp_runs(
     tmp_path, capsys, monkeypatch
 ):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import logging
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -96,10 +97,11 @@ def test_bias_gap_is_subject_minus_rival():
 
 
 def _covering(gap, z):
-    """Every separation covering ``gap``, from the run the solver bisects."""
-    return tuple(
-        influence._covering_separations(z, *Fraction(gap).as_integer_ratio(), {})
-    )
+    """Every separation covering ``gap``: from the least reaching ``gap``
+    to, excluding, the least reaching ``gap + 1``, in one solver sweep."""
+    numerator, denominator = Fraction(gap).as_integer_ratio()
+    targets = [numerator, numerator + denominator]
+    return tuple(range(*influence._least_reaching(z, targets, denominator, {})))
 
 
 def test_all_solutions_listed_ascending_and_smallest_returned():
@@ -154,6 +156,36 @@ def test_huge_universes_are_solved_without_a_table():
     assert delta_star_for_gap(Fraction(-1, 3), z) is None  # gap(1) - 1 = -1/3
     covering = _covering(40, z)
     assert covering and covering[0] == delta_star_for_gap(40, z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    z=st.integers(2, 64) | st.just(10**11),
+    denominator=st.integers(1, 100),
+    numerators=st.lists(st.integers(-300, 300), min_size=1, max_size=12),
+)
+def test_one_sweep_solves_every_gap_like_the_scan(z, denominator, numerators):
+    numerators = numerators + numerators[::2]  # duplicates, out of order
+    solved = influence._smallest_coverings(z, numerators, denominator)
+    for numerator in numerators:
+        gap = Fraction(numerator, denominator)
+        if z > 64 and gap <= Fraction(-1, 3):
+            # Below the first window (threshold(1) - 1 = -1/3 at this z),
+            # where the scan would run through all 10^11 separations.
+            assert solved[numerator] is None
+        else:
+            assert solved[numerator] == delta_star_oracle(gap, z), gap
+
+
+def test_astronomical_universes_answer_at_once():
+    z = 10**300
+    gaps = (Fraction(1, 2), Fraction(7, 3), 40)
+    started = time.perf_counter()
+    answers = [delta_star_for_gap(gap, z) for gap in gaps]
+    assert time.perf_counter() - started < 1.0
+    for gap, separation in zip(gaps, answers):
+        assert gsd_values(z, separation).gap - 1 < gap <= gsd_values(z, separation).gap
+        assert separation == 1 or gsd_values(z, separation - 1).gap < gap
 
 
 # --------------------------------------------------------------------------- #

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
 from fractions import Fraction
 from itertools import product
 
@@ -324,17 +326,76 @@ def test_dp_handles_tied_base_blocks():
     assert dp.partition.intervals == brute.partition.intervals
 
 
+def _cell(table, start, end):
+    """Cell (start, end) of the column-major upper triangle, as a score."""
+    return Fraction(table[end * (end - 1) // 2 + start - 1], 12)
+
+
 def test_integer_table_reproduces_exact_interval_scores():
     rng = random.Random(53)
     for kind_user, kind_source, _ in product(_USER_KINDS, _SOURCE_KINDS, range(60)):
         base, ctx = _random_instance(rng, kind_user, kind_source, 10)
         table = _score12_table(base, ctx)
-        stride = len(base.blocks) + 1
-        for start in range(1, stride):
-            for end in range(start, stride):
-                assert Fraction(table[start * stride + end], 12) == interval_score(
+        blocks = len(base.blocks)
+        assert len(table) == blocks * (blocks + 1) // 2
+        for start in range(1, blocks + 1):
+            for end in range(start, blocks + 1):
+                assert _cell(table, start, end) == interval_score(
                     start, end, ctx, base
                 )
+
+
+@pytest.mark.parametrize(
+    "omitted, storage", [(None, array), (10**12, list), (10**300, list)]
+)
+def test_table_storage_follows_the_cell_bound(omitted, storage):
+    # Small top-k cutoffs send most responses to the omitted rank, so
+    # with a huge omitted rank the largest cells far exceed 64 bits.
+    rng = random.Random(61)
+    largest = 0
+    for kind_user, kind_source, _ in product(_USER_KINDS, _SOURCE_KINDS, range(15)):
+        base, ctx = _random_instance(rng, kind_user, kind_source, 8)
+        ctx = UtilityContext(
+            ctx.universe_size,
+            rng.randint(1, min(2, ctx.universe_size)),
+            ctx.bias,
+            omitted,
+            kind_user=kind_user,
+            kind_source=kind_source,
+        )
+        table = _score12_table(base, ctx)
+        assert type(table) is storage
+        largest = max(largest, *map(abs, table))
+        blocks = len(base.blocks)
+        for start in range(1, blocks + 1):
+            for end in range(start, blocks + 1):
+                assert _cell(table, start, end) == interval_score(
+                    start, end, ctx, base
+                )
+    assert (largest >= 2**63) == (storage is list)
+
+
+def _one_key_table(omitted):
+    """One key pushed past top-1: its only cell is ``-12 (omitted - 1)^2``."""
+    base = WeakOrder.total(["e1"])
+    ctx = UtilityContext(2, 1, BiasFunction({"e1": -1}), omitted)
+    table = _score12_table(base, ctx)
+    assert _cell(table, 1, 1) == interval_score(1, 1, ctx, base)
+    assert table[0] == -12 * (omitted - 1) ** 2
+    return table
+
+
+def test_table_cells_on_either_side_of_64_bits():
+    # The largest omitted rank the bound (m = 1) still stores in 64 bits.
+    highest = math.isqrt((2**63 - 2) // 12) - 1
+    assert 1 + 12 * (1 + highest) ** 2 < 2**63
+    assert type(_one_key_table(highest)) is array
+    # The cell itself sits just below 2^63, then just above it, where
+    # an array cell would raise OverflowError.
+    below = 1 + math.isqrt((2**63 - 1) // 12)
+    assert 12 * (below - 1) ** 2 < 2**63 < 12 * below**2
+    _one_key_table(below)
+    assert type(_one_key_table(below + 1)) is list
 
 
 def test_partition_scores_decompose_into_interval_scores():
