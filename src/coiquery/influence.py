@@ -279,41 +279,6 @@ class RankingSetSummary(NamedTuple):
         raise InfeasibleQueryError("query admits no ranking; no base exists")
 
 
-def _position_windows(query: DeltaQuery) -> dict[Key, tuple[int, int]] | None:
-    """Earliest/latest admissible position per key, or None if infeasible.
-
-    Longest-path relaxation over the constraint graph (Bellman–Ford,
-    CLRS §24.4); a positive-gap cycle never converges and proves
-    infeasibility directly.  ``earliest`` is pushed along constraint
-    order and ``latest`` against it, so a query built from an intent
-    whose constraints all point forward (each subject ahead of its
-    rival, as :func:`build_delta_query` emits them when no pair needs a
-    complement) settles in two passes.  Any edge order reaches the same
-    fixpoint, so the positive-cycle bound is unchanged.
-    """
-    size = len(query.universe)
-    earliest = {key: 1 for key in query.universe}
-    latest = {key: size for key in query.universe}
-    for _ in range(size + 1):
-        changed = False
-        for subject, rival, gap in query.constraints:
-            if earliest[subject] + gap > earliest[rival]:
-                earliest[rival] = earliest[subject] + gap
-                changed = True
-        for subject, rival, gap in reversed(query.constraints):
-            if latest[rival] - gap < latest[subject]:
-                latest[subject] = latest[rival] - gap
-                changed = True
-        if not changed:
-            break
-    else:
-        return None  # positive cycle
-    for key in query.universe:
-        if earliest[key] > latest[key]:
-            return None
-    return {key: (earliest[key], latest[key]) for key in query.universe}
-
-
 def _key_order_token(key: Key) -> tuple[int, object, str]:
     """Sort token putting ``e<number>`` keys in index order, then labels."""
     if key.startswith("e") and key[1:].isdigit():
@@ -333,25 +298,68 @@ _SEARCH_NODE_BUDGET = 10_000
 _COUNT_CAP = 2_000
 
 
+def _settle(
+    after: list, before: list, lo: list, hi: list, rising: list, falling: list
+) -> int | None:
+    """Windows moved relaxing to the fixpoint, or None if one empties.
+
+    Longest-path relaxation (Bellman–Ford, CLRS §24.4) from work stacks:
+    ``lo`` rises along ``after`` from ``rising``, then ``hi`` falls
+    along ``before`` from ``falling``.  A key reads its bound when it
+    pops, so it is pushed only when not already waiting.  Bounds stay
+    in ``1..n``, so a positive cycle empties a window; any order reaches
+    the same fixpoint.
+    """
+    moved = 0
+    waiting = set(rising)
+    while rising:
+        key = rising.pop()
+        waiting.remove(key)
+        low = lo[key]
+        for rival, gap in after[key]:
+            if low + gap > lo[rival]:
+                if low + gap > hi[rival]:
+                    return None
+                lo[rival] = low + gap
+                moved += 1
+                if rival not in waiting:
+                    waiting.add(rival)
+                    rising.append(rival)
+    waiting = set(falling)
+    while falling:
+        key = falling.pop()
+        waiting.remove(key)
+        high = hi[key]
+        for subject, gap in before[key]:
+            if high - gap < hi[subject]:
+                if high - gap < lo[subject]:
+                    return None
+                hi[subject] = high - gap
+                moved += 1
+                if subject not in waiting:
+                    waiting.add(subject)
+                    falling.append(subject)
+    return moved
+
+
 def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key, ...]]:
     """Satisfying total orders, lexicographically by key index.
 
-    Depth-first over positions, trying keys in index order; only keys
-    whose earliest position is ``p`` may take ``p``.  Placing one fixes
-    its window to ``[p, p]``, raises the other candidates to ``p + 1``
-    and re-relaxes just the moved windows from a work queue (the
-    longest-path relaxation of :func:`_position_windows`, CLRS §24.4).
-    The branch survives if no window empties and the unplaced keys can
-    still fill ``p+1..n``, decided exactly by earliest-deadline greedy
-    matching (Glover 1967); when no other window moved, the parent's
-    matching already put the key at ``p`` and the check is skipped.
-    Both prunings cut only dead branches, so the order of solutions is
-    plain backtracking's.  ``spent[0]`` counts nodes; one past the
-    budget raises :class:`SearchBudgetError`.
+    The windows start at ``[1, n]``, relaxed from every key: ``rising``
+    pops keys in universe (intent) order and ``falling`` the last first,
+    so an all-forward query relaxes each constraint once each way.  The
+    depth-first search keeps one generator of placements per position on
+    an explicit stack, trying keys in index order; only keys whose
+    earliest position is ``p`` may take ``p``.  Placing one fixes its
+    window to ``[p, p]``, raises the other candidates to ``p + 1`` and
+    re-relaxes just the moved windows.  The branch survives if no window
+    empties and the unplaced keys can still fill ``p+1..n``, decided by
+    earliest-deadline greedy matching (Glover 1967), skipped when no
+    other window moved (the parent's matching already put the key at
+    ``p``).  Both prunings cut only dead branches, so the order of
+    solutions is plain backtracking's.  ``spent[0]`` counts nodes; one
+    past the budget raises :class:`SearchBudgetError`.
     """
-    windows = _position_windows(query)
-    if windows is None:
-        return
     keys = sorted(query.universe, key=_key_order_token)
     index = {key: i for i, key in enumerate(keys)}
     size = len(keys)
@@ -361,31 +369,6 @@ def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key,
         after[index[subject]].append((index[rival], gap))
         before[index[rival]].append((index[subject], gap))
     budget = _SEARCH_NODE_BUDGET
-    chosen: list[Key] = []
-
-    def settle(lo: list, hi: list, rising: list, falling: list) -> int | None:
-        """Windows moved relaxing from keys whose earliest rose or latest
-        fell (each bound to its own fixpoint), or None if one empties."""
-        moved = 0
-        while rising:
-            low = lo[key := rising.pop()]
-            for rival, gap in after[key]:
-                if low + gap > lo[rival]:
-                    if low + gap > hi[rival]:
-                        return None
-                    lo[rival] = low + gap
-                    rising.append(rival)
-                    moved += 1
-        while falling:
-            high = hi[key := falling.pop()]
-            for subject, gap in before[key]:
-                if high - gap < hi[subject]:
-                    if high - gap < lo[subject]:
-                        return None
-                    hi[subject] = high - gap
-                    falling.append(subject)
-                    moved += 1
-        return moved
 
     def matchable(lo: list, hi: list, rest: list, start: int) -> bool:
         """Whether ``rest`` fills ``start..size``, each position taking
@@ -404,10 +387,9 @@ def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key,
             position += 1
         return True
 
-    def extend(position: int, lo: list, hi: list, unplaced: list) -> Iterator:
-        if position > size:
-            yield tuple(chosen)
-            return
+    def placements(position: int, lo: list, hi: list, unplaced: list) -> Iterator:
+        """Each key that may take ``position``, with the windows and the
+        unplaced keys it leaves."""
         candidates = [k for k in unplaced if lo[k] == position]
         for key in candidates:
             if spent[0] >= budget:
@@ -419,21 +401,38 @@ def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key,
                 sub_lo[k] = position + 1
             falling = [key] if hi[key] > position else []
             sub_hi[key] = position
-            moved = settle(sub_lo, sub_hi, rivals[:], falling)
+            moved = _settle(after, before, sub_lo, sub_hi, rivals[:], falling)
             rest = [k for k in unplaced if k != key]
             if moved is None or (
                 (rivals or moved) and not matchable(sub_lo, sub_hi, rest, position + 1)
             ):
                 continue
-            chosen.append(keys[key])
-            yield from extend(position + 1, sub_lo, sub_hi, rest)
-            chosen.pop()
+            yield key, sub_lo, sub_hi, rest
 
-    lo = [windows[key][0] for key in keys]
-    hi = [windows[key][1] for key in keys]
+    lo, hi = [1] * size, [size] * size
+    seeds = [index[key] for key in query.universe]
+    if _settle(after, before, lo, hi, seeds[::-1], seeds) is None:
+        return
     everyone = list(range(size))
-    if matchable(lo, hi, everyone, 1):
-        yield from extend(1, lo, hi, everyone)
+    if not matchable(lo, hi, everyone, 1):
+        return
+    if not size:
+        yield ()  # the one order of an empty universe
+        return
+    stack = [placements(1, lo, hi, everyone)]
+    chosen: list[Key] = []
+    while stack:
+        placed = next(stack[-1], None)
+        if placed is None:
+            stack.pop()
+            continue
+        key, sub_lo, sub_hi, rest = placed
+        del chosen[len(stack) - 1 :]
+        chosen.append(keys[key])
+        if rest:
+            stack.append(placements(len(stack) + 1, sub_lo, sub_hi, rest))
+        else:
+            yield tuple(chosen)
 
 
 def _search(query: DeltaQuery, cap: int) -> RankingSetSummary:

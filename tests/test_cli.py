@@ -532,7 +532,6 @@ def test_one_run_builds_one_query_and_searches_it_once(
     calls = Counter()
     for module, name in [
         (influence, "_iter_satisfying"),
-        (influence, "_position_windows"),
         (coiquery.cli, "build_delta_query"),
         (coiquery.merge, "build_delta_query"),
     ]:
@@ -546,9 +545,32 @@ def test_one_run_builds_one_query_and_searches_it_once(
     argv = [*command, "--config", str(mixed_config), "--intent", str(intent)]
     assert run_command(argv) == 0
     assert capsys.readouterr().err == ""
-    assert calls == {
-        "_iter_satisfying": 1, "_position_windows": 1, "build_delta_query": 1
-    }
+    assert calls == {"_iter_satisfying": 1, "build_delta_query": 1}
+
+
+@pytest.mark.parametrize("command", ["influence", "maximize"])
+def test_a_thousand_key_intent_answers_without_recursion(tmp_path, capsys, command):
+    # Equal biases make the query pin the intent; the base search then
+    # goes 1,000 positions deep, past Python's recursion limit.
+    keys = [f"e{i}" for i in range(1000, 0, -1)]
+    config = tmp_path / "config.json"
+    bias = {"entries": dict.fromkeys(keys, 1)}
+    config.write_text(json.dumps({"z": 1000, "k": 250, "bias": bias}))
+    intent = _write_order(tmp_path, "intent.json", [[key] for key in keys])
+    report = tmp_path / "report.json"
+    argv = [command, "--config", str(config), "--intent", str(intent)]
+    if command == "influence":
+        argv += ["--output", str(report)]
+    assert run_command(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "influence":
+        answer = json.loads(report.read_text())
+        assert answer["base"] == [[key] for key in keys]
+        assert answer["ranking_set"]["kind"] == "Singleton"
+    else:
+        ranking = json.loads(out)["merge"]["ranking"]
+        assert sorted(key for block in ranking for key in block) == sorted(keys)
 
 
 def test_trust_output_flag_writes_a_file(tmp_path, mixed_config, capsys):

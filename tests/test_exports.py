@@ -91,3 +91,33 @@ def test_every_public_name_is_reached_by_a_subcommand_or_the_gate():
     reached = set().union(*map(_references, REACH))
     unreached = sorted(set(coiquery.__all__) - {"__version__"} - reached)
     assert not unreached, f"no subcommand or gate test reaches {unreached}"
+
+
+#: The one function allowed to call itself: ``count_super_ranks`` caps
+#: its depth at 300.
+RECURSIVE = {("merge.py", "_ordered_weak_orders")}
+
+
+def _self_calls(path: Path) -> set[tuple[str, str]]:
+    """(file, function) for each function of a file that calls itself."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func
+            if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+                name = callee.attr if callee.value.id in ("self", "cls") else None
+            else:
+                name = getattr(callee, "id", None)
+            if name == node.name:
+                found.add((path.name, node.name))
+    return found
+
+
+def test_no_function_in_the_package_calls_itself():
+    # Python's recursion limit would otherwise cap the inputs it answers.
+    modules = sorted((ROOT / "src" / "coiquery").glob("*.py"))
+    assert set().union(*map(_self_calls, modules)) == RECURSIVE

@@ -308,7 +308,33 @@ def test_built_queries_match_the_oracle_in_a_huge_universe():
         assert [tuple(c) for c in query.constraints] == expected, trial
 
 
-def test_position_windows_match_the_bellman_ford_oracle():
+class _Started(Exception):
+    """Stops a search once its first relaxation has set the windows."""
+
+
+@pytest.fixture()
+def start_windows(monkeypatch):
+    """The windows a query's search starts from, keyed like the oracle's."""
+    settle, first = influence._settle, []
+
+    def settle_once(after, before, lo, hi, rising, falling):
+        moved = settle(after, before, lo, hi, rising, falling)
+        first.append(None if moved is None else list(zip(lo, hi)))
+        raise _Started
+
+    monkeypatch.setattr(influence, "_settle", settle_once)
+
+    def windows(query):
+        first.clear()
+        with pytest.raises(_Started):
+            next(influence._iter_satisfying(query, [0]))
+        keys = sorted(query.universe, key=influence._key_order_token)
+        return None if first[0] is None else dict(zip(keys, first[0]))
+
+    return windows
+
+
+def test_position_windows_match_the_bellman_ford_oracle(start_windows):
     rng = random.Random(61)
     outcomes = {"feasible": 0, "infeasible": 0}
     for trial in range(1500):
@@ -320,13 +346,13 @@ def test_position_windows_match_the_bellman_ford_oracle():
         query = _query(
             [(a, b, rng.randint(-3, 3)) for a, b in picked], universe
         )
-        windows = influence._position_windows(query)
+        windows = start_windows(query)
         assert windows == position_windows_oracle(query.constraints, universe), trial
         outcomes["feasible" if windows else "infeasible"] += 1
     assert min(outcomes.values()) > 100
 
 
-def test_position_windows_of_built_queries_match_the_oracle():
+def test_position_windows_of_built_queries_match_the_oracle(start_windows):
     rng = random.Random(67)
     for trial in range(300):
         n = rng.randint(2, 9)
@@ -335,7 +361,7 @@ def test_position_windows_of_built_queries_match_the_oracle():
         intent = _random_intent(rng, keys, 0.25)
         query = build_delta_query(intent, _random_bias(rng, keys), n)
         expected = position_windows_oracle(query.constraints, query.universe)
-        assert influence._position_windows(query) == expected, trial
+        assert start_windows(query) == expected, trial
 
 
 @pytest.mark.parametrize(
@@ -348,7 +374,8 @@ def test_position_windows_of_built_queries_match_the_oracle():
 )
 def test_infeasible_windows_are_none(constraints, universe):
     query = _query(constraints, universe)
-    assert influence._position_windows(query) is None
+    summary = classify_ranking_set(query)
+    assert (summary.kind, summary.nodes) == (RankingSetKind.EMPTY, 0)
     assert position_windows_oracle(query.constraints, universe) is None
 
 
@@ -382,6 +409,16 @@ def test_a_chain_of_unit_gaps_is_singleton():
     summary = classify_ranking_set(query)
     assert summary.kind is RankingSetKind.SINGLETON
     assert base_query(query) == WeakOrder.total(["e1", "e2", "e3", "e4"])
+
+
+@pytest.mark.parametrize("size", [1200, 3000])
+def test_long_chains_are_singletons_without_recursion(size):
+    # Far past Python's recursion limit: the search keeps its own stack.
+    keys = [f"e{i}" for i in range(1, size + 1)]
+    query = _query([(a, b, 1) for a, b in zip(keys, keys[1:])], keys)
+    summary = classify_ranking_set(query)
+    assert (summary.kind, summary.nodes) == (RankingSetKind.SINGLETON, size)
+    assert base_query(query) == WeakOrder.total(keys)
 
 
 def test_a_gap_wider_than_the_universe_is_empty():
