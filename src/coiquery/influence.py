@@ -345,20 +345,27 @@ def _settle(
 def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key, ...]]:
     """Satisfying total orders, lexicographically by key index.
 
-    The windows start at ``[1, n]``, relaxed from every key: ``rising``
-    pops keys in universe (intent) order and ``falling`` the last first,
-    so an all-forward query relaxes each constraint once each way.  The
-    depth-first search keeps one generator of placements per position on
-    an explicit stack, trying keys in index order; only keys whose
-    earliest position is ``p`` may take ``p``.  Placing one fixes its
-    window to ``[p, p]``, raises the other candidates to ``p + 1`` and
-    re-relaxes just the moved windows.  The branch survives if no window
-    empties and the unplaced keys can still fill ``p+1..n``, decided by
-    earliest-deadline greedy matching (Glover 1967), skipped when no
-    other window moved (the parent's matching already put the key at
-    ``p``).  Both prunings cut only dead branches, so the order of
-    solutions is plain backtracking's.  ``spent[0]`` counts nodes; one
-    past the budget raises :class:`SearchBudgetError`.
+    The windows ``lo``/``hi`` are the whole search state.  They start at
+    ``[1, n]``, relaxed from every key: ``rising`` pops keys in universe
+    (intent) order and ``falling`` the last first, so an all-forward
+    query relaxes each constraint once each way.  The depth-first search
+    keeps one generator of placements per position on an explicit
+    stack, trying keys in index order.  In a live branch at position
+    ``p`` a placed key's window is its position and an unplaced key has
+    ``lo >= p``: those with ``lo == p`` may take ``p``, and a leaf's
+    windows spell its order.  Placing one fixes its window to ``[p, p]``,
+    raises the other candidates to ``p + 1`` and re-relaxes just the
+    moved windows.  The branch survives if no window empties and the
+    unplaced keys can still fill ``p+1..n``, decided by earliest-deadline
+    greedy matching (Glover 1967), skipped when no other window moved
+    (the parent's matching already put the key at ``p``).  Both prunings
+    cut only dead branches, so the order of solutions is plain
+    backtracking's.  A position's last candidate updates its parent's
+    windows in place, the others a copy: no one reads them again, as its
+    generator is then done, and so is each ancestor that handed them down
+    as its own last; a pinned search holds O(n) slots, not O(n²).  One
+    node past the budget (``spent[0]`` counts them) raises
+    :class:`SearchBudgetError`.
     """
     keys = sorted(query.universe, key=_key_order_token)
     index = {key: i for i, key in enumerate(keys)}
@@ -370,12 +377,13 @@ def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key,
         before[index[rival]].append((index[subject], gap))
     budget = _SEARCH_NODE_BUDGET
 
-    def matchable(lo: list, hi: list, rest: list, start: int) -> bool:
-        """Whether ``rest`` fills ``start..size``, each position taking
-        the open window that closes first."""
+    def matchable(lo: list, hi: list, start: int) -> bool:
+        """Whether the keys with ``lo >= start`` fill ``start..size``,
+        each position taking the open window that closes first."""
         deadlines: list[int] = []
         position = start
-        for low, high in sorted([(lo[k], hi[k]) for k in rest]):
+        windows = [(lo[k], hi[k]) for k in range(size) if lo[k] >= start]
+        for low, high in sorted(windows):
             while position < low:
                 if not deadlines or heappop(deadlines) < position:
                     return False
@@ -387,52 +395,41 @@ def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key,
             position += 1
         return True
 
-    def placements(position: int, lo: list, hi: list, unplaced: list) -> Iterator:
-        """Each key that may take ``position``, with the windows and the
-        unplaced keys it leaves."""
-        candidates = [k for k in unplaced if lo[k] == position]
+    def placements(position: int, lo: list, hi: list) -> Iterator:
+        """The windows each key that may take ``position`` leaves."""
+        candidates = [k for k in range(size) if lo[k] == position]
         for key in candidates:
             if spent[0] >= budget:
                 raise SearchBudgetError
             spent[0] += 1
             rivals = [k for k in candidates if k != key]
-            sub_lo, sub_hi = lo[:], hi[:]
+            sub_lo, sub_hi = (lo, hi) if key == candidates[-1] else (lo[:], hi[:])
             for k in rivals:
                 sub_lo[k] = position + 1
             falling = [key] if hi[key] > position else []
             sub_hi[key] = position
             moved = _settle(after, before, sub_lo, sub_hi, rivals[:], falling)
-            rest = [k for k in unplaced if k != key]
             if moved is None or (
-                (rivals or moved) and not matchable(sub_lo, sub_hi, rest, position + 1)
+                (rivals or moved) and not matchable(sub_lo, sub_hi, position + 1)
             ):
                 continue
-            yield key, sub_lo, sub_hi, rest
+            yield sub_lo, sub_hi
 
     lo, hi = [1] * size, [size] * size
     seeds = [index[key] for key in query.universe]
     if _settle(after, before, lo, hi, seeds[::-1], seeds) is None:
         return
-    everyone = list(range(size))
-    if not matchable(lo, hi, everyone, 1):
+    if not matchable(lo, hi, 1):
         return
-    if not size:
-        yield ()  # the one order of an empty universe
-        return
-    stack = [placements(1, lo, hi, everyone)]
-    chosen: list[Key] = []
+    stack = [iter([(lo, hi)])]  # the root, no key placed: an empty universe's leaf
     while stack:
         placed = next(stack[-1], None)
         if placed is None:
             stack.pop()
-            continue
-        key, sub_lo, sub_hi, rest = placed
-        del chosen[len(stack) - 1 :]
-        chosen.append(keys[key])
-        if rest:
-            stack.append(placements(len(stack) + 1, sub_lo, sub_hi, rest))
-        else:
-            yield tuple(chosen)
+        elif len(stack) <= size:
+            stack.append(placements(len(stack), *placed))
+        else:  # a leaf: each window is one position
+            yield tuple(keys[k] for k in sorted(range(size), key=placed[0].__getitem__))
 
 
 def _search(query: DeltaQuery, cap: int) -> RankingSetSummary:
@@ -485,18 +482,23 @@ def base_query(query: DeltaQuery) -> WeakOrder:
     return _search(query, 1).require_base()
 
 
+#: The line breaks of ``str.splitlines``, written as escapes in comments.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def order_by_case_sketch(query: DeltaQuery, base: WeakOrder) -> str:
     """Human-readable rendering of a base ranking and its constraints.
 
     Presentation only — reports embed this string, nothing parses it.
+    Each key is an SQL string literal (``'`` doubled), and each
+    constraint comment stays on one line (key line breaks escaped).
     """
     lines = ["ORDER BY CASE key"]
     for key in base.keys():
-        lines.append(f"  WHEN '{key}' THEN {base.rank_of(key)}")
+        literal = key.replace("'", "''")
+        lines.append(f"  WHEN '{literal}' THEN {base.rank_of(key)}")
     lines.append("END")
-    for constraint in query.constraints:
-        lines.append(
-            f"-- requires r({constraint.rival}) - r({constraint.subject})"
-            f" >= {constraint.min_gap}"
-        )
+    for subject, rival, gap in query.constraints:
+        line = f"-- requires r({rival}) - r({subject}) >= {gap}"
+        lines.append(line if line.isprintable() else line.translate(_LINE_BREAKS))
     return "\n".join(lines)

@@ -15,9 +15,7 @@ actually return.
 Conventions
 -----------
 Ranks are 1-based.  A region lives inside the full square of
-(subject, rival) rank pairs, diagonal included.  The closed-form
-summaries are cached; the cache is only ever read after being filled,
-so concurrent readers are safe.
+(subject, rival) rank pairs, diagonal included.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .core import DomainError, Key, Rank, WeakOrder, as_fraction
@@ -56,13 +53,12 @@ class PosteriorSummary(NamedTuple):
     support_count: int
 
 
-@lru_cache(maxsize=None)
 def region_means(
     universe_size: int, separation: int, side: RegionSide
 ) -> PosteriorSummary:
     """Mean subject and rival ranks over a separation region.
 
-    Evaluates the cubic closed forms (cached); ``tests/oracles.py`` sums
+    Evaluates the cubic closed forms; ``tests/oracles.py`` sums
     over the region pair by pair to keep them honest.
     """
     z = universe_size

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import logging
 import random
+import sqlite3
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -421,6 +423,21 @@ def test_long_chains_are_singletons_without_recursion(size):
     assert base_query(query) == WeakOrder.total(keys)
 
 
+def test_pinned_chain_search_holds_linear_memory():
+    # Each depth's last candidate takes its parent's windows, so a chain
+    # never copies them: 1,200 keys stay far below the O(n²) of copying.
+    keys = [f"e{i}" for i in range(1, 1201)]
+    query = _query([(a, b, 1) for a, b in zip(keys, keys[1:])], keys)
+    tracemalloc.start()
+    try:
+        summary = classify_ranking_set(query)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.kind is RankingSetKind.SINGLETON
+    assert peak < 5 * 2**20
+
+
 def test_a_gap_wider_than_the_universe_is_empty():
     query = _query([("e1", "e2", 4)], ["e1", "e2", "e3", "e4"])
     summary = classify_ranking_set(query)
@@ -513,6 +530,23 @@ def test_sketch_lists_base_ranks_and_constraint_comments():
         "END\n"
         "-- requires r(e1) - r(e2) >= 1"
     )
+
+
+def test_sketch_quotes_keys_and_keeps_each_comment_on_its_line():
+    query = _query([("a'b", "c\nd", 1)], ["a'b", "c\nd"])
+    sketch = order_by_case_sketch(query, base_query(query))
+    assert sketch == (
+        "ORDER BY CASE key\n"
+        "  WHEN 'a''b' THEN 1\n"
+        "  WHEN 'c\nd' THEN 2\n"
+        "END\n"
+        "-- requires r(c\\nd) - r(a'b) >= 1"
+    )
+    db = sqlite3.connect(":memory:")
+    db.execute("CREATE TABLE t (key TEXT)")
+    db.executemany("INSERT INTO t VALUES (?)", [("c\nd",), ("a'b",)])
+    assert db.execute(f"SELECT key FROM t {sketch}").fetchall() == [("a'b",), ("c\nd",)]
+    db.close()
 
 
 # --------------------------------------------------------------------------- #
