@@ -276,14 +276,14 @@ def _load_weak_order(path: str) -> WeakOrder:
 
 
 # --------------------------------------------------------------------------- #
-# Subcommand handlers (each returns a report object)
+# Subcommand handlers (each returns a report object or its text)
 # --------------------------------------------------------------------------- #
 
 
-def _cmd_trust(args: argparse.Namespace) -> dict:
+def _cmd_trust(args: argparse.Namespace) -> str:
     config = load_config(args.config)
     beta = _load_weak_order(args.beta)
-    return detect_trustworthy(beta, config.context).as_jsonable()
+    return detect_trustworthy(beta, config.context).as_json() + "\n"
 
 
 def _cmd_influence(args: argparse.Namespace) -> dict:
@@ -399,6 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trust.add_argument("--config", required=True)
     trust.add_argument("--beta", required=True, help="returned ranking JSON")
     trust.add_argument("--output")
+    trust.set_defaults(handler=_cmd_trust)
 
     influence = commands.add_parser(
         "influence", help="build a difference-constraint query"
@@ -406,6 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     influence.add_argument("--config", required=True)
     influence.add_argument("--intent", required=True, help="intent ranking JSON")
     influence.add_argument("--output")
+    influence.set_defaults(handler=_cmd_influence)
 
     maximize = commands.add_parser("maximize", help="run the merge DP")
     maximize.add_argument("--config", required=True)
@@ -414,12 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--oracle", action="store_true", help="cross-check against brute force"
     )
     maximize.add_argument("--output")
+    maximize.set_defaults(handler=_cmd_maximize)
 
     equilibrium = commands.add_parser(
         "equilibrium", help="analyze a finite game"
     )
     equilibrium.add_argument("--game", required=True, help="game JSON")
     equilibrium.add_argument("--output")
+    equilibrium.set_defaults(handler=_cmd_equilibrium)
 
     bench = commands.add_parser("bench", help="timing sweeps as CSV")
     bench.add_argument("--suite", required=True, choices=("trust", "dp"))
@@ -427,6 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--runs", type=int, default=5)
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--output")
+    bench.set_defaults(handler=_cmd_bench)
 
     return parser
 
@@ -462,19 +467,10 @@ def run_command(argv: Sequence[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        if args.command == "trust":
-            report: object = _cmd_trust(args)
-        elif args.command == "influence":
-            report = _cmd_influence(args)
-        elif args.command == "maximize":
-            report = _cmd_maximize(args)
-        elif args.command == "equilibrium":
-            report = _cmd_equilibrium(args)
-        else:  # bench emits CSV, not JSON
-            _emit(_cmd_bench(args), args.output)
-            return 0
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-        _emit(text + "\n", args.output)
+        report = args.handler(args)
+        if not isinstance(report, str):  # trust writes its JSON, bench its CSV
+            report = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        _emit(report, args.output)
         return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -159,6 +160,12 @@ class WeakOrder:
         """
         if not isinstance(data, (list, tuple)):
             raise ConfigurationError("weak order must be a list of lists of keys")
+        # Checked in bulk; a defect or a subclass falls through to the scan.
+        if {*map(type, data)} <= {list, tuple}:
+            data = tuple(map(tuple, data))
+            keys = [*chain.from_iterable(data)]
+            if {*map(type, keys)} <= {str} and all(data) and len({*keys}) == len(keys):
+                return cls(data)
         blocks: list[tuple[Key, ...]] = []
         seen: set[Key] = set()
         violation: str | None = None
@@ -253,7 +260,7 @@ class BiasFunction:
     cover every stored entry but may deliberately exclude the default,
     which only applies to keys outside the analyzed universe.  Each value
     is converted once, to an ``int`` when integral and else to a reduced
-    ``Fraction``; one pass over integer ratios finds the entries' extremes.
+    ``Fraction``; ``min``/``max`` and one pass over the Fractions find extremes.
     """
 
     entries: Mapping[Key, int | Fraction]
@@ -266,10 +273,13 @@ class BiasFunction:
             k: v if type(v) is int else _exact(v) for k, v in self.entries.items()
         }
         default = _exact(self.default)
-        # The entries' extremes, in one pass over cross-multiplied integers.
-        low = high = next(iter(entries.values()), default)
+        values = entries.values()
+        fractions = [v for v in values if type(v) is not int]
+        integers = [v for v in values if type(v) is int] if fractions else values
+        low = min(integers, default=next(iter(fractions), default))
+        high = max(integers, default=low)
         (lo_n, lo_d), (up_n, up_d) = low.as_integer_ratio(), high.as_integer_ratio()
-        for value in entries.values():
+        for value in fractions:
             n, d = value.as_integer_ratio()
             if n * lo_d < lo_n * d:
                 low, lo_n, lo_d = value, n, d
@@ -322,8 +332,10 @@ class BiasFunction:
         raw_entries = data.get("entries", {})
         if not isinstance(raw_entries, dict):
             raise ConfigurationError("bias entries must be an object")
+        if {*map(type, raw_entries)} - {str}:
+            raw_entries = {str(k): v for k, v in raw_entries.items()}
         return cls(
-            entries={str(k): v for k, v in raw_entries.items()},
+            entries=raw_entries,
             default=data.get("default", 0),
             lower=data.get("lower"),
             upper=data.get("upper"),

@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from .core import DomainError, Key, WeakOrder
@@ -137,16 +138,16 @@ class TrustReport:
             for key, (separation, low, high, den) in self._bounds.items()
         }
 
-    def as_jsonable(self) -> dict:
-        flagged = [
-            {
-                "key": key,
-                "delta": separation,
-                "interval": [low / den, high / den],  # rounds as float(Fraction)
-            }
+    def as_json(self) -> str:
+        """Compact sorted-key JSON in one pass; interval ends are ``low / den``
+        floats (``OverflowError`` beyond the float range)."""
+        flagged = ",".join(
+            f'{{"delta":{separation},"interval":[{low / den!r},{high / den!r}],'
+            f'"key":{_quote(key)}}}'
             for key, (separation, low, high, den) in self._bounds.items()
-        ]
-        return {"trustworthy": list(self.trustworthy), "flagged": flagged}
+        )
+        trustworthy = ",".join(map(_quote, self.trustworthy))
+        return f'{{"flagged":[{flagged}],"trustworthy":[{trustworthy}]}}'
 
 
 class _Window(NamedTuple):

@@ -72,6 +72,59 @@ def iter_coarsenings(keys):
         yield tuple(blocks)
 
 
+def weak_order_from_lists_oracle(data: object) -> WeakOrder:
+    """``WeakOrder.from_lists`` as one per-key scan.
+
+    Shape errors (a block or key of the wrong type) raise at once; the
+    first invariant violation (an empty block or a repeated key, in scan
+    order) raises only when the shape holds throughout.
+    """
+    if not isinstance(data, (list, tuple)):
+        raise ConfigurationError("weak order must be a list of lists of keys")
+    blocks = []
+    seen = set()
+    violation = None
+    for index, block in enumerate(data, start=1):
+        if not isinstance(block, (list, tuple)):
+            raise ConfigurationError("weak order blocks must be lists of strings")
+        block = tuple(block)
+        if not block and violation is None:
+            violation = f"block {index} is empty"
+        for key in block:
+            if not isinstance(key, str):
+                raise ConfigurationError("weak order blocks must be lists of strings")
+            if key in seen and violation is None:
+                violation = f"duplicate key {key!r}"
+            seen.add(key)
+        blocks.append(block)
+    if violation is not None:
+        raise ConfigurationError(f"invalid weak order: {violation}")
+    return WeakOrder(tuple(blocks))
+
+
+def bias_range_oracle(entries: dict, default=0, lower=None, upper=None):
+    """``BiasFunction``'s ``(lower, upper)``, or the message it raises.
+
+    A missing bound is the least (greatest) of the entries and the
+    default.  An empty range is reported first, then the first entry,
+    in insertion order, outside the range, then (with no entries) a
+    default outside it.
+    """
+    values = {key: as_fraction(value) for key, value in entries.items()}
+    default = as_fraction(default)
+    pool = [*values.values(), default]
+    low = min(pool) if lower is None else as_fraction(lower)
+    high = max(pool) if upper is None else as_fraction(upper)
+    if low > high:
+        return f"bias range is empty: [{low}, {high}]"
+    for key, value in values.items():
+        if not low <= value <= high:
+            return f"bias for {key!r} ({value}) outside range [{low}, {high}]"
+    if not values and not low <= default <= high:
+        return f"default bias {default} outside range [{low}, {high}]"
+    return low, high
+
+
 # --------------------------------------------------------------------------- #
 # Attribute bias rules by enumeration
 # --------------------------------------------------------------------------- #
@@ -188,6 +241,21 @@ def trust_witness_oracle(value, z: int, low, high) -> TrustWitness | None:
         return None
     delta, gap, floor = best
     return TrustWitness(delta, value - gap, value - floor)
+
+
+def trust_report_jsonable(report) -> dict:
+    """A trust report's dict form, interval ends as ``float`` of the reduced
+    witnesses: ``json.dumps`` of it, with sorted keys and compact
+    separators, is the text ``TrustReport.as_json`` writes."""
+    flagged = [
+        {
+            "key": key,
+            "delta": witness.separation,
+            "interval": [float(witness.interval_low), float(witness.interval_high)],
+        }
+        for key, (witness,) in report.flagged.items()
+    ]
+    return {"trustworthy": list(report.trustworthy), "flagged": flagged}
 
 
 # --------------------------------------------------------------------------- #

@@ -38,7 +38,12 @@ from coiquery import (
 from coiquery.cli import load_config, run_command
 from coiquery.equilibrium import commission_game
 from coiquery.utility import UtilityKind
-from oracles import closed_form_gap_shift, delta_query_oracle, rule_bias_oracle
+from oracles import (
+    closed_form_gap_shift,
+    delta_query_oracle,
+    rule_bias_oracle,
+    trust_report_jsonable,
+)
 
 
 def _round_trip(payload):
@@ -101,7 +106,7 @@ def test_trust_command_matches_the_library(tmp_path, mixed_config, capsys):
     expected = detect_trustworthy(
         WeakOrder.total(["a", "b", "c", "d"]), UtilityContext(4, 4, bias)
     )
-    assert report == _round_trip(expected.as_jsonable())
+    assert report == _round_trip(trust_report_jsonable(expected))
     assert report["trustworthy"] == ["c"]
 
 

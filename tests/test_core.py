@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import coiquery.core
 from coiquery import BiasFunction, ConfigurationError, WeakOrder, as_fraction
 from coiquery.cli import load_config
+from oracles import bias_range_oracle, weak_order_from_lists_oracle
 
 
 # --------------------------------------------------------------------------- #
@@ -86,6 +87,53 @@ def test_from_lists_reports_the_first_defect_shape_errors_first(data, message):
     with pytest.raises(ConfigurationError) as caught:
         WeakOrder.from_lists(data)
     assert str(caught.value) == message
+
+
+class _List(list):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_PARSED_KEYS = st.one_of(
+    st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "d"]).map(_Str)
+)
+_NOT_KEYS = st.one_of(
+    st.integers(-1, 1), st.none(), st.just({"a": 1}), st.just(["a"]), st.just(b"a")
+)
+_PARSED_BLOCKS = st.one_of(
+    st.lists(_PARSED_KEYS, max_size=3),
+    st.lists(_PARSED_KEYS, max_size=3).map(tuple),
+    st.lists(_PARSED_KEYS, max_size=3).map(_List),
+    st.lists(st.one_of(_PARSED_KEYS, _NOT_KEYS), max_size=3),
+    _PARSED_KEYS,
+    _NOT_KEYS,
+)
+_PARSED_SHAPES = st.one_of(
+    st.lists(_PARSED_BLOCKS, max_size=5),
+    st.lists(_PARSED_BLOCKS, max_size=5).map(tuple),
+    st.lists(_PARSED_BLOCKS, max_size=5).map(_List),
+    _PARSED_BLOCKS,
+)
+
+
+def _parsed(parse, data):
+    """Blocks with each key's type, or the message of the error raised."""
+    try:
+        blocks = parse(data).blocks
+    except ConfigurationError as exc:
+        return str(exc)
+    return [[(key, type(key)) for key in block] for block in blocks]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_PARSED_SHAPES)
+def test_from_lists_agrees_with_the_per_key_scan(data):
+    assert _parsed(WeakOrder.from_lists, data) == _parsed(
+        weak_order_from_lists_oracle, data
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -267,6 +315,41 @@ def test_a_given_range_reports_the_first_entry_outside_it(values, lower, upper):
         value = as_fraction(entries[key])
         message = f"bias for {key!r} ({value}) outside range [{low}, {high}]"
         assert str(caught.value) == message
+
+
+_MIXED = st.sampled_from([-2, 0, 3, Fraction(-5, 2), Fraction(1, 3), Fraction(4, 2)])
+
+
+@st.composite
+def _mixed_entries(draw):
+    """Entries of only ints, only Fractions, or both, often tied, maybe none."""
+    ints, fractions = st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6)
+    only_fractions = fractions.filter(lambda value: value.denominator > 1)
+    pool = draw(
+        st.sampled_from([ints, only_fractions, st.one_of(ints, fractions), _MIXED])
+    )
+    values = draw(st.lists(pool, max_size=8))
+    return {f"e{index}": value for index, value in enumerate(values)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _mixed_entries(),
+    _MIXED,
+    st.one_of(st.none(), _MIXED),
+    st.one_of(st.none(), _MIXED),
+)
+def test_bias_extremes_over_ints_and_fractions_match_the_reference(
+    entries, default, lower, upper
+):
+    expected = bias_range_oracle(entries, default, lower, upper)
+    try:
+        bias = BiasFunction(entries, default=default, lower=lower, upper=upper)
+    except ConfigurationError as exc:
+        assert str(exc) == expected
+        return
+    assert (bias.lower, bias.upper) == expected
+    assert all(map(_stored_form, (bias.lower, bias.upper)))
 
 
 def test_as_fraction_accepts_the_usual_spellings():

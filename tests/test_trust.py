@@ -31,6 +31,7 @@ from oracles import (
     _feasible_windows,
     closed_form_gap_shift,
     trust_baseline_flags,
+    trust_report_jsonable,
     trust_witness_oracle,
 )
 
@@ -440,7 +441,7 @@ def test_filter_agrees_with_witness_search_smoke():
 def test_report_serialization_shape():
     beta = WeakOrder.total(["e", "f"])
     ctx = _detect_ctx(10, {"e": 3, "f": 0}, 0, 3)
-    payload = detect_trustworthy(beta, ctx).as_jsonable()
+    payload = json.loads(detect_trustworthy(beta, ctx).as_json())
     assert payload["trustworthy"] == ["f"]
     (entry,) = payload["flagged"]
     assert entry["key"] == "e"
@@ -448,6 +449,48 @@ def test_report_serialization_shape():
     low, high = entry["interval"]
     assert low == pytest.approx(31 / 51)
     assert high == pytest.approx(82 / 51)
+
+
+# Keys that JSON must escape, or writes as escapes under ``ensure_ascii``.
+_AWKWARD_KEYS = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\u2028é€\ud800\U0001f600'),
+        st.characters(),
+    ),
+    max_size=6,
+)
+_ENDS = st.one_of(
+    st.integers(-(10**6), 10**6), st.just(0), st.integers(-(10**45), 10**45)
+)
+
+
+@st.composite
+def _written_reports(draw):
+    """A report of drawn keys and integer witnesses, some beyond the floats."""
+    keys = draw(st.lists(_AWKWARD_KEYS, unique=True, max_size=6))
+    split = draw(st.integers(0, len(keys)))
+    bounds = {}
+    for key in keys[split:]:
+        den = draw(st.integers(1, 10**40))
+        low, high = sorted((draw(_ENDS), draw(_ENDS)))
+        if draw(st.integers(0, 19)) == 0:  # past the largest float
+            high = den * 10**309
+        bounds[key] = (draw(st.integers(1, 10**6)), low, high, den)
+    return coiquery.trust.TrustReport(tuple(keys[:split]), bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_written_reports())
+def test_report_text_is_json_dumps_of_the_reference_form(report):
+    try:
+        reference = trust_report_jsonable(report)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as caught:
+            report.as_json()
+        assert str(caught.value) == str(exc)
+        return
+    expected = json.dumps(reference, sort_keys=True, separators=(",", ":"))
+    assert report.as_json() == expected
 
 
 # Bias spellings a config may hold: integers, decimal strings, and
@@ -493,7 +536,7 @@ def test_report_floats_are_those_of_the_reduced_witnesses(screen):
     ]
     written = [
         [entry["key"], entry["delta"], *(end.hex() for end in entry["interval"])]
-        for entry in report.as_jsonable()["flagged"]
+        for entry in json.loads(report.as_json())["flagged"]
     ]
     assert written == expected
     for key in keys:
