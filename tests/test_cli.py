@@ -407,6 +407,71 @@ def test_trust_command_on_bias_rules_is_pinned_byte_for_byte(tmp_path, capsys):
     assert capsys.readouterr().out == _GOLDEN_RULES_TRUST_STDOUT
 
 
+#: The two-intent sales game of ``equilibrium.commission_game(1, 2)``.
+_COMMISSION_GAME = {
+    "intents": ["tau", "tau_prime"],
+    "queries": ["q", "q_prime"],
+    "interpretations": ["beta", "beta_prime"],
+    "payoff_user": [[0, 2], [2, 0]],
+    "payoff_source": [[-1, 0], [1, -2]],
+    "prior": [0.5, 0.5],
+    "set_equivalent": True,
+}
+
+#: ``coiquery equilibrium`` stdout for ``_COMMISSION_GAME``: the witness
+#: and all four pure equilibria, two of them influential.
+_GOLDEN_EQUILIBRIUM_STDOUT = (
+    '{"equilibria":['
+    '{"classification":"NonInfluential","source":{"q":"beta","q_prime":"beta"},'
+    '"user":{"tau":"q","tau_prime":"q"}},'
+    '{"classification":"Influential","source":{"q":"beta_prime","q_prime":"beta"},'
+    '"user":{"tau":"q","tau_prime":"q_prime"}},'
+    '{"classification":"Influential","source":{"q":"beta","q_prime":"beta_prime"},'
+    '"user":{"tau":"q_prime","tau_prime":"q"}},'
+    '{"classification":"NonInfluential","source":{"q":"beta","q_prime":"beta"},'
+    '"user":{"tau":"q_prime","tau_prime":"q_prime"}}'
+    '],"influential_count":2,"set_equivalent":true,'
+    '"witness":["tau","tau_prime","beta_prime","beta"]}\n'
+)
+
+
+def test_equilibrium_command_output_is_pinned_byte_for_byte(tmp_path, capsys):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(_COMMISSION_GAME))
+    assert run_command(["equilibrium", "--game", str(game)]) == 0
+    assert capsys.readouterr() == (_GOLDEN_EQUILIBRIUM_STDOUT, "")
+
+
+#: The sales example under product utilities: bias 19/10 everywhere,
+#: top-3 with omitted rank 5.  Merging the top two positions is optimal
+#: at -38, and the brute-force oracle agrees.
+_SALES_CONFIG = {
+    "z": 4,
+    "k": 3,
+    "omitted_rank": 5,
+    "kind_user": "product_user",
+    "kind_source": "product_source_biased",
+    "bias": {"default": "19/10"},
+}
+
+#: ``coiquery maximize --oracle`` stdout for ``_SALES_CONFIG`` and the
+#: intent e3 > e2 > e1 > e4.
+_GOLDEN_MAXIMIZE_STDOUT = (
+    '{"merge":{"opt":-38.0,"partition":[[1,2],[3,3],[4,4]],'
+    '"ranking":[["e3","e2"],["e1"],["e4"]]},'
+    '"oracle":{"agrees":true,"opt":-38.0}}\n'
+)
+
+
+def test_maximize_oracle_output_is_pinned_byte_for_byte(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_SALES_CONFIG))
+    intent = _write_order(tmp_path, "intent.json", [["e3"], ["e2"], ["e1"], ["e4"]])
+    argv = ["maximize", "--config", str(config), "--intent", str(intent), "--oracle"]
+    assert run_command(argv) == 0
+    assert capsys.readouterr() == (_GOLDEN_MAXIMIZE_STDOUT, "")
+
+
 #: ``coiquery influence`` runs pinned byte for byte: (config, intent, exit
 #: code, stdout, stderr).  "exact" enumerates a 5-key query with a
 #: complemented constraint; "probe" stops a 13-key search at its second
