@@ -11,6 +11,9 @@ equilibrium  analyze a finite game: witness search plus every
              pure equilibrium, found among the source's best replies
 bench        timing sweeps (trust filter or merge DP) as CSV
 
+This module is the package's JSON boundary: it reads every document and
+writes every report but trust's, whose text ``TrustReport.as_json`` writes.
+
 Reports go to standard output (or the ``--output`` file) as one line of
 compact JSON with sorted keys and a trailing newline (CSV for bench);
 ``python3 -m json.tool`` indents one for reading.  Diagnostics go to
@@ -37,8 +40,9 @@ noted::
       "scale": 1
     }
 
-When ``attributes`` are given, ``z`` is the product of their value
-counts; no element is built for it.  ``bias_rules`` then give each
+When ``attributes`` are given, each ``name`` a string and its
+``values`` a list, ``z`` is the product of their value counts; no
+element is built for it.  ``bias_rules`` then give each
 element of that product, keyed ``e1 .. em`` in ``itertools.product``
 order, the first matching rule's ``bias`` times ``scale`` (0 when none
 matches), for products of at most ``10**6`` elements.  An explicit
@@ -71,7 +75,12 @@ from .core import (
     _exact,
     as_fraction,
 )
-from .equilibrium import FiniteGame, enumerate_pure_equilibria, influential_witness
+from .equilibrium import (
+    EquilibriumClass,
+    FiniteGame,
+    enumerate_pure_equilibria,
+    influential_witness,
+)
 from .influence import (
     base_query,
     build_delta_query,
@@ -148,9 +157,14 @@ def _read_attributes(raw: object) -> list[tuple[str, tuple]]:
     attributes = []
     for entry in raw:
         try:
-            name, values = str(entry["name"]), tuple(entry["values"])
+            name, values = entry["name"], entry["values"]
+            if not (isinstance(name, str) and isinstance(values, list)):
+                raise ConfigurationError(
+                    "malformed attribute entry: name must be a string, values a list"
+                )
             if not name:
                 raise ConfigurationError("attribute name must be nonempty")
+            values = tuple(values)
             if not values:
                 raise ConfigurationError(f"attribute {name!r} has an empty domain")
             if len(set(values)) != len(values):
@@ -211,6 +225,49 @@ def _rule_bias(
     return BiasFunction(entries, lower=min(assigned), upper=max(assigned))
 
 
+def _read_bias(raw: object) -> BiasFunction:
+    """The ``bias`` object: ``entries`` by key, ``default``, and the range."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError("bias must be an object")
+    entries = raw.get("entries", {})
+    if not isinstance(entries, dict):
+        raise ConfigurationError("bias entries must be an object")
+    default = raw.get("default", 0)
+    return BiasFunction(entries, default, raw.get("lower"), raw.get("upper"))
+
+
+def _read_game(data: dict) -> FiniteGame:
+    """A game document, with every value checked before the game is built.
+
+    Labels must be lists of strings, payoffs lists of rows and the prior
+    a list, with numbers or decimal strings as entries (never booleans),
+    and ``set_equivalent`` a JSON boolean.
+    """
+    try:
+        labels = [data["intents"], data["queries"], data["interpretations"]]
+        matrices = [data["payoff_user"], data["payoff_source"]]
+        prior = data["prior"]
+    except (KeyError, TypeError) as exc:
+        raise ConfigurationError(f"malformed game document: {exc}") from exc
+    if not all(
+        isinstance(values, list) and all(isinstance(x, str) for x in values)
+        for values in labels
+    ):
+        raise ConfigurationError("game labels must be lists of strings")
+    if not isinstance(prior, list) or not all(
+        isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+        for rows in matrices
+    ):
+        raise ConfigurationError("payoffs must be lists of rows, the prior a list")
+    entries = itertools.chain(prior, *matrices[0], *matrices[1])
+    if any(isinstance(x, bool) for x in entries):
+        raise ConfigurationError("payoff and prior entries must be numbers")
+    set_equivalent = data.get("set_equivalent", False)
+    if not isinstance(set_equivalent, bool):
+        raise ConfigurationError("set_equivalent must be true or false")
+    return FiniteGame.build(*labels, *matrices, prior, set_equivalent)
+
+
 def load_config(path: str) -> AnalysisConfig:
     """Parse and validate a configuration file (shape in module docs)."""
     data = _read_json(path)
@@ -235,7 +292,7 @@ def load_config(path: str) -> AnalysisConfig:
         raise ConfigurationError("config needs either z or attributes")
 
     if "bias" in data:
-        bias = BiasFunction.from_jsonable(data["bias"])
+        bias = _read_bias(data["bias"])
     elif "bias_rules" in data:
         if attributes is None:
             raise ConfigurationError("bias_rules require attributes")
@@ -271,10 +328,6 @@ def load_config(path: str) -> AnalysisConfig:
     return AnalysisConfig(context, enumeration_limit, merge_brute_limit)
 
 
-def _load_weak_order(path: str) -> WeakOrder:
-    return WeakOrder.from_lists(_read_json(path))
-
-
 # --------------------------------------------------------------------------- #
 # Subcommand handlers (each returns a report object or its text)
 # --------------------------------------------------------------------------- #
@@ -282,19 +335,24 @@ def _load_weak_order(path: str) -> WeakOrder:
 
 def _cmd_trust(args: argparse.Namespace) -> str:
     config = load_config(args.config)
-    beta = _load_weak_order(args.beta)
+    beta = WeakOrder.from_lists(_read_json(args.beta))
     return detect_trustworthy(beta, config.context).as_json() + "\n"
 
 
 def _cmd_influence(args: argparse.Namespace) -> dict:
     config = load_config(args.config)
-    intent = _load_weak_order(args.intent)
+    intent = WeakOrder.from_lists(_read_json(args.intent))
     ctx = config.context
     query = build_delta_query(intent, ctx.bias, ctx.universe_size)
     summary = classify_ranking_set(query, config.enumeration_limit)
     base = summary.require_base()
     return {
-        "query": query.as_jsonable(),
+        "query": {
+            "constraints": [
+                {"e": c.subject, "eprime": c.rival, "delta": c.min_gap}
+                for c in query.constraints
+            ]
+        },
         "base": base.as_lists(),
         "ranking_set": {
             "kind": summary.kind.value,
@@ -309,14 +367,20 @@ def _cmd_influence(args: argparse.Namespace) -> dict:
 
 def _cmd_maximize(args: argparse.Namespace) -> dict:
     config = load_config(args.config)
-    intent = _load_weak_order(args.intent)
+    intent = WeakOrder.from_lists(_read_json(args.intent))
     ctx = config.context
     base = base_query(build_delta_query(intent, ctx.bias, ctx.universe_size))
     # The oracle goes first: it rejects a base over its limit before the DP runs.
     if args.oracle:
         brute = brute_force_merge_opt(intent, ctx, config.merge_brute_limit, base=base)
     result = maximize_merge_dp(intent, ctx, base=base)
-    report: dict = {"merge": result.as_jsonable()}
+    report: dict = {
+        "merge": {
+            "partition": [list(interval) for interval in result.partition.intervals],
+            "ranking": result.ranking.as_lists(),
+            "opt": float(result.opt_value),
+        }
+    }
     if args.oracle:
         report["oracle"] = {
             "opt": float(brute.opt_value),
@@ -329,7 +393,7 @@ def _cmd_equilibrium(args: argparse.Namespace) -> dict:
     raw = _read_json(args.game)
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{args.game}: game must be a JSON object")
-    game = FiniteGame.from_jsonable(raw)
+    game = _read_game(raw)
     report: dict = {"set_equivalent": game.set_equivalent}
     if game.set_equivalent:
         witness = influential_witness(game)
@@ -344,9 +408,7 @@ def _cmd_equilibrium(args: argparse.Namespace) -> dict:
         for entry in equilibria
     ]
     report["influential_count"] = sum(
-        1
-        for entry in equilibria
-        if entry.classification.value != "NonInfluential"
+        entry.classification is EquilibriumClass.INFLUENTIAL for entry in equilibria
     )
     return report
 

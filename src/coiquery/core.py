@@ -317,30 +317,6 @@ class BiasFunction:
             return frozenset(self.entries.values())
         return frozenset((self.default,))
 
-    def as_jsonable(self) -> dict[str, object]:
-        return {
-            "entries": {k: float(v) for k, v in sorted(self.entries.items())},
-            "default": float(self.default),
-            "lower": float(self.lower),
-            "upper": float(self.upper),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: object) -> "BiasFunction":
-        if not isinstance(data, dict):
-            raise ConfigurationError("bias must be an object")
-        raw_entries = data.get("entries", {})
-        if not isinstance(raw_entries, dict):
-            raise ConfigurationError("bias entries must be an object")
-        if {*map(type, raw_entries)} - {str}:
-            raw_entries = {str(k): v for k, v in raw_entries.items()}
-        return cls(
-            entries=raw_entries,
-            default=data.get("default", 0),
-            lower=data.get("lower"),
-            upper=data.get("upper"),
-        )
-
     def __repr__(self) -> str:
         return (
             f"BiasFunction({len(self.entries)} entries, "

@@ -126,55 +126,6 @@ class FiniteGame:
             set_equivalent,
         )
 
-    def as_jsonable(self) -> dict:
-        return {
-            "intents": list(self.intents),
-            "queries": list(self.queries),
-            "interpretations": list(self.interpretations),
-            "payoff_user": [
-                [float(self.payoff_user[(t, b)]) for b in self.interpretations]
-                for t in self.intents
-            ],
-            "payoff_source": [
-                [float(self.payoff_source[(t, b)]) for b in self.interpretations]
-                for t in self.intents
-            ],
-            "prior": [float(self.prior[t]) for t in self.intents],
-            "set_equivalent": self.set_equivalent,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> FiniteGame:
-        """Parse a game document, rejecting what :meth:`as_jsonable` never writes.
-
-        Labels must be lists of strings, payoffs lists of rows and the
-        prior a list, with numbers or decimal strings as entries (never
-        booleans), and ``set_equivalent`` a JSON boolean.
-        """
-        try:
-            labels = [data["intents"], data["queries"], data["interpretations"]]
-            matrices = [data["payoff_user"], data["payoff_source"]]
-            prior = data["prior"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"malformed game document: {exc}") from exc
-        if not all(
-            isinstance(values, list) and all(isinstance(x, str) for x in values)
-            for values in labels
-        ):
-            raise ConfigurationError("game labels must be lists of strings")
-        if not isinstance(prior, list) or not all(
-            isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-            for rows in matrices
-        ):
-            raise ConfigurationError("payoffs must be lists of rows, the prior a list")
-        entries = itertools.chain(prior, *matrices[0], *matrices[1])
-        if any(isinstance(x, bool) for x in entries):
-            raise ConfigurationError("payoff and prior entries must be numbers")
-        set_equivalent = data.get("set_equivalent", False)
-        if not isinstance(set_equivalent, bool):
-            raise ConfigurationError("set_equivalent must be true or false")
-        return cls.build(*labels, *matrices, prior, set_equivalent)
-
 
 def commission_game(commission, loss) -> FiniteGame:
     """Two-intent sales interaction with a per-sale commission.

@@ -171,9 +171,6 @@ class RelativeRankConstraint(NamedTuple):
             order.rank_of(self.rival) - order.rank_of(self.subject) >= self.min_gap
         )
 
-    def as_jsonable(self) -> dict:
-        return {"e": self.subject, "eprime": self.rival, "delta": self.min_gap}
-
 
 @dataclass(frozen=True, eq=False)
 class DeltaQuery:
@@ -184,9 +181,6 @@ class DeltaQuery:
 
     def satisfied_by(self, order: WeakOrder) -> bool:
         return all(c.satisfied_by(order) for c in self.constraints)
-
-    def as_jsonable(self) -> dict:
-        return {"constraints": [c.as_jsonable() for c in self.constraints]}
 
 
 def build_delta_query(

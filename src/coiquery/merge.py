@@ -30,7 +30,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -75,9 +74,6 @@ class IntervalPartition:
     def size(self) -> int:
         return self.intervals[-1][1]
 
-    def as_jsonable(self) -> list[list[int]]:
-        return [[start, end] for start, end in self.intervals]
-
 
 @dataclass(frozen=True, eq=False)
 class MergeResult:
@@ -86,13 +82,6 @@ class MergeResult:
     ranking: WeakOrder
     partition: IntervalPartition
     opt_value: Fraction
-
-    def as_jsonable(self) -> dict:
-        return {
-            "partition": self.partition.as_jsonable(),
-            "ranking": self.ranking.as_lists(),
-            "opt": float(self.opt_value),
-        }
 
 
 # --------------------------------------------------------------------------- #
@@ -163,15 +152,13 @@ def count_super_ranks(position_count: int, appended_count: int) -> int:
     return 2 ** (position_count - 1) * _ordered_weak_orders(appended_count)
 
 
-@lru_cache(maxsize=None)
 def _ordered_weak_orders(size: int) -> int:
-    """Weak orders on a labeled set (1, 1, 3, 13, 75, 541, ...)."""
-    if size == 0:
-        return 1
-    return sum(
-        math.comb(size, block) * _ordered_weak_orders(size - block)
-        for block in range(1, size + 1)
-    )
+    """Weak orders on a labeled set (1, 1, 3, 13, 75, 541, ...): a first
+    block of b elements, then a weak order on the other n - b."""
+    counts = [1]
+    for n in range(1, size + 1):
+        counts.append(sum(math.comb(n, b) * counts[n - b] for b in range(1, n + 1)))
+    return counts[size]
 
 
 # --------------------------------------------------------------------------- #

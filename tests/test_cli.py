@@ -24,7 +24,6 @@ import coiquery.merge
 from coiquery import (
     BiasFunction,
     ConfigurationError,
-    FiniteGame,
     UtilityContext,
     WeakOrder,
     as_fraction,
@@ -123,7 +122,12 @@ def test_influence_command_matches_the_library(tmp_path, mixed_config, capsys):
     query = build_delta_query(WeakOrder.total(["a", "b", "c", "d"]), bias, 4)
     base = base_query(query)
     summary = classify_ranking_set(query, 12)
-    assert report["query"] == _round_trip(query.as_jsonable())
+    assert report["query"] == {
+        "constraints": [
+            {"e": c.subject, "eprime": c.rival, "delta": c.min_gap}
+            for c in query.constraints
+        ]
+    }
     assert report["base"] == _round_trip(base.as_lists())
     assert report["ranking_set"] == {
         "kind": summary.kind.value,
@@ -133,6 +137,19 @@ def test_influence_command_matches_the_library(tmp_path, mixed_config, capsys):
         "nodes": summary.nodes,
     }
     assert report["sketch"] == order_by_case_sketch(query, base)
+
+
+def test_query_serialization_shape(tmp_path, mixed_config, capsys):
+    # One forward constraint and one complement, each as an e/eprime/delta object.
+    intent = _write_order(tmp_path, "intent.json", [["a"], ["b"], ["c"], ["d"]])
+    argv = ["influence", "--config", str(mixed_config), "--intent", str(intent)]
+    assert run_command(argv) == 0
+    assert json.loads(capsys.readouterr().out)["query"] == {
+        "constraints": [
+            {"e": "a", "eprime": "d", "delta": 2},
+            {"e": "c", "eprime": "b", "delta": -1},
+        ]
+    }
 
 
 def test_maximize_command_agrees_with_its_oracle(tmp_path, capsys):
@@ -173,7 +190,11 @@ def test_maximize_command_agrees_with_its_oracle(tmp_path, capsys):
     expected = maximize_merge_dp(
         WeakOrder.total([f"e{i}" for i in range(1, 7)]), UtilityContext(6, 3, bias)
     )
-    assert report["merge"] == _round_trip(expected.as_jsonable())
+    assert report["merge"] == {
+        "partition": [list(interval) for interval in expected.partition.intervals],
+        "ranking": _round_trip(expected.ranking.as_lists()),
+        "opt": float(expected.opt_value),
+    }
     assert report["oracle"]["opt"] == pytest.approx(float(expected.opt_value))
 
 
@@ -220,7 +241,7 @@ def test_oracle_rejects_a_base_over_its_limit_before_the_dp_runs(
 
 def test_equilibrium_command_reports_witness_and_counts(tmp_path, capsys):
     game = tmp_path / "game.json"
-    game.write_text(json.dumps(commission_game(1, 2).as_jsonable()))
+    game.write_text(json.dumps(_COMMISSION_GAME))
     code = run_command(["equilibrium", "--game", str(game)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -279,7 +300,7 @@ def test_every_report_is_one_line_of_canonical_json(
 ):
     order = _write_order(tmp_path, "order.json", [["a"], ["b"], ["c"], ["d"]])
     game = tmp_path / "game.json"
-    game.write_text(json.dumps(commission_game(1, 2).as_jsonable()))
+    game.write_text(json.dumps(_COMMISSION_GAME))
     argv = {
         "trust": ["--config", mixed_config, "--beta", order],
         "influence": ["--config", mixed_config, "--intent", order],
@@ -470,6 +491,28 @@ def test_maximize_oracle_output_is_pinned_byte_for_byte(tmp_path, capsys):
     argv = ["maximize", "--config", str(config), "--intent", str(intent), "--oracle"]
     assert run_command(argv) == 0
     assert capsys.readouterr() == (_GOLDEN_MAXIMIZE_STDOUT, "")
+
+
+def test_sales_result_serialization(tmp_path, capsys):
+    # Without --oracle the report holds the merge alone: its partition as
+    # [start, end] pairs of base blocks, the merged ranking, the optimum.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_SALES_CONFIG))
+    intent = _write_order(tmp_path, "intent.json", [["e3"], ["e2"], ["e1"], ["e4"]])
+    argv = ["maximize", "--config", str(config), "--intent", str(intent)]
+    assert run_command(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "merge": {
+            "partition": [[1, 2], [3, 3], [4, 4]],
+            "ranking": [["e3", "e2"], ["e1"], ["e4"]],
+            "opt": -38.0,
+        }
+    }
+
+
+def test_the_commission_game_document_reads_as_the_library_game():
+    game, expected = coiquery.cli._read_game(_COMMISSION_GAME), commission_game(1, 2)
+    assert vars(game) == vars(expected)
 
 
 #: ``coiquery influence`` runs pinned byte for byte: (config, intent, exit
@@ -825,7 +868,7 @@ def test_oversized_json_integers_exit_two(tmp_path, capsys, command):
         path.write_text(f'{{"z": {huge}}}')
         argv = ["trust", "--config", str(path), "--beta", str(beta)]
     else:
-        document = commission_game(1, 2).as_jsonable()
+        document = copy.deepcopy(_COMMISSION_GAME)
         document["payoff_user"][0][0] = "HUGE"
         path = tmp_path / "game.json"
         path.write_text(json.dumps(document).replace('"HUGE"', huge))
@@ -1174,7 +1217,7 @@ def test_integral_bias_spellings_are_stored_and_answered_alike(
     ],
 )
 def test_malformed_game_values_exit_two(tmp_path, capsys, change):
-    document = dict(commission_game(1, 2).as_jsonable(), **change)
+    document = dict(_COMMISSION_GAME, **change)
     path = tmp_path / "game.json"
     path.write_text(json.dumps(document))
     code = run_command(["equilibrium", "--game", str(path)])
@@ -1195,7 +1238,7 @@ def test_malformed_game_values_exit_two(tmp_path, capsys, change):
 )
 def test_a_prior_off_one_exits_two_with_its_exact_sum(tmp_path, capsys, prior, total):
     path = tmp_path / "game.json"
-    path.write_text(json.dumps(dict(commission_game(1, 2).as_jsonable(), prior=prior)))
+    path.write_text(json.dumps(dict(_COMMISSION_GAME, prior=prior)))
     assert run_command(["equilibrium", "--game", str(path)]) == 2
     assert capsys.readouterr() == (
         "",
@@ -1229,9 +1272,9 @@ def _paths(value, prefix=()):
 @st.composite
 def _game_documents(draw):
     """A commission game's document with up to three values replaced or deleted."""
-    document = commission_game(
-        draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-    ).as_jsonable()
+    commission, loss = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    document = copy.deepcopy(_COMMISSION_GAME)
+    document["payoff_source"] = [[commission - loss, 0], [commission, -loss]]
     for _ in range(draw(st.integers(1, 3))):
         *parents, last = draw(st.sampled_from(list(_paths(document))))
         container = functools.reduce(operator.getitem, parents, document)
@@ -1246,7 +1289,7 @@ def _game_documents(draw):
 @given(_game_documents())
 def test_any_game_document_exits_zero_one_or_two(document):
     try:
-        FiniteGame.from_jsonable(_round_trip(document))
+        coiquery.cli._read_game(_round_trip(document))
     except ConfigurationError:
         pass
     with tempfile.TemporaryDirectory() as workdir:
@@ -1275,19 +1318,18 @@ def test_exhausted_base_search_exits_one_naming_the_budget(
 
 
 def test_analysis_errors_exit_one(tmp_path, capsys):
-    intents = [f"t{i}" for i in range(7)]
-    queries = [f"q{i}" for i in range(10)]
-    game = FiniteGame.build(
-        intents,
-        queries,
-        ["b1", "b2"],
-        [[0, 0] for _ in intents],
-        [[0, 0] for _ in intents],
-        [Fraction(1, 7)] * 7,
-        set_equivalent=False,
-    )
+    # 2^7 user strategies times 2^10 source strategies exceed the profile cap.
+    game = {
+        "intents": [f"t{i}" for i in range(7)],
+        "queries": [f"q{i}" for i in range(10)],
+        "interpretations": ["b1", "b2"],
+        "payoff_user": [[0, 0]] * 7,
+        "payoff_source": [[0, 0]] * 7,
+        "prior": ["1/7"] * 7,
+        "set_equivalent": False,
+    }
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(game.as_jsonable()))
+    path.write_text(json.dumps(game))
     assert run_command(["equilibrium", "--game", str(path)]) == 1
     capsys.readouterr()
 
@@ -1398,7 +1440,7 @@ _BRAND = [{"name": "brand", "values": ["JBL", "Sony"]}]
         ),
         (
             {"attributes": [{"name": "brand", "values": 3}]},
-            "malformed attribute entry: 'int' object is not iterable",
+            "malformed attribute entry: name must be a string, values a list",
         ),
         (
             {"attributes": [{"name": "", "values": []}]},
@@ -1466,6 +1508,22 @@ _BRAND = [{"name": "brand", "values": ["JBL", "Sony"]}]
             "bias_rules apply to at most 1000000 attribute-product elements; "
             "give z and an explicit bias instead",
         ),
+        # A string domain is not its characters ("JBL" would give z=3, e1 biased 2).
+        (
+            {
+                "attributes": [{"name": "brand", "values": "JBL"}],
+                "bias_rules": [{"when": {"brand": "J"}, "bias": 2}],
+            },
+            "malformed attribute entry: name must be a string, values a list",
+        ),
+        (
+            {"attributes": [{"name": "brand", "values": {"JBL": 1, "Sony": 2}}]},
+            "malformed attribute entry: name must be a string, values a list",
+        ),
+        (
+            {"attributes": [{"name": None, "values": ["a", "b"]}]},
+            "malformed attribute entry: name must be a string, values a list",
+        ),
     ],
 )
 def test_malformed_attribute_configs_report_the_first_defect(
@@ -1478,19 +1536,11 @@ def test_malformed_attribute_configs_report_the_first_defect(
     assert str(caught.value) == message
 
 
-def test_attribute_names_and_values_are_read_as_str_and_tuple(tmp_path):
-    # A null name reads as "None" and a string of values as its characters;
-    # an explicit bias wins and leaves malformed rules unread.
+def test_an_explicit_bias_leaves_bias_rules_unread(tmp_path):
     path = tmp_path / "config.json"
-    attributes = [{"name": None, "values": "ab"}]
-    rules = [{"when": {"None": "b"}, "bias": 3}]
-    path.write_text(json.dumps({"attributes": attributes, "bias_rules": rules}))
-    ctx = load_config(str(path)).context
-    assert ctx.universe_size == 2
-    assert ctx.bias.entries == {"e1": 0, "e2": 3}
     explicit = {"entries": {"e1": 1}}
     path.write_text(
-        json.dumps({"attributes": attributes, "bias_rules": "x", "bias": explicit})
+        json.dumps({"attributes": _BRAND, "bias_rules": "x", "bias": explicit})
     )
     assert load_config(str(path)).context.bias.entries == {"e1": 1}
 

@@ -20,6 +20,7 @@ from coiquery import (
     enumerate_pure_equilibria,
     influential_witness,
 )
+from coiquery.cli import _read_game
 
 
 # --------------------------------------------------------------------------- #
@@ -51,18 +52,6 @@ def test_build_validates_prior_and_shapes():
         )
     with pytest.raises(ConfigurationError):
         FiniteGame.build(["t"], ["q"], ["b"], [[1, 2]], [[1]], [1])
-
-
-def test_game_json_round_trip():
-    game = commission_game(1, 2)
-    again = FiniteGame.from_jsonable(game.as_jsonable())
-    assert again.intents == game.intents
-    assert again.queries == game.queries
-    assert again.interpretations == game.interpretations
-    assert again.prior == game.prior
-    assert again.set_equivalent == game.set_equivalent
-    assert again.payoff_user == game.payoff_user
-    assert again.payoff_source == game.payoff_source
 
 
 # --------------------------------------------------------------------------- #
@@ -325,7 +314,7 @@ _COMMON_DENOMINATOR_GAMES = {
 
 @pytest.mark.parametrize("name", _COMMON_DENOMINATOR_GAMES)
 def test_common_denominator_edge_cases_match_the_oracle(name):
-    game = FiniteGame.from_jsonable(_COMMON_DENOMINATOR_GAMES[name])
+    game = _read_game(_COMMON_DENOMINATOR_GAMES[name])
     started = time.perf_counter()
     found = enumerate_pure_equilibria(game)
     assert time.perf_counter() - started < 1.0

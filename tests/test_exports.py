@@ -93,11 +93,6 @@ def test_every_public_name_is_reached_by_a_subcommand_or_the_gate():
     assert not unreached, f"no subcommand or gate test reaches {unreached}"
 
 
-#: The one function allowed to call itself: ``count_super_ranks`` caps
-#: its depth at 300.
-RECURSIVE = {("merge.py", "_ordered_weak_orders")}
-
-
 def _self_calls(path: Path) -> set[tuple[str, str]]:
     """(file, function) for each function of a file that calls itself."""
     found = set()
@@ -120,4 +115,34 @@ def _self_calls(path: Path) -> set[tuple[str, str]]:
 def test_no_function_in_the_package_calls_itself():
     # Python's recursion limit would otherwise cap the inputs it answers.
     modules = sorted((ROOT / "src" / "coiquery").glob("*.py"))
-    assert set().union(*map(_self_calls, modules)) == RECURSIVE
+    assert set().union(*map(_self_calls, modules)) == set()
+
+
+#: The entry points: the CLI reads every JSON document and writes every report.
+BOUNDARY = {"cli.py", "bench.py"}
+#: The one library method that writes JSON: the trust report's text, from
+#: witnesses it never builds as objects.
+JSON_METHODS = {("trust.py", "TrustReport", "as_json")}
+
+
+def _json_methods(path: Path) -> set[tuple[str, str, str]]:
+    """(file, class, method) for each method of a file's classes named for JSON."""
+    return {
+        (path.name, node.name, item.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "json" in item.name.lower()
+    }
+
+
+def test_only_the_entry_points_read_and_write_json():
+    # No library type has an ``as_jsonable``/``from_jsonable`` pair: the
+    # JSON form of a report or an input document is the CLI's.
+    library = [
+        path
+        for path in sorted((ROOT / "src" / "coiquery").glob("*.py"))
+        if path.name not in BOUNDARY
+    ]
+    assert set().union(*map(_json_methods, library)) == JSON_METHODS

@@ -61,19 +61,6 @@ def test_exactly_one_of_constraint_and_complement_holds():
         assert constraint.satisfied_by(order) != flipped.satisfied_by(order)
 
 
-def test_query_serialization_shape():
-    query = DeltaQuery(
-        (RelativeRankConstraint("a", "b", 1), RelativeRankConstraint("b", "c", -2)),
-        ("a", "b", "c"),
-    )
-    assert query.as_jsonable() == {
-        "constraints": [
-            {"e": "a", "eprime": "b", "delta": 1},
-            {"e": "b", "eprime": "c", "delta": -2},
-        ]
-    }
-
-
 # --------------------------------------------------------------------------- #
 # Minimal forcing separation
 # --------------------------------------------------------------------------- #

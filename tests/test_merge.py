@@ -231,14 +231,6 @@ def test_sales_brute_force_agrees_including_the_tie_rule():
     assert brute.partition.intervals == dp.partition.intervals
 
 
-def test_sales_result_serialization():
-    intent = WeakOrder.total(SALES_BASE)
-    payload = maximize_merge_dp(intent, _sales_ctx(), base=intent).as_jsonable()
-    assert payload["partition"] == [[1, 2], [3, 3], [4, 4]]
-    assert payload["ranking"] == [["e3", "e2"], ["e1"], ["e4"]]
-    assert payload["opt"] == -38.0
-
-
 # --------------------------------------------------------------------------- #
 # DP properties
 # --------------------------------------------------------------------------- #
