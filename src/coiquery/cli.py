@@ -19,10 +19,11 @@ compact JSON with sorted keys and a trailing newline (CSV for bench);
 ``python3 -m json.tool`` indents one for reading.  Diagnostics go to
 standard error.  Exit codes: 0 success, 1 analysis failure (a report
 value beyond the float range among them), 2 usage or configuration error
-(invalid or too deeply nested JSON, an ``--output`` that cannot be
-written, and a ``bench --suite dp`` size above 4000 among them).  The
-``COI_LOG`` environment variable sets the stderr log level (``DEBUG``,
-``INFO``, ...).
+(invalid or too deeply nested JSON, an intent of more keys than ``z``,
+an ``--output`` that cannot be written, and a ``bench --suite dp`` size
+above 4000 among them).  ``COI_LOG`` sets the stderr log level; the one
+record the package writes is the DEBUG line of ``influence`` when more
+than one separation covers a bias gap.
 
 The configuration file is a JSON object; all keys optional unless
 noted::
@@ -34,7 +35,6 @@ noted::
       "kind_user": "quadratic_user",
       "kind_source": "quadratic_source_biased",
       "bias": {"entries": {"e1": 2.0}, "default": 0, "lower": 0, "upper": 3},
-      "limits": {"enumeration": 12, "merge_brute": 14},
       "attributes": [{"name": "brand", "values": ["JBL", "Sony"]}],
       "bias_rules": [{"when": {"brand": "Sony"}, "bias": 2}],
       "scale": 1
@@ -64,7 +64,7 @@ import logging
 import math
 import os
 import sys
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import bench as bench_mod
 from .core import (
@@ -91,20 +91,12 @@ from .merge import brute_force_merge_opt, maximize_merge_dp
 from .trust import detect_trustworthy
 from .utility import UtilityContext, UtilityKind
 
-__all__ = ["AnalysisConfig", "load_config", "main", "run_command"]
+__all__ = ["load_config", "main", "run_command"]
 
 
 # --------------------------------------------------------------------------- #
 # Configuration
 # --------------------------------------------------------------------------- #
-
-
-class AnalysisConfig(NamedTuple):
-    """Validated analysis settings shared by the subcommands."""
-
-    context: UtilityContext
-    enumeration_limit: int
-    merge_brute_limit: int
 
 
 #: Largest magnitude accepted for ``z`` and for any bias value.
@@ -139,15 +131,13 @@ def _parse_kind(data: dict, key: str, fallback: UtilityKind) -> UtilityKind:
         raise ConfigurationError(f"unknown utility kind {raw!r}") from exc
 
 
-def _integer(
-    data: dict, key: str, default: int | None = None, name: str = ""
-) -> int | None:
+def _integer(data: dict, key: str, default: int | None = None) -> int | None:
     """``data.get(key, default)`` if it is an int (not a bool), or None
     with a None default (an optional setting); else a ConfigurationError."""
     value = data.get(key, default)
     if type(value) is int or (value is None and default is None):
         return value
-    raise ConfigurationError(f"{name or key} must be an integer, got {value!r}")
+    raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
 
 def _read_attributes(raw: object) -> list[tuple[str, tuple]]:
@@ -268,7 +258,7 @@ def _read_game(data: dict) -> FiniteGame:
     return FiniteGame.build(*labels, *matrices, prior, set_equivalent)
 
 
-def load_config(path: str) -> AnalysisConfig:
+def load_config(path: str) -> UtilityContext:
     """Parse and validate a configuration file (shape in module docs)."""
     data = _read_json(path)
     if not isinstance(data, dict):
@@ -305,27 +295,22 @@ def load_config(path: str) -> AnalysisConfig:
     if max(map(abs, extremes)) > _MAX_MAGNITUDE:
         raise ConfigurationError("z and every bias value must lie within ±10**300")
 
-    limits = data.get("limits", {})
-    if not isinstance(limits, dict):
-        raise ConfigurationError("limits must be an object")
-    top_k = _integer(data, "k", universe_size)
-    omitted_rank = _integer(data, "omitted_rank")
-    kind_user = _parse_kind(data, "kind_user", UtilityKind.QUADRATIC_USER)
-    kind_source = _parse_kind(
-        data, "kind_source", UtilityKind.QUADRATIC_SOURCE_BIASED
+    return UtilityContext(
+        universe_size,
+        _integer(data, "k", universe_size),
+        bias,
+        _integer(data, "omitted_rank"),
+        _parse_kind(data, "kind_user", UtilityKind.QUADRATIC_USER),
+        _parse_kind(data, "kind_source", UtilityKind.QUADRATIC_SOURCE_BIASED),
     )
-    enumeration_limit = _integer(limits, "enumeration", 12, "limits.enumeration")
-    merge_brute_limit = _integer(limits, "merge_brute", 14, "limits.merge_brute")
-    if enumeration_limit < 1:
-        raise ConfigurationError("enumeration limit must be at least 1")
-    if not 1 <= merge_brute_limit <= 14:
-        raise ConfigurationError(
-            f"brute-force merge limit must lie in 1..14 (got {merge_brute_limit})"
-        )
-    context = UtilityContext(
-        universe_size, top_k, bias, omitted_rank, kind_user, kind_source
-    )
-    return AnalysisConfig(context, enumeration_limit, merge_brute_limit)
+
+
+def _read_intent(path: str, ctx: UtilityContext) -> WeakOrder:
+    """The intent ranking, refused when it holds more keys than ``z`` positions."""
+    intent = WeakOrder.from_lists(_read_json(path))
+    if len(intent) > (z := ctx.universe_size):
+        raise ConfigurationError(f"intent ranks {len(intent)} keys but z={z}")
+    return intent
 
 
 # --------------------------------------------------------------------------- #
@@ -334,17 +319,16 @@ def load_config(path: str) -> AnalysisConfig:
 
 
 def _cmd_trust(args: argparse.Namespace) -> str:
-    config = load_config(args.config)
+    ctx = load_config(args.config)
     beta = WeakOrder.from_lists(_read_json(args.beta))
-    return detect_trustworthy(beta, config.context).as_json() + "\n"
+    return detect_trustworthy(beta, ctx).as_json() + "\n"
 
 
 def _cmd_influence(args: argparse.Namespace) -> dict:
-    config = load_config(args.config)
-    intent = WeakOrder.from_lists(_read_json(args.intent))
-    ctx = config.context
+    ctx = load_config(args.config)
+    intent = _read_intent(args.intent, ctx)
     query = build_delta_query(intent, ctx.bias, ctx.universe_size)
-    summary = classify_ranking_set(query, config.enumeration_limit)
+    summary = classify_ranking_set(query)
     base = summary.require_base()
     return {
         "query": {
@@ -366,13 +350,12 @@ def _cmd_influence(args: argparse.Namespace) -> dict:
 
 
 def _cmd_maximize(args: argparse.Namespace) -> dict:
-    config = load_config(args.config)
-    intent = WeakOrder.from_lists(_read_json(args.intent))
-    ctx = config.context
+    ctx = load_config(args.config)
+    intent = _read_intent(args.intent, ctx)
     base = base_query(build_delta_query(intent, ctx.bias, ctx.universe_size))
     # The oracle goes first: it rejects a base over its limit before the DP runs.
     if args.oracle:
-        brute = brute_force_merge_opt(intent, ctx, config.merge_brute_limit, base=base)
+        brute = brute_force_merge_opt(intent, ctx, base=base)
     result = maximize_merge_dp(intent, ctx, base=base)
     report: dict = {
         "merge": {

@@ -291,6 +291,10 @@ _SEARCH_NODE_BUDGET = 10_000
 #: unconstrained universe reaches it in about 5,400 nodes.
 _COUNT_CAP = 2_000
 
+#: Universes of at most this many keys are counted exactly (up to
+#: ``_COUNT_CAP``); larger ones are probed up to a second order.
+_ENUMERATION_LIMIT = 12
+
 
 def _settle(
     after: list, before: list, lo: list, hi: list, rising: list, falling: list
@@ -447,21 +451,17 @@ def _search(query: DeltaQuery, cap: int) -> RankingSetSummary:
     )
 
 
-def classify_ranking_set(
-    query: DeltaQuery, enumeration_limit: int = 12
-) -> RankingSetSummary:
+def classify_ranking_set(query: DeltaQuery) -> RankingSetSummary:
     """Decide whether a query admits zero, one, or many total orders.
 
-    Universes within ``enumeration_limit`` are enumerated exactly (the
+    Universes within ``_ENUMERATION_LIMIT`` keys are enumerated exactly (the
     count saturates at a cap, still proving Multiple); larger universes
     get a probe that stops at the second order.  A search the node
     budget cuts short before it finds two orders is Unknown.  The
     summary's ``base`` is the search's first order, the ranking
     :func:`base_query` returns, so one search answers both.
     """
-    if enumeration_limit < 1:
-        raise ConfigurationError("enumeration limit must be at least 1")
-    return _search(query, _COUNT_CAP if len(query.universe) <= enumeration_limit else 2)
+    return _search(query, _COUNT_CAP if len(query.universe) <= _ENUMERATION_LIMIT else 2)
 
 
 def base_query(query: DeltaQuery) -> WeakOrder:

@@ -336,12 +336,12 @@ def maximize_merge_dp(
     return _assemble(resolved, intervals, Fraction(opt12, 12))
 
 
+#: Most base blocks the brute-force oracle enumerates partitions of.
+_BRUTE_LIMIT = 14
+
+
 def brute_force_merge_opt(
-    intent: WeakOrder,
-    ctx: UtilityContext,
-    limit: int = 14,
-    *,
-    base: WeakOrder | None = None,
+    intent: WeakOrder, ctx: UtilityContext, *, base: WeakOrder | None = None
 ) -> MergeResult:
     """Enumeration oracle: score all 2^(m-1) contiguous partitions.
 
@@ -355,9 +355,9 @@ def brute_force_merge_opt(
     block_count = len(resolved.blocks)
     if block_count == 0:
         raise DomainError("base ranking is empty")
-    if block_count > limit:
+    if block_count > _BRUTE_LIMIT:
         raise DomainError(
-            f"{block_count} blocks exceed the enumeration limit {limit}"
+            f"{block_count} blocks exceed the enumeration limit {_BRUTE_LIMIT}"
         )
     scores: dict[tuple[int, int], Fraction] = {}
     for i in range(1, block_count + 1):

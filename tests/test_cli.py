@@ -121,7 +121,7 @@ def test_influence_command_matches_the_library(tmp_path, mixed_config, capsys):
     )
     query = build_delta_query(WeakOrder.total(["a", "b", "c", "d"]), bias, 4)
     base = base_query(query)
-    summary = classify_ranking_set(query, 12)
+    summary = classify_ranking_set(query)
     assert report["query"] == {
         "constraints": [
             {"e": c.subject, "eprime": c.rival, "delta": c.min_gap}
@@ -639,6 +639,21 @@ def test_maximize_on_the_tied_intent_finds_no_base(tmp_path, capsys, oracle):
 @pytest.mark.parametrize(
     "command", [["influence"], ["maximize"], ["maximize", "--oracle"]]
 )
+def test_an_intent_longer_than_the_universe_exits_two(tmp_path, capsys, command):
+    # Five keys cannot hold positions 1..5 of a 2-position universe.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"z": 2}))
+    intent = _write_order(tmp_path, "intent.json", [["a"], ["b"], ["c"], ["d"], ["e"]])
+    argv = [*command, "--config", str(config), "--intent", str(intent)]
+    assert run_command(argv) == 2
+    assert capsys.readouterr() == (
+        "", "configuration error: intent ranks 5 keys but z=2\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command", [["influence"], ["maximize"], ["maximize", "--oracle"]]
+)
 def test_one_run_builds_one_query_and_searches_it_once(
     tmp_path, mixed_config, capsys, monkeypatch, command
 ):
@@ -832,11 +847,8 @@ def _ten_value_attributes(count):
     [
         {"z": "abc"},
         {"z": 4, "k": "x"},
-        {"z": 4, "limits": 5},
         {"z": 4, "omitted_rank": "x"},
-        {"z": 4, "limits": {"enumeration": "x"}},
         {"z": True},
-        {"z": 4, "limits": {"merge_brute": 15}},
         {"z": 4, "bias": {"entries": {"e1": True}}},
         {"z": 4, "bias": {"entries": {"e1": 1}, "lower": True}},
         {**_RULES_CONFIG, "bias_rules": [{"when": {"brand": "JBL"}, "bias": True}]},
@@ -1012,13 +1024,6 @@ _CONFIG_VALUES = {
             "upper": _NUMBERS,
         },
     ),
-    "limits": st.fixed_dictionaries(
-        {},
-        optional={
-            "enumeration": st.integers(-1, 16),
-            "merge_brute": st.integers(-1, 16),
-        },
-    ),
     "attributes": _ATTRIBUTES,
     "bias_rules": st.lists(
         st.fixed_dictionaries(
@@ -1175,7 +1180,7 @@ def test_integral_bias_spellings_are_stored_and_answered_alike(
             document = {"z": z, "k": max(1, z // 2), "bias": spelled}
             config.write_text(json.dumps(document))
             try:
-                bias = load_config(str(config)).context.bias
+                bias = load_config(str(config)).bias
             except ConfigurationError:
                 pass
             else:
@@ -1342,7 +1347,7 @@ def test_analysis_errors_exit_one(tmp_path, capsys):
 def test_load_config_derives_z_from_attributes(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_RULES_CONFIG))
-    ctx = load_config(str(path)).context
+    ctx = load_config(str(path))
     assert ctx.universe_size == 4
     assert ctx.top_k == 2
     # Sony elements are e3 and e4 in attribute-product order.
@@ -1391,32 +1396,10 @@ def test_load_config_rejects_unknown_utility_kind(tmp_path):
         load_config(str(path))
 
 
-def test_analysis_config_validates_limits(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"z": 4, "limits": {"merge_brute": 15}}))
-    with pytest.raises(ConfigurationError, match="1..14"):
-        load_config(str(path))
-    path.write_text(json.dumps({"z": 4, "limits": {"enumeration": 0}}))
-    with pytest.raises(ConfigurationError, match="at least 1"):
-        load_config(str(path))
-
-
 def test_analysis_config_builds_a_context(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(
-        json.dumps(
-            {
-                "z": 5,
-                "k": 3,
-                "kind_user": "product_user",
-                "limits": {"enumeration": 7, "merge_brute": 9},
-            }
-        )
-    )
-    config = load_config(str(path))
-    assert config.enumeration_limit == 7
-    assert config.merge_brute_limit == 9
-    ctx = config.context
+    path.write_text(json.dumps({"z": 5, "k": 3, "kind_user": "product_user"}))
+    ctx = load_config(str(path))
     assert ctx.universe_size == 5
     assert ctx.top_k == 3
     assert ctx.omitted_rank == 6
@@ -1542,7 +1525,7 @@ def test_an_explicit_bias_leaves_bias_rules_unread(tmp_path):
     path.write_text(
         json.dumps({"attributes": _BRAND, "bias_rules": "x", "bias": explicit})
     )
-    assert load_config(str(path)).context.bias.entries == {"e1": 1}
+    assert load_config(str(path)).bias.entries == {"e1": 1}
 
 
 def test_trust_answers_an_attribute_product_without_building_it(tmp_path, capsys):
@@ -1554,7 +1537,7 @@ def test_trust_answers_an_attribute_product_without_building_it(tmp_path, capsys
     assert time.monotonic() - started < 1.0
     assert code == 0
     assert json.loads(capsys.readouterr().out)["trustworthy"] == ["e1", "e2"]
-    assert load_config(str(config)).context.universe_size == 10**8
+    assert load_config(str(config)).universe_size == 10**8
 
 
 _RULE_VALUES = st.sampled_from(["a", "b", 1, 1.0, True, None])
@@ -1595,7 +1578,7 @@ def test_rule_bias_agrees_with_the_naive_oracle(attributes, rules, scale):
             with pytest.raises(ConfigurationError, match="unknown attribute"):
                 load_config(str(path))
             return
-        bias = load_config(str(path)).context.bias
+        bias = load_config(str(path)).bias
     expected = rule_bias_oracle(json.loads(json.dumps(document)))
     assert bias.entries == expected
     assert (bias.lower, bias.upper) == (min(expected.values()), max(expected.values()))

@@ -144,7 +144,7 @@ def test_from_lists_agrees_with_the_per_key_scan(data):
 def _load(tmp_path, document):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(document))
-    return load_config(str(path)).context
+    return load_config(str(path))
 
 
 def test_rank_domain_orders_elements_lexicographically_by_attribute(tmp_path):

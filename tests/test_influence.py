@@ -485,6 +485,9 @@ def test_exact_counts_saturate_at_the_count_cap():
     assert summary.nodes <= influence._SEARCH_NODE_BUDGET
     free = classify_ranking_set(_query([], ["e1", "e2", "e3", "e4", "e5", "e6"]))
     assert (free.count, free.reason) == (720, None)
+    # The largest universe still counted exactly: 13 keys get the probe.
+    twelve = classify_ranking_set(_query([], [f"e{i}" for i in range(1, 13)]))
+    assert (twelve.lower_bound, twelve.reason) == (influence._COUNT_CAP, "count_cap")
 
 
 def test_probe_stops_at_the_second_order():
@@ -603,6 +606,13 @@ def test_base_matches_the_backtracking_oracle_on_built_queries():
         assert base_query(query) == WeakOrder.total(expected), trial
 
 
+def _probe(query):
+    """``classify_ranking_set`` with exact counting off: it stops at a second order."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(influence, "_ENUMERATION_LIMIT", 1)
+        return classify_ranking_set(query)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(2, 7).flatmap(
@@ -636,7 +646,7 @@ def test_search_agrees_with_the_permutation_oracle(case):
     assert summary.count == (None if capped else len(orders))
     assert summary.lower_bound == min(len(orders), influence._COUNT_CAP)
     assert summary.reason == ("count_cap" if capped else None)
-    probe = classify_ranking_set(query, enumeration_limit=1)
+    probe = _probe(query)
     assert probe.kind is kind
     assert probe.lower_bound == min(len(orders), 2)
 
@@ -692,7 +702,7 @@ def test_summary_base_is_the_least_order_under_every_budget(monkeypatch):
             assert base_query(query) == expected
         # Past the probe's node count (all of it for an empty set) the
         # first order is found or the search is over: no budget differs.
-        probe = classify_ranking_set(query, enumeration_limit=1)
+        probe = _probe(query)
         for budget in range(1, probe.nodes + 2):
             monkeypatch.setattr(influence, "_SEARCH_NODE_BUDGET", budget)
             bounded = classify_ranking_set(query)

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+import coiquery.merge as merge
 from coiquery import (
     BiasFunction,
     DomainError,
@@ -419,13 +420,16 @@ def test_partition_scores_decompose_into_interval_scores():
             )
 
 
-def test_brute_force_enumeration_limit():
+def test_brute_force_enumeration_limit(monkeypatch):
     keys = [f"e{i}" for i in range(1, 16)]
     intent = WeakOrder.total(keys)
     ctx = _quad_ctx({}, z=15)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="15 blocks exceed the enumeration limit 14"):
         brute_force_merge_opt(intent, ctx, base=intent)
-    assert brute_force_merge_opt(intent, ctx, limit=15, base=intent).opt_value == 0
+    fourteen = WeakOrder.total(keys[:14])
+    assert brute_force_merge_opt(fourteen, ctx, base=fourteen).opt_value == 0
+    monkeypatch.setattr(merge, "_BRUTE_LIMIT", 15)
+    assert brute_force_merge_opt(intent, ctx, base=intent).opt_value == 0
 
 
 def test_empty_base_rejected():

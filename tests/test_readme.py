@@ -4,6 +4,7 @@ Library snippet states in a comment is the value the code returns."""
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -26,7 +27,7 @@ def _blocks(language: str) -> list[str]:
 def _load(tmp_path, sample: str):
     path = tmp_path / "config.json"
     path.write_text(sample)
-    return load_config(str(path)).context
+    return load_config(str(path))
 
 
 def _subcommands() -> set[str]:
@@ -44,6 +45,38 @@ def test_readme_and_cli_docstring_name_exactly_the_subcommands():
     table = coiquery.cli.__doc__.split("-----------\n", 1)[1].split("\n\n", 1)[0]
     named = {line.split()[0] for line in table.splitlines() if line[:1].strip()}
     assert named == _subcommands()
+
+
+def _keys_load_config_reads() -> set[str]:
+    """String keys ``load_config`` looks up in ``data``: ``data[...]``,
+    ``data.get(...)``, ``... in data``, and ``helper(data, "key", ...)``."""
+    source = inspect.getsource(coiquery.cli.load_config)
+    keys = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and _is_data(node.value):
+            keys.add(node.slice)
+        elif isinstance(node, ast.Compare) and _is_data(node.comparators[0]):
+            keys.add(node.left)  # ``"key" in data``
+        elif isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            if isinstance(func, ast.Attribute) and _is_data(func.value):
+                keys.add(args[0])
+            keys.update(b for a, b in zip(args, args[1:]) if _is_data(a))
+    # ``isinstance(data, dict)`` passes ``data`` too, but names no key.
+    return {k.value for k in keys if isinstance(k, ast.Constant)}
+
+
+def _is_data(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "data"
+
+
+def test_cli_docstring_config_sample_names_exactly_the_keys_read():
+    sample = coiquery.cli.__doc__.split("noted::\n", 1)[1].split("\n    }", 1)[0]
+    documented = set(re.findall(r'^ {6}"(\w+)":', sample, re.MULTILINE))
+    read = _keys_load_config_reads()
+    assert documented == read
+    for block in _blocks("json"):
+        assert set(json.loads(block)) <= read
 
 
 @pytest.mark.parametrize(
