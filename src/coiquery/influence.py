@@ -8,6 +8,11 @@ a conjunctive query guaranteed to hold on the intent, classifies the
 query's ranking set (empty, singleton, multiple), and picks the
 canonical base ranking used by the merge optimizer.
 
+The query lists every complement but only the transitive reduction of
+the forward constraints: none of those the other forward constraints
+imply, a set that is unique and admits the same orders as the full
+pairwise list, found in O(m² + kept·m) for m keys.
+
 One propagating search under one node budget answers the last two:
 the base is the first order the classification finds.  When the
 budget runs out first, :func:`base_query` raises
@@ -188,18 +193,23 @@ def build_delta_query(
 ) -> DeltaQuery:
     """Constraint query protecting every strictly ordered pair of an intent.
 
-    Pairs are visited in intent order (by rank of the earlier key, then
-    of the later).  For each pair with a solvable separation the
-    forward constraint is added when the intent already satisfies it,
-    otherwise its complement — so the result always holds on the
-    intent.  Tied pairs contribute nothing.
+    A pair with a solvable separation gets its forward constraint when
+    the intent already satisfies it, otherwise its complement, so the
+    result always holds on the intent; tied pairs get nothing.  Every
+    complement is listed, in pair order (by rank of the earlier key,
+    then of the later), and so is each forward constraint unless a path
+    at least as long through the other forward ones implies it: their
+    transitive reduction (CLRS §24.4; Aho, Garey and Ullman 1972), unique
+    as they form a DAG with gaps >= 1, and admitting the same orders.
 
     Each key's rank and bias are read once, and the biases are put over
     their common denominator, so a pair's gap is an integer numerator.
     The distinct numerators are solved in one ascending sweep, each
-    search galloping up from the previous answer: a query over m keys
-    costs O(m²) integer work plus O(g + log z) evaluations for g distinct
-    gaps when their answers are close, O(g log z) at most.
+    search galloping up from the previous answer: O(m²) integer work
+    plus O(g + log z) evaluations for g distinct gaps when their answers
+    are close, O(g log z) at most.  Subjects then go last to first, each
+    testing its rivals in intent order against one row of longest paths
+    over its kept out-edges: O(m² + kept·m), building only what is kept.
     """
     keys = intent.keys()
     if not keys:
@@ -216,17 +226,33 @@ def build_delta_query(
     for numerator, start in zip(numerators, starts):
         gaps.update(map(numerator.__sub__, numerators[start:]))
     solved = _smallest_coverings(universe_size, gaps, denominator)
-    constraints: list[RelativeRankConstraint] = []
-    for subject, rank, numerator, start in zip(keys, ranks, numerators, starts):
-        rivals = zip(keys[start:], ranks[start:], numerators[start:])
-        for rival, rival_rank, other in rivals:
-            separation = solved[numerator - other]
-            if separation is not None:
-                constraints.append(
-                    RelativeRankConstraint(subject, rival, separation)
-                    if rival_rank - rank >= separation
-                    else RelativeRankConstraint(rival, subject, 1 - separation)
+    # rows[i][j - starts[i]]: the longest forward path from key i to key j.
+    # The ranks satisfy every forward constraint, so no path is longer
+    # than m - 1, and a path extending ``unreached`` stays below 1.
+    size = len(keys)
+    unreached = -size
+    rows: list[list[int]] = [[]] * size
+    blocks: list[list[RelativeRankConstraint]] = []
+    for i in reversed(range(size)):
+        subject, rank, numerator, start = keys[i], ranks[i], numerators[i], starts[i]
+        row = [unreached] * (size - start)
+        kept = []
+        for j in range(start, size):
+            separation = solved[numerator - numerators[j]]
+            if separation is None:
+                continue
+            if ranks[j] - rank < separation:
+                kept.append(RelativeRankConstraint(keys[j], subject, 1 - separation))
+            elif row[j - start] < separation:  # no other forward path implies it
+                kept.append(RelativeRankConstraint(subject, keys[j], separation))
+                row[j - start] = separation
+                offset = starts[j] - start
+                row[offset:] = map(
+                    max, row[offset:], map(separation.__add__, rows[j])
                 )
+        rows[i] = row
+        blocks.append(kept)
+    constraints = [constraint for kept in reversed(blocks) for constraint in kept]
     rank_by_key = dict(zip(keys, ranks))
     assert all(rank_by_key[r] - rank_by_key[s] >= g for s, r, g in constraints)
     return DeltaQuery(tuple(constraints), keys)
@@ -404,6 +430,7 @@ def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key,
             sub_lo, sub_hi = (lo, hi) if key == candidates[-1] else (lo[:], hi[:])
             for k in rivals:
                 sub_lo[k] = position + 1
+            # At hi == position nothing falls: the parent's fixpoint relaxed it.
             falling = [key] if hi[key] > position else []
             sub_hi[key] = position
             moved = _settle(after, before, sub_lo, sub_hi, rivals[:], falling)

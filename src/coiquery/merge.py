@@ -364,7 +364,6 @@ def brute_force_merge_opt(
         for j in range(i, block_count + 1):
             scores[(i, j)] = interval_score(i, j, ctx, resolved)
     best_value: Fraction | None = None
-    best_tiebreak: tuple[int, ...] | None = None
     best_intervals: list[tuple[int, int]] | None = None
     for mask in range(1 << (block_count - 1)):
         intervals = []
@@ -377,14 +376,11 @@ def brute_force_merge_opt(
         value = sum(
             (scores[interval] for interval in intervals), start=Fraction(0)
         )
-        tiebreak = tuple(interval[0] for interval in reversed(intervals))
-        if (
-            best_value is None
-            or value > best_value
-            or (value == best_value and tiebreak > best_tiebreak)
-        ):
+        # The highest differing cut bit of two masks is the first differing
+        # interval start read backward, so ascending masks ascend in the tie
+        # rule's order: the last mask that ties wins.
+        if best_value is None or value >= best_value:
             best_value = value
-            best_tiebreak = tiebreak
             best_intervals = intervals
     assert best_intervals is not None and best_value is not None
     return _assemble(resolved, best_intervals, best_value)

@@ -333,6 +333,45 @@ def delta_query_oracle(intent, bias, z: int) -> list[tuple[str, str, int]]:
     return constraints
 
 
+def longest_paths_oracle(constraints, source) -> dict:
+    """Longest ``rank(rival) - rank(subject)`` bound from ``source``.
+
+    Textbook Bellman–Ford over difference constraints free of positive
+    cycles: one round per constraint; keys ``source`` never reaches are
+    left out.
+    """
+    longest = {source: 0}
+    for _ in range(len(constraints)):
+        for subject, rival, gap in constraints:
+            if subject in longest:
+                length = longest[subject] + gap
+                if rival not in longest or length > longest[rival]:
+                    longest[rival] = length
+    return longest
+
+
+def forward_reduction_oracle(constraints, intent) -> list[tuple[str, str, int]]:
+    """The constraints without each forward one the other forward ones imply.
+
+    A constraint is forward when its subject ranks strictly before its
+    rival in the intent.  Each is tested on its own: it is dropped when
+    a Bellman–Ford pass over every other forward constraint reaches its
+    rival with a path at least as long as its gap.  Complements stay.
+    """
+    forward = [
+        tuple(c) for c in constraints if intent.rank_of(c[0]) < intent.rank_of(c[1])
+    ]
+    reduced = []
+    for constraint in map(tuple, constraints):
+        subject, rival, gap = constraint
+        if constraint in forward:
+            others = [c for c in forward if c != constraint]
+            if longest_paths_oracle(others, subject).get(rival, gap - 1) >= gap:
+                continue
+        reduced.append(constraint)
+    return reduced
+
+
 def position_windows_oracle(constraints, universe):
     """Textbook Bellman–Ford on ``rank(rival) - rank(subject) >= gap``.
 

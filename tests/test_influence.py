@@ -19,6 +19,8 @@ from oracles import (
     delta_query_oracle,
     delta_star_oracle,
     delta_star_solutions_oracle,
+    forward_reduction_oracle,
+    longest_paths_oracle,
     position_windows_oracle,
     satisfying_orders_backtrack_oracle,
     satisfying_orders_oracle,
@@ -271,7 +273,7 @@ def test_built_queries_match_the_pairwise_oracle():
         bias = _random_bias(rng, keys)
         z = rng.choice((n, n + 1, 2 * n, 3 * n, 64, 500, 5000))
         query = build_delta_query(intent, bias, z)
-        expected = delta_query_oracle(intent, bias, z)
+        expected = forward_reduction_oracle(delta_query_oracle(intent, bias, z), intent)
         assert [tuple(c) for c in query.constraints] == expected, trial
         assert query.universe == intent.keys()
 
@@ -295,6 +297,41 @@ def test_built_queries_match_the_oracle_in_a_huge_universe():
         query = build_delta_query(intent, bias, z)
         expected = delta_query_oracle(intent, bias, z)
         assert [tuple(c) for c in query.constraints] == expected, trial
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.permutations([f"e{i}" for i in range(1, n + 1)]),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+            st.integers(max(n, 2), 4 * n),
+        )
+    )
+)
+def test_built_queries_are_the_forward_reduction_of_the_pairwise_query(case):
+    keys, tied, tenths, z = case
+    blocks: list[list[str]] = []
+    for key, joins in zip(keys, tied):
+        if blocks and joins:
+            blocks[-1].append(key)
+        else:
+            blocks.append([key])
+    intent = WeakOrder.of(*blocks)
+    bias = BiasFunction({key: Fraction(t, 10) for key, t in zip(keys, tenths)})
+    full = delta_query_oracle(intent, bias, z)
+    kept = [tuple(c) for c in build_delta_query(intent, bias, z).constraints]
+    universe = intent.keys()
+    assert list(satisfying_orders_oracle(kept, universe)) == list(
+        satisfying_orders_oracle(full, universe)
+    )
+    forward = [c for c in kept if intent.rank_of(c[0]) < intent.rank_of(c[1])]
+    for subject, rival, gap in set(full) - set(kept):
+        assert longest_paths_oracle(forward, subject)[rival] >= gap
+    assert forward_reduction_oracle(kept, intent) == kept
+    complements = [c for c in full if intent.rank_of(c[0]) > intent.rank_of(c[1])]
+    assert set(complements) <= set(kept)
 
 
 class _Started(Exception):

@@ -104,8 +104,10 @@ def test_count_bounds_enforced():
         count_super_ranks(0, 0)
     with pytest.raises(DomainError):
         count_super_ranks(1, -1)
+    assert count_super_ranks(4096, 0) == 2**4095
     with pytest.raises(DomainError):
-        count_super_ranks(5000, 0)
+        count_super_ranks(4097, 0)
+    assert count_super_ranks(1, 300) > count_super_ranks(1, 299)
     with pytest.raises(DomainError):
         count_super_ranks(1, 301)
 

@@ -157,6 +157,14 @@ def test_failed_check_is_falsy_and_tiny_universe_rejected():
         check_supermodular(QU, 1, [0])
 
 
+def test_omitted_rank_must_lie_past_the_universe():
+    bias = BiasFunction({})
+    assert UtilityContext(5, 3, bias, omitted_rank=6).omitted_rank == 6
+    assert UtilityContext(5, 3, bias).omitted_rank == 6
+    with pytest.raises(ConfigurationError, match=r"\(5 <= 5\)"):
+        UtilityContext(5, 3, bias, omitted_rank=5)
+
+
 # --------------------------------------------------------------------------- #
 # Saturation
 # --------------------------------------------------------------------------- #
