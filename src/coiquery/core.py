@@ -208,7 +208,7 @@ class WeakOrder:
 
     def keys(self) -> tuple[Key, ...]:
         """All keys, best block first, preserving within-block order."""
-        return tuple(k for block in self.blocks for k in block)
+        return tuple(chain.from_iterable(self.blocks))
 
     def rank_of(self, key: Key, omitted: Rank | None = None) -> Rank:
         """Rank of ``key``; ``omitted`` for absent keys (else KeyError)."""
@@ -269,13 +269,18 @@ class BiasFunction:
     upper: int | Fraction | None = None
 
     def __post_init__(self) -> None:
-        entries = {
-            k: v if type(v) is int else _exact(v) for k, v in self.entries.items()
-        }
+        if {*map(type, self.entries.values())} <= {int}:  # all ints: copied as they are
+            entries = dict(self.entries)
+            fractions: list[Fraction] = []
+            integers = entries.values()
+        else:
+            entries = {
+                k: v if type(v) is int else _exact(v) for k, v in self.entries.items()
+            }
+            values = entries.values()
+            fractions = [v for v in values if type(v) is not int]
+            integers = [v for v in values if type(v) is int] if fractions else values
         default = _exact(self.default)
-        values = entries.values()
-        fractions = [v for v in values if type(v) is not int]
-        integers = [v for v in values if type(v) is int] if fractions else values
         low = min(integers, default=next(iter(fractions), default))
         high = max(integers, default=low)
         (lo_n, lo_d), (up_n, up_d) = low.as_integer_ratio(), high.as_integer_ratio()

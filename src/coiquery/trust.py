@@ -36,6 +36,17 @@ and otherwise sits at the suffix's first separation.  It also needs
 ``floor < bias - range_low``; if any separation of the suffix meets
 that, the one with the least floor does.
 
+The same substitution into ``S(d) S(d+1)`` minus a cross-multiplied
+difference shows that ``gap`` and ``gap - shift`` each rise by less than
+1 per step.  So a tie ``shift = gap`` (``z = 3, d = 1``) is never a
+pivot candidate: the next separation is not yet crossed.  A tie
+``gap - 1 = shift`` at ``c`` leaves ``c`` the pivot on either side of
+the crossing, as both neighbours' floors are higher.  Right of the pivot
+``floor(d) = gap(d) - 1 < gap(d - 1)``, which at the first ``d`` that
+clears is ``<= bias - range_high < bias - range_low``: a bias searched
+there always flags.  At ``d = z - 1``, ``G - H = 3 (z - 1) (z^2 - 2) >
+0``, so every ``z >= 2`` has a pivot.
+
 Conventions
 -----------
 All thresholds are exact :class:`fractions.Fraction` values.  Witness
@@ -48,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
@@ -151,7 +162,7 @@ class TrustReport:
 
 
 class _Window(NamedTuple):
-    """A feasible separation with its gap and window floor."""
+    """A separation with its gap and window floor, feasible if floor < gap."""
 
     separation: int
     gap: Fraction
@@ -178,24 +189,18 @@ def _first_where(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
 
 @lru_cache(maxsize=16)
 def _floor_pivot(universe_size: int) -> _Window | None:
-    """Rightmost minimum of the window floor, or None if nothing is feasible."""
+    """Rightmost minimum of the window floor; None only at z = 1."""
     z = universe_size
 
-    def feasible(d: int) -> bool:
-        gap, shift, _ = _threshold_numerators(z, d)
-        return shift < gap
-
-    def crossed(d: int) -> bool:
+    def crossed(d: int) -> bool:  # implies feasible
         gap, shift, scale = _threshold_numerators(z, d)
         return gap - scale >= shift
 
-    first = _first_where(1, z, feasible)
-    if first == z:
-        return None
-    crossing = _first_where(first, z, crossed)
+    crossing = _first_where(1, z, crossed)
     # Crossing first, so that min keeps the rightmost separation on ties.
-    candidates = [d for d in (crossing, crossing - 1) if first <= d < z]
-    return min((_window(z, d) for d in candidates), key=lambda w: w.floor)
+    windows = [_window(z, d) for d in (crossing, crossing - 1) if 1 <= d < z]
+    feasible = [w for w in windows if w.floor < w.gap]  # a nonempty window
+    return min(feasible, key=lambda w: w.floor, default=None)
 
 
 def _bounds(bias: int | Fraction, universe_size: int, separation: int) -> _Bounds:
@@ -210,11 +215,10 @@ def _witness(
     bias_value: int | Fraction,
     universe_size: int,
     pivot: _Window,
-    range_low: int | Fraction,
     range_high: int | Fraction,
 ) -> _Bounds | None:
     """Witness for a bias at or above the high cut: the first separation
-    right of the pivot whose gap clears ``bias - range_high``."""
+    right of the pivot whose gap clears ``bias - range_high`` (it flags)."""
     cut = bias_value - range_high
 
     def clears(d: int) -> bool:
@@ -223,9 +227,6 @@ def _witness(
 
     at = _first_where(pivot.separation + 1, universe_size, clears)
     if at == universe_size:
-        return None
-    window = _window(universe_size, at)
-    if not window.floor < bias_value - range_low:
         return None
     return _bounds(bias_value, universe_size, at)
 
@@ -239,13 +240,13 @@ def detect_trustworthy(beta: WeakOrder, ctx: UtilityContext) -> TrustReport:
     ``gap > bias - range_high`` and the floor is below
     ``bias - range_low``.  Each flagged key reports one witness: among
     the separations whose gap clears ``bias - range_high``, the one with
-    the least window floor, the rightmost on ties.  Each bias
-    is compared, as cross-multiplied integers, with two cuts from the
-    cached pivot: at or below ``range_low + pivot.floor`` it is
-    trustworthy, below ``range_high + pivot.gap`` the pivot is its
-    witness, and otherwise (a default above the range) it binary-searches
-    past the pivot, once per request.  Witnesses stay integers (see
-    ``TrustReport``).
+    the least window floor, the rightmost on ties.  Each bias is compared
+    with two cuts from the cached pivot: at or below ``range_low +
+    pivot.floor`` it is trustworthy, below ``range_high + pivot.gap`` the
+    pivot is its witness, and otherwise (a default above the range) it
+    binary-searches past the pivot, once per request.  An ``int`` meets
+    the cuts as two integer thresholds, a ``Fraction`` cross-multiplied.
+    Witnesses stay integers (see ``TrustReport``).
     """
     range_low, range_high = ctx.bias.lower, ctx.bias.upper
     assert range_low is not None and range_high is not None  # BiasFunction derives bounds
@@ -255,6 +256,8 @@ def detect_trustworthy(beta: WeakOrder, ctx: UtilityContext) -> TrustReport:
         return TrustReport(beta.keys(), {})
     low_n, low_d = (range_low + pivot.floor).as_integer_ratio()
     high_n, high_d = (range_high + pivot.gap).as_integer_ratio()
+    # The greatest ints n <= low_n / low_d and n < high_n / high_d.
+    low_int, high_int = low_n // low_d, (high_n - 1) // high_d
     at = pivot.separation
     gap, shift, scale = _threshold_numerators(z, at)  # ``_bounds``'s terms, once
     floor = max(gap - scale, shift)
@@ -262,19 +265,25 @@ def detect_trustworthy(beta: WeakOrder, ctx: UtilityContext) -> TrustReport:
     trustworthy: list[Key] = []
     flagged: dict[Key, _Bounds] = {}
     # Entries lie in the range, so only the default gets past the pivot.
-    beyond: dict[int | Fraction, _Bounds | None] = {}
+    beyond = cache(lambda value: _witness(value, z, pivot, range_high))
     for key in beta.keys():
         bias_value = lookup(key, default)
-        n, d = bias_value.as_integer_ratio()
-        if n * low_d <= low_n * d:
-            witness: _Bounds | None = None
-        elif n * high_d < high_n * d:
-            witness = (at, n * scale - gap * d, n * scale - floor * d, d * scale)
-        elif bias_value in beyond:
-            witness = beyond[bias_value]
+        if type(bias_value) is int:
+            if bias_value <= low_int:
+                witness: _Bounds | None = None
+            elif bias_value <= high_int:
+                n_scale = bias_value * scale
+                witness = (at, n_scale - gap, n_scale - floor, scale)
+            else:
+                witness = beyond(bias_value)
         else:
-            witness = _witness(bias_value, z, pivot, range_low, range_high)
-            beyond[bias_value] = witness
+            n, d = bias_value.as_integer_ratio()
+            if n * low_d <= low_n * d:
+                witness = None
+            elif n * high_d < high_n * d:
+                witness = (at, n * scale - gap * d, n * scale - floor * d, d * scale)
+            else:
+                witness = beyond(bias_value)
         if witness is None:
             trustworthy.append(key)
         else:

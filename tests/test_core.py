@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import coiquery.core
 from coiquery import BiasFunction, ConfigurationError, WeakOrder, as_fraction
-from coiquery.cli import _read_bias, load_config
+from coiquery.cli import _read_bias, load_config, run_command
 from oracles import bias_range_oracle, weak_order_from_lists_oracle
 
 
@@ -253,6 +253,34 @@ def test_bias_values_are_ints_when_integral_and_reduced_fractions_otherwise():
         with pytest.raises(ConfigurationError) as caught:
             _read_bias({"entries": {}, **document})
         assert str(caught.value) == "not a rational value: True"
+
+
+def test_int_entries_are_copied_so_later_edits_to_the_given_dict_change_nothing():
+    given = {f"e{i}": i for i in range(3_000)}
+    bias = BiasFunction(given)
+    given["e0"], given["late"] = 10_000, -5
+    del given["e1"]
+    assert bias.entries is not given
+    assert (bias("e0"), bias("e1"), bias("late")) == (0, 1, 0)
+    assert (len(bias.entries), bias.lower, bias.upper) == (3_000, 0, 2_999)
+
+
+def test_a_boolean_among_many_int_entries_is_not_a_rational_value(tmp_path, capsys):
+    # ``True`` is an ``int`` to ``isinstance``; the all-int path must not take it.
+    entries = {f"e{i}": i for i in range(3_000)}
+    entries["e1500"] = True
+    with pytest.raises(ConfigurationError) as caught:
+        _read_bias({"entries": entries})
+    assert str(caught.value) == "not a rational value: True"
+    config, beta = tmp_path / "config.json", tmp_path / "beta.json"
+    config.write_text(json.dumps({"z": 5_000, "bias": {"entries": entries}}))
+    beta.write_text(json.dumps([["e0"]]))
+    assert run_command(["trust", "--config", str(config), "--beta", str(beta)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        "configuration error: not a rational value: True\n",
+    )
 
 
 _close = st.integers(-(10**6), 10**6).map(lambda n: 1 + Fraction(n, 10**20))

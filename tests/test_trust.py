@@ -155,6 +155,26 @@ def test_forward_differences_have_nonnegative_coefficients():
         assert poly.coeff_monomial(1) > 0
 
 
+def test_gap_and_its_excess_over_shift_rise_by_less_than_one_per_step():
+    # The module docstring's step bounds, and a feasible last separation:
+    # together they keep every tie of the pivot search from moving a witness.
+    sympy = pytest.importorskip("sympy")
+    u, t, w = sympy.symbols("u t w")
+    d = 1 + u
+    z = d + 2 + t
+    gap_up, _, excess_up = _forward_differences(z, d)
+    scales = _threshold_numerators(z, d)[2] * _threshold_numerators(z, d + 1)[2]
+    gap, shift, _ = _threshold_numerators(2 + w, 1 + w)  # d = z - 1
+    for positive, variables in (
+        (scales - gap_up, (u, t)),
+        (scales - excess_up, (u, t)),
+        (gap - shift, (w,)),
+    ):
+        poly = sympy.Poly(sympy.expand(positive), *variables)
+        assert all(coefficient >= 0 for coefficient in poly.coeffs())
+        assert poly.coeff_monomial(1) > 0
+
+
 def test_monotonicity_facts_hold_on_sampled_large_universes():
     rng = random.Random(29)
     for _ in range(200):
@@ -331,19 +351,17 @@ def _screen_one(value, z, low, high, *, as_default=False):
 
 
 def _witness_near_pivot(value, z, low, high):
-    """The default witness of a bias whose gap cut the pivot's successor
-    clears, read off those two separations' longhand thresholds."""
-    pivot = _floor_pivot(z).separation
-    for separation in (pivot, pivot + 1):
-        if separation == z:
-            return None
+    """The default witness of a bias near the two cuts, read off the
+    longhand thresholds from the pivot up to the first gap that clears
+    ``value - high``: a few separations when ``value`` is near the cuts."""
+    for separation in range(_floor_pivot(z).separation, z):
         gap, shift = closed_form_gap_shift(z, separation)
         if gap > value - high:
             floor = max(gap - 1, shift)
             if not floor < value - low:
                 return None
             return TrustWitness(separation, value - gap, value - floor)
-    raise AssertionError(f"bias {value} is past the pivot's successor")
+    return None
 
 
 @pytest.mark.parametrize("z", [2, 3, 4, 10, 4097, 10**6])
@@ -353,31 +371,56 @@ def test_biases_on_and_beside_the_two_cuts(z):
     ranges = [
         (Fraction(0), Fraction(3)),
         (Fraction(-5, 3), Fraction(3 * z, 10) + Fraction(1, 7)),
+        (1 - pivot.floor, 3 + z // 10 - pivot.gap),  # both cuts are integers
         (Fraction(1, 3), Fraction(1, 3)),  # a point range flags nothing
     ]
     for low, high in ranges:
         low_cut, high_cut = low + pivot.floor, high + pivot.gap
-        for cut in (low_cut, high_cut):
-            for value in (cut - step, cut, cut + step):
-                found = {
-                    _screen_one(value, z, low, high, as_default=as_default)
-                    for as_default in (False, True)
-                }
-                assert len(found) == 1, (z, value)
-                (witness,) = found
-                if low == high:
-                    assert witness is None
-                    continue
-                assert witness == _witness_near_pivot(value, z, low, high)
-                if value <= low_cut:
-                    assert witness is None
-                elif value < high_cut:
-                    assert witness is not None
-                    assert witness.separation == pivot.separation
-                else:
-                    assert witness is None or witness.separation > pivot.separation
-                if z <= 4097:  # the scan oracle takes ~17 s per call at z=10**6
-                    assert witness == trust_witness_oracle(value, z, low, high)
+        offsets = (-step, 0, step)
+        values = [cut + offset for cut in (low_cut, high_cut) for offset in offsets]
+        # An ``int`` bias meets the cuts as the greatest integers at or
+        # below the low cut and below the high one.
+        low_int, high_int = math.floor(low_cut), math.ceil(high_cut) - 1
+        values += [low_int, low_int + 1, high_int, high_int + 1]
+        for value in values:
+            found = {
+                _screen_one(value, z, low, high, as_default=as_default)
+                for as_default in (False, True)
+            }
+            assert len(found) == 1, (z, value)
+            (witness,) = found
+            if low == high:
+                assert witness is None
+                continue
+            assert witness == _witness_near_pivot(value, z, low, high)
+            if value <= low_cut:
+                assert witness is None
+            elif value < high_cut:
+                assert witness is not None
+                assert witness.separation == pivot.separation
+            else:
+                assert witness is None or witness.separation > pivot.separation
+            if z <= 4097:  # the scan oracle takes ~17 s per call at z=10**6
+                assert witness == trust_witness_oracle(value, z, low, high)
+    low, high = ranges[2]
+    assert (low + pivot.floor).denominator == (high + pivot.gap).denominator == 1
+
+
+@pytest.mark.parametrize("z", [4, 10, 97, 4097])
+def test_defaults_exactly_at_a_gap_or_a_floor_past_the_pivot(z):
+    # A default at ``high + gap(d)`` is not cleared by ``d`` (the gap must
+    # exceed ``bias - high``); one at ``low + floor(d)`` is not flagged by
+    # ``d`` (the floor must be below ``bias - low``).
+    pivot = _floor_pivot(z).separation
+    low, high = Fraction(-2), Fraction(1, 3)
+    searched = 0
+    for separation in range(pivot + 1, min(z, pivot + 4)):
+        gap, shift = closed_form_gap_shift(z, separation)
+        for value in (high + gap, low + max(gap - 1, shift)):
+            expected = trust_witness_oracle(value, z, low, high)
+            assert _screen_one(value, z, low, high) == expected, (z, value)
+            searched += value - high >= _floor_pivot(z).gap
+    assert searched > 0
 
 
 _rationals = st.one_of(
