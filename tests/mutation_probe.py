@@ -1,15 +1,14 @@
 """Comparison-swap mutation probe: which comparisons do the tests pin?
 
     python tests/mutation_probe.py src/coiquery/trust.py src/coiquery/core.py
-    python tests/mutation_probe.py --workdir DIR --timeout 300 src/coiquery/merge.py
 
 Each ``<``, ``<=``, ``>`` and ``>=`` in the named modules is swapped with
 its strict or non-strict twin, one site at a time, in a copy of the
-repository (``--workdir``, else a fresh temporary directory; the
-checkout itself is never written).  The module's own test file
+repository in a fresh temporary directory, removed at the end; the
+checkout itself is never written.  The module's own test file
 ``tests/test_<module>.py`` runs on each mutant, and the whole ``tests``
 directory runs on a mutant that file lets through.  Runs go one after
-another, each in its own subprocess group killed after ``--timeout``
+another, each in its own subprocess group killed after ``TIMEOUT``
 seconds, so a mutant that makes a test loop is reported as hanging.
 A mutant that survives the whole suite is either equivalent (argue it
 in a comment) or a boundary no test pins (add one).  Standard library
@@ -31,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+TIMEOUT = 180  # seconds per pytest run, several times what the whole suite takes
 
 
 def mutants(source: str):
@@ -55,7 +55,7 @@ def mutants(source: str):
             node.ops[index] = op
 
 
-def run_tests(copy: Path, tests: str, timeout: float) -> str:
+def run_tests(copy: Path, tests: str) -> str:
     """``passes``, ``fails`` or ``hangs``: pytest on ``tests`` in ``copy``."""
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", tests]
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
@@ -68,7 +68,7 @@ def run_tests(copy: Path, tests: str, timeout: float) -> str:
         start_new_session=True,
     ) as child:
         try:
-            return "fails" if child.wait(timeout) else "passes"
+            return "fails" if child.wait(TIMEOUT) else "passes"
         except subprocess.TimeoutExpired:
             os.killpg(child.pid, signal.SIGKILL)
             child.wait()
@@ -78,34 +78,34 @@ def run_tests(copy: Path, tests: str, timeout: float) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", type=Path, help="module files to mutate")
-    parser.add_argument("--workdir", type=Path, help="where the copy goes")
-    parser.add_argument("--timeout", type=float, default=180.0, help="seconds per run")
     args = parser.parse_args(argv)
-    copy = (args.workdir or Path(tempfile.mkdtemp(prefix="mutation-probe-"))) / "repo"
-    shutil.rmtree(copy, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix="mutation-probe-") as scratch:
+        return probe(args.modules, Path(scratch) / "repo")
+
+
+def probe(modules: list[Path], copy: Path) -> int:
+    """Copy the repository to ``copy`` and report each mutant of ``modules``."""
     skip = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".bench_work")
     shutil.copytree(ROOT, copy, ignore=skip)
-    if run_tests(copy, "tests", args.timeout) != "passes":
+    if run_tests(copy, "tests") != "passes":
         print("the unmutated suite does not pass; no mutant was run")
         return 2
     survivors = []
-    for module in args.modules:
+    for module in modules:
         relative = module.resolve().relative_to(ROOT)
         target, source = copy / relative, (ROOT / relative).read_text()
         own = f"tests/test_{relative.stem}.py"
         own = own if (copy / own).exists() else "tests"
-        try:
-            for label, mutated in mutants(source):
-                target.write_text(mutated)
-                result = run_tests(copy, own, args.timeout)
-                if result == "passes" and own != "tests":
-                    result = run_tests(copy, "tests", args.timeout)
-                outcome = {"fails": "killed", "passes": "SURVIVES"}.get(result, "HANGS")
-                print(f"{relative.name} {label}: {outcome}", flush=True)
-                if outcome != "killed":
-                    survivors.append(f"{relative.name} {label}: {outcome}")
-        finally:
-            target.write_text(source)
+        for label, mutated in mutants(source):
+            target.write_text(mutated)
+            result = run_tests(copy, own)
+            if result == "passes" and own != "tests":
+                result = run_tests(copy, "tests")
+            outcome = {"fails": "killed", "passes": "SURVIVES"}.get(result, "HANGS")
+            print(f"{relative.name} {label}: {outcome}", flush=True)
+            if outcome != "killed":
+                survivors.append(f"{relative.name} {label}: {outcome}")
+        target.write_text(source)  # the next module's tests see this one unmutated
     print(f"{len(survivors)} not killed", *survivors, sep="\n  ")
     return 0
 

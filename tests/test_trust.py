@@ -406,21 +406,23 @@ def test_biases_on_and_beside_the_two_cuts(z):
     assert (low + pivot.floor).denominator == (high + pivot.gap).denominator == 1
 
 
-@pytest.mark.parametrize("z", [4, 10, 97, 4097])
+@pytest.mark.parametrize("z", [10, 97, 4097])
 def test_defaults_exactly_at_a_gap_or_a_floor_past_the_pivot(z):
-    # A default at ``high + gap(d)`` is not cleared by ``d`` (the gap must
-    # exceed ``bias - high``); one at ``low + floor(d)`` is not flagged by
-    # ``d`` (the floor must be below ``bias - low``).
-    pivot = _floor_pivot(z).separation
-    low, high = Fraction(-2), Fraction(1, 3)
-    searched = 0
-    for separation in range(pivot + 1, min(z, pivot + 4)):
+    # Defaults at or above the high cut, so searched past the pivot.  One at
+    # ``high + gap(d)`` is not cleared by ``d`` (the gap must exceed
+    # ``bias - high``).  One at ``low + floor(d)`` is cleared left of ``d``,
+    # where the floor lies below ``bias - low`` (module docstring).
+    pivot = _floor_pivot(z)
+    low, high = Fraction(0), Fraction(1, 3)
+    searched = {"gap": 0, "floor": 0}
+    for separation in range(pivot.separation + 1, min(z, pivot.separation + 6)):
         gap, shift = closed_form_gap_shift(z, separation)
-        for value in (high + gap, low + max(gap - 1, shift)):
-            expected = trust_witness_oracle(value, z, low, high)
-            assert _screen_one(value, z, low, high) == expected, (z, value)
-            searched += value - high >= _floor_pivot(z).gap
-    assert searched > 0
+        for kind, value in ("gap", high + gap), ("floor", low + max(gap - 1, shift)):
+            if value - high >= pivot.gap:
+                expected = trust_witness_oracle(value, z, low, high)
+                assert _screen_one(value, z, low, high) == expected, (z, value)
+                searched[kind] += 1
+    assert all(searched.values()), searched
 
 
 _rationals = st.one_of(
