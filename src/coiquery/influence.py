@@ -390,6 +390,15 @@ def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key,
     as its own last; a pinned search holds O(n) slots, not O(n²).  One
     node past the budget (``spent[0]`` counts them) raises
     :class:`SearchBudgetError`.
+
+    A live node whose windows are all single positions is a leaf at
+    once.  Its unplaced keys fill ``p..n`` in their windows, as the root
+    passed ``matchable``, so did each placement that moved another
+    window, and one that moved none placed the only key able to take its
+    position; single-position windows admit one such filling, a
+    permutation.  The descent would place the one candidate at each of
+    ``p..n``, moving nothing, so the search charges those ``n + 1 - p``
+    nodes and yields the order, or raises where that descent would.
     """
     keys = sorted(query.universe, key=_key_order_token)
     index = {key: i for i, key in enumerate(keys)}
@@ -451,9 +460,13 @@ def _iter_satisfying(query: DeltaQuery, spent: list[int]) -> Iterator[tuple[Key,
         placed = next(stack[-1], None)
         if placed is None:
             stack.pop()
-        elif len(stack) <= size:
+        elif placed[0] != placed[1]:
             stack.append(placements(len(stack), *placed))
-        else:  # a leaf: each window is one position
+        else:  # pinned: charge the nodes the descent to the leaf would use
+            spent[0] += size + 1 - len(stack)
+            if spent[0] > budget:
+                spent[0] = budget
+                raise SearchBudgetError
             yield tuple(keys[k] for k in sorted(range(size), key=placed[0].__getitem__))
 
 

@@ -30,7 +30,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 from .core import DomainError, WeakOrder
@@ -229,15 +230,21 @@ def _score12_table(base: WeakOrder, ctx: UtilityContext) -> array | list[int]:
     bias.  Twelve times it is ``-(n^2 - 1) - 3 (s - 2 r)^2`` under the
     quadratic user utility and ``-6 s r`` under the product one, where
     ``r`` is the response: the assigned rank, or the omitted rank past
-    top-k.  So one prefix sum over the positions a span with that ``s``
-    can hold, ``max(1, s - m) .. min(m, s - 1)``, yields each interval
-    with that ``s`` in O(1): m^2 terms in all.  Intervals are found
-    through position -> starting / ending block lookups.  The assigned
-    rank mirrors ``posterior._assigned_rank`` in cross-multiplied
-    integers, which ``interval_score`` (the exact reference) checks.
-    No cell reaches ``m^3 + 12 m (m + omitted_rank)^2`` in magnitude
-    (``r < omitted_rank``); below 2^63 the table is an ``array("q")``,
-    else a list, so no ``z`` or ``omitted_rank`` overflows it.
+    top-k.  As ``3 (s - 2 r)^2 = 3 s^2 - 12 r (s - r)``, a cell is
+    ``-n (n^2 - 1 + 3 s^2) + 12 Σ r (s - r)`` or ``-6 s Σ r``: one prefix
+    sum per ``s`` yields each interval with that ``s`` in O(1), found
+    through position -> starting / ending block lookups.  A quadratic
+    source's responses are evaluated at every ``s``, over the positions
+    its spans hold, ``max(1, s - m) .. min(m, s - 1)``: m^2 in all.  A
+    product source's is 1 below ``s = 2 b``, z above, and defers at it:
+    set at ``s = 2``, it is re-evaluated only where ``s`` first reaches or
+    passes ``2 b``, and only there is the sum of ``r`` rebuilt (in C).
+    The assigned rank mirrors ``posterior._assigned_rank`` in
+    cross-multiplied integers, which ``interval_score`` (the exact
+    reference) checks.  No cell reaches ``m^3 + 12 m (m + omitted_rank)^2``
+    in magnitude (``r < omitted_rank``); below 2^63 (or at it) the table
+    is an ``array("q")``, else a list, so no ``z`` or ``omitted_rank``
+    overflows it.
     """
     keys = [key for block in base.blocks for key in block]
     size = len(keys)
@@ -253,17 +260,27 @@ def _score12_table(base: WeakOrder, ctx: UtilityContext) -> array | list[int]:
     quadratic_source = ctx.kind_source is UtilityKind.QUADRATIC_SOURCE_BIASED
     # (2 * numerator, denominator) of each position's bias
     biases = [(2 * b.numerator, b.denominator) for b in map(ctx.bias, keys)]
+    # crossings[s]: the positions a product source re-evaluates at s
+    crossings: list[list] = [[] for _ in range(2 * size + 1)]
+    for p, (bias2, den) in enumerate(biases, 1):
+        crossings[2].append((p, (bias2, den)))
+        for s in {-(-bias2 // den), bias2 // den + 1}:  # s = 2b, then past it
+            if 2 < s <= 2 * size:  # ``2 <=`` would redo what s = 2 set
+                crossings[s].append((p, (bias2, den)))
     cells = len(base.blocks) * (len(base.blocks) + 1) // 2
     fits = size**3 + 12 * size * (size + omitted) ** 2 < 2**63
     table = array("q", [0]) * cells if fits else [0] * cells
+    responses = [0] * (size + 1)
     prefix = [0] * (size + 1)
     for s in range(2, 2 * size + 1):
+        first = max(1, s - size)
+        moved = crossings[s]
+        if quadratic_source:
+            moved = enumerate(biases[first - 1 : s - 1], first)
         # An indifferent product source defers to the user: rank 1 under a
         # product user, else s/2 projected onto 1..z (lower on a tie).
         indifferent = min(s // 2, z) if quadratic_user else 1
-        first = max(1, s - size)
-        prefix[first - 1] = total = 0
-        for p, (bias2, den) in enumerate(biases[first - 1 : s - 1], first):
+        for p, (bias2, den) in moved:
             tn = s * den - bias2  # target s/2 - bias, over 2 * den
             if quadratic_source:
                 # Project onto 1..z: nearest rank, then nearest to s/2, then lower.
@@ -278,22 +295,24 @@ def _score12_table(base: WeakOrder, ctx: UtilityContext) -> array | list[int]:
                     rank = floor + 1
             else:
                 rank = z if tn > 0 else 1 if tn < 0 else indifferent
-            if rank > top_k:
-                rank = omitted
-            if quadratic_user:
-                gap = s - 2 * rank
-                total += 3 * gap * gap
-            else:
-                total += 6 * s * rank
-            prefix[p] = total
+            responses[p] = omitted if rank > top_k else rank
+        if quadratic_user:  # 3 (s^2 - (s - 2 r)^2) = 12 r (s - r)
+            window = responses[first:s]
+            terms = map(mul, window, map(sub, repeat(s), window))
+            prefix[first - 1 : s] = accumulate(terms, initial=0)
+        elif moved:  # positions first.. are all that later s read
+            prefix[first - 1 :] = accumulate(responses[first:], initial=0)
+        scale = 12 if quadratic_user else -6 * s
+        spread = 3 * s * s - 1
         for low in range(first, s // 2 + 1):
             i = starts[low]
             j = ends[s - low]
             if i and j:
-                width = s - 2 * low + 1
-                cubic = width * (width * width - 1) if quadratic_user else 0
-                cell = j * (j - 1) // 2 + i - 1
-                table[cell] = -cubic - (prefix[s - low] - prefix[low - 1])
+                value = scale * (prefix[s - low] - prefix[low - 1])
+                if quadratic_user:
+                    width = s - 2 * low + 1
+                    value -= width * (width * width + spread)
+                table[j * (j - 1) // 2 + i - 1] = value
     return table
 
 
@@ -325,7 +344,8 @@ def maximize_merge_dp(
     constraint-query pipeline (which reduces to the intent's own order
     under equal biases).  Every utility pair and base shape is scored
     by one integer table of twelve times each interval score
-    (``_score12_table``), O(m^2) to fill and O(m^2) to solve.
+    (``_score12_table``), O(m^2) to fill, evaluating only O(m) responses
+    under a product source, and O(m^2) to solve.
     Equal-value splits keep the larger interval start, so zero-gain
     merges are never introduced.
     """

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coiquery.cli
+import coiquery.equilibrium as equilibrium
 import coiquery.influence as influence
 import coiquery.merge
 from coiquery import (
@@ -463,6 +464,19 @@ def test_equilibrium_command_output_is_pinned_byte_for_byte(tmp_path, capsys):
     game.write_text(json.dumps(_COMMISSION_GAME))
     assert run_command(["equilibrium", "--game", str(game)]) == 0
     assert capsys.readouterr() == (_GOLDEN_EQUILIBRIUM_STDOUT, "")
+
+
+def test_equilibrium_command_exits_one_past_the_profile_cap(
+    tmp_path, capsys, monkeypatch
+):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(_COMMISSION_GAME))
+    monkeypatch.setattr(equilibrium, "_PROFILE_CAP", 15)
+    assert run_command(["equilibrium", "--game", str(game)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "16 pure profiles exceed" in captured.err
+    assert "Traceback" not in captured.err
 
 
 #: The sales example under product utilities: bias 19/10 everywhere,

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from oracles import pure_equilibria_oracle
 
+import coiquery.equilibrium as equilibrium
 from coiquery import (
     ConfigurationError,
     DomainError,
@@ -335,4 +336,15 @@ def test_enumeration_profile_cap():
         [Fraction(1, 7)] * 7,
     )
     with pytest.raises(DomainError):
+        enumerate_pure_equilibria(game)
+
+
+def test_profile_cap_admits_exactly_its_count(monkeypatch):
+    # Two intents, two queries, two interpretations: 2^2 user strategies
+    # times 2^2 source strategies.
+    game = commission_game(1, 2)
+    monkeypatch.setattr(equilibrium, "_PROFILE_CAP", 16)
+    assert _triples(enumerate_pure_equilibria(game)) == pure_equilibria_oracle(game)
+    monkeypatch.setattr(equilibrium, "_PROFILE_CAP", 15)
+    with pytest.raises(DomainError, match="16 pure profiles exceed"):
         enumerate_pure_equilibria(game)

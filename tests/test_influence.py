@@ -462,6 +462,63 @@ def test_pinned_chain_search_holds_linear_memory():
     assert peak < 5 * 2**20
 
 
+def _chain(keys):
+    return [(a, b, 1) for a, b in zip(keys, keys[1:])]
+
+
+_SIX = [f"e{i}" for i in range(1, 7)]
+
+#: Queries whose windows come to pin every key: a unit-gap chain at the
+#: root; a free pair ahead of a chain once the pair's first key is
+#: placed; and a chain longer than the budget its test sets.
+_PINNED = {
+    "at-the-root": (_chain(_SIX), _SIX),
+    "after-the-first-placement": (
+        [("e1", "e3", 1), ("e2", "e3", 1), *_chain(_SIX[2:])],
+        _SIX,
+    ),
+    "past-the-budget": (_chain(_SIX + ["e7"]), _SIX + ["e7"]),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED)
+def test_pinned_windows_are_a_leaf_charged_a_node_per_position(name):
+    constraints, universe = _PINNED[name]
+    orders = list(satisfying_orders_backtrack_oracle(constraints, universe))
+    query = _query(constraints, universe)
+    first = influence._search(query, 1)
+    assert (first.base, first.nodes) == (WeakOrder.total(orders[0]), len(universe))
+    summary = classify_ranking_set(query)
+    assert summary.base == first.base
+    # No dead branch: each order costs one node per position.
+    assert (summary.count, summary.nodes) == (
+        len(orders), len(orders) * len(universe)
+    )
+
+
+def test_a_pinned_chain_past_the_budget_stops_at_the_budget(monkeypatch):
+    constraints, universe = _PINNED["past-the-budget"]
+    query = _query(constraints, universe)
+    monkeypatch.setattr(influence, "_SEARCH_NODE_BUDGET", 6)
+    summary = classify_ranking_set(query)
+    assert (summary.kind, summary.reason, summary.nodes, summary.base) == (
+        RankingSetKind.UNKNOWN, "node_budget", 6, None
+    )
+    with pytest.raises(SearchBudgetError, match="node budget of 6"):
+        base_query(query)
+    monkeypatch.setattr(influence, "_SEARCH_NODE_BUDGET", 7)
+    summary = classify_ranking_set(query)
+    assert (summary.kind, summary.count, summary.nodes) == (
+        RankingSetKind.SINGLETON, 1, 7
+    )
+    # The pair ahead of the chain: the first order fits 11 nodes, the second not.
+    monkeypatch.setattr(influence, "_SEARCH_NODE_BUDGET", 11)
+    summary = classify_ranking_set(_query(*_PINNED["after-the-first-placement"]))
+    assert (summary.kind, summary.lower_bound, summary.reason, summary.nodes) == (
+        RankingSetKind.UNKNOWN, 1, "node_budget", 11
+    )
+
+
 def test_a_gap_wider_than_the_universe_is_empty():
     query = _query([("e1", "e2", 4)], ["e1", "e2", "e3", "e4"])
     summary = classify_ranking_set(query)
@@ -719,6 +776,7 @@ def _summary_oracle_cases(rng):
         yield [tuple(c) for c in query.constraints], query.universe
     for constraints, size in _INFEASIBLE:
         yield constraints, [f"e{i}" for i in range(1, size + 1)]
+    yield from _PINNED.values()
 
 
 def test_summary_base_is_the_least_order_under_every_budget(monkeypatch):

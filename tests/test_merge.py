@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coiquery.merge as merge
 from coiquery import (
@@ -326,18 +328,19 @@ def _cell(table, start, end):
     return Fraction(table[end * (end - 1) // 2 + start - 1], 12)
 
 
+def _assert_cells_are_interval_scores(table, base, ctx):
+    blocks = len(base.blocks)
+    assert len(table) == blocks * (blocks + 1) // 2
+    for start in range(1, blocks + 1):
+        for end in range(start, blocks + 1):
+            assert _cell(table, start, end) == interval_score(start, end, ctx, base)
+
+
 def test_integer_table_reproduces_exact_interval_scores():
     rng = random.Random(53)
     for kind_user, kind_source, _ in product(_USER_KINDS, _SOURCE_KINDS, range(60)):
         base, ctx = _random_instance(rng, kind_user, kind_source, 10)
-        table = _score12_table(base, ctx)
-        blocks = len(base.blocks)
-        assert len(table) == blocks * (blocks + 1) // 2
-        for start in range(1, blocks + 1):
-            for end in range(start, blocks + 1):
-                assert _cell(table, start, end) == interval_score(
-                    start, end, ctx, base
-                )
+        _assert_cells_are_interval_scores(_score12_table(base, ctx), base, ctx)
 
 
 @pytest.mark.parametrize(
@@ -361,13 +364,72 @@ def test_table_storage_follows_the_cell_bound(omitted, storage):
         table = _score12_table(base, ctx)
         assert type(table) is storage
         largest = max(largest, *map(abs, table))
-        blocks = len(base.blocks)
-        for start in range(1, blocks + 1):
-            for end in range(start, blocks + 1):
-                assert _cell(table, start, end) == interval_score(
-                    start, end, ctx, base
-                )
+        _assert_cells_are_interval_scores(table, base, ctx)
     assert (largest >= 2**63) == (storage is list)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from(_USER_KINDS),
+    st.sampled_from((None, 10**12)),
+)
+def test_product_source_cells_are_twelve_interval_scores(data, kind_user, omitted):
+    # Denominators 1 and 2 put doubled biases on span midpoints; biases
+    # run from -2 (answering z from the start) to m + 2 (never crossing),
+    # and are drawn from a few levels so several keys cross at one s.
+    size = data.draw(st.integers(1, 8))
+    keys = data.draw(st.permutations([f"e{i}" for i in range(1, size + 1)]))
+    ties = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    denominator = data.draw(st.sampled_from((1, 2, 10)))
+    span = st.integers(-2 * denominator, (size + 2) * denominator)
+    levels = data.draw(st.lists(span, min_size=1, max_size=size))
+    numerators = data.draw(
+        st.lists(st.sampled_from(levels), min_size=size, max_size=size)
+    )
+    z = data.draw(st.integers(size, size + 2))
+    top_k = data.draw(st.sampled_from((1, z)) | st.integers(1, z))
+    blocks: list[list[str]] = []
+    for key, tied in zip(keys, ties):
+        if blocks and tied:
+            blocks[-1].append(key)
+        else:
+            blocks.append([key])
+    bias = BiasFunction(
+        {key: Fraction(n, denominator) for key, n in zip(keys, numerators)}
+    )
+    ctx = UtilityContext(
+        z,
+        top_k,
+        bias,
+        omitted,
+        kind_user=kind_user,
+        kind_source=UtilityKind.PRODUCT_SOURCE_BIASED,
+    )
+    base = WeakOrder.of(*blocks)
+    table = _score12_table(base, ctx)
+    assert type(table) is (array if omitted is None else list)
+    _assert_cells_are_interval_scores(table, base, ctx)
+
+
+@pytest.mark.parametrize("kind_user", _USER_KINDS)
+@pytest.mark.parametrize("top_k", [1, 4])
+@pytest.mark.parametrize("halves", range(-1, 10))
+def test_product_source_keys_crossing_together_at_each_midpoint(
+    kind_user, top_k, halves
+):
+    # Four keys share one bias, so all cross at the same s, from s = 2
+    # (bias 1/2 and below answer z from the start) to s = 2m = 8 (bias
+    # 4 defers only there; 9/2 never crosses).
+    base = WeakOrder.total(["e2", "e4", "e1", "e3"])
+    ctx = UtilityContext(
+        4,
+        top_k,
+        BiasFunction({}, default=Fraction(halves, 2)),
+        kind_user=kind_user,
+        kind_source=UtilityKind.PRODUCT_SOURCE_BIASED,
+    )
+    _assert_cells_are_interval_scores(_score12_table(base, ctx), base, ctx)
 
 
 def _one_key_table(omitted):
