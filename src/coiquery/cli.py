@@ -520,10 +520,7 @@ def run_command(argv: Sequence[str]) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except QueryAnalysisError as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return 1
-    except OverflowError as exc:  # a report value beyond the float range
+    except (QueryAnalysisError, OverflowError) as exc:  # Overflow: a float out of range
         print(f"analysis error: {exc}", file=sys.stderr)
         return 1
 

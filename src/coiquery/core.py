@@ -222,9 +222,6 @@ class WeakOrder:
     def __len__(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._rank_by_key
-
     # -- identity -----------------------------------------------------------
 
     @cached_property

@@ -332,7 +332,9 @@ def _settle(
     along ``before`` from ``falling``.  A key reads its bound when it
     pops, so it is pushed only when not already waiting.  Bounds stay
     in ``1..n``, so a positive cycle empties a window; any order reaches
-    the same fixpoint.
+    the same fixpoint.  Only the rising half can empty one: after it each
+    ``(s, r, g)`` holds on ``lo`` (relaxed, or met at the caller's fixpoint),
+    so as ``hi`` falls from keys with ``hi >= lo``, ``hi[s] = hi[r] - g >= lo[s]``.
     """
     moved = 0
     waiting = set(rising)
@@ -356,8 +358,6 @@ def _settle(
         high = hi[key]
         for subject, gap in before[key]:
             if high - gap < hi[subject]:
-                if high - gap < lo[subject]:
-                    return None
                 hi[subject] = high - gap
                 moved += 1
                 if subject not in waiting:

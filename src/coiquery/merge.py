@@ -53,23 +53,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntervalPartition:
-    """Consecutive intervals covering positions 1..m without gaps."""
+    """Consecutive intervals covering positions 1..m without gaps; unchecked,
+    as only the DP and the oracle build one, from the int tilings they walk."""
 
     intervals: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "intervals", tuple((int(i), int(j)) for i, j in self.intervals)
-        )
-        if not self.intervals:
-            raise DomainError("a partition needs at least one interval")
-        expected_start = 1
-        for start, end in self.intervals:
-            if start != expected_start or end < start:
-                raise DomainError(
-                    f"intervals must tile 1..m contiguously; got {self.intervals}"
-                )
-            expected_start = end + 1
 
     @property
     def size(self) -> int:

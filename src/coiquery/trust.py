@@ -189,7 +189,10 @@ def _first_where(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
 
 @lru_cache(maxsize=16)
 def _floor_pivot(universe_size: int) -> _Window | None:
-    """Rightmost minimum of the window floor; None only at z = 1."""
+    """Rightmost minimum of the window floor; None only at z = 1.  Of the
+    crossing ``c`` (feasible) and ``c - 1``, min never picks an empty window:
+    ``floor(c - 1) = shift(c - 1) >= gap(c - 1) > gap(c) - 1 = floor(c)``,
+    as the gap rises by less than 1 per step.  Uncrossed, ``z - 1`` is feasible."""
     z = universe_size
 
     def crossed(d: int) -> bool:  # implies feasible
@@ -199,8 +202,7 @@ def _floor_pivot(universe_size: int) -> _Window | None:
     crossing = _first_where(1, z, crossed)
     # Crossing first, so that min keeps the rightmost separation on ties.
     windows = [_window(z, d) for d in (crossing, crossing - 1) if 1 <= d < z]
-    feasible = [w for w in windows if w.floor < w.gap]  # a nonempty window
-    return min(feasible, key=lambda w: w.floor, default=None)
+    return min(windows, key=lambda w: w.floor, default=None)
 
 
 def _bounds(bias: int | Fraction, universe_size: int, separation: int) -> _Bounds:

@@ -8,7 +8,10 @@ import functools
 import io
 import json
 import operator
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from collections import Counter
@@ -863,6 +866,57 @@ def test_configuration_errors_exit_two(tmp_path, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+_GAME_WITHOUT_INTENTS = dict(
+    _COMMISSION_GAME, intents=[], payoff_user=[], payoff_source=[], prior=[]
+)
+
+
+@pytest.mark.parametrize(
+    "flag, document, message",
+    [
+        ("--config", {"z": 0}, "universe size must be at least 1"),
+        ("--config", {"z": 4, "k": 0}, "top-k cutoff 0 outside 1..4"),
+        ("--config", {"z": 4, "k": 5}, "top-k cutoff 5 outside 1..4"),
+        (
+            "--config",
+            {"z": 4, "kind_user": "product_source_biased"},
+            "UtilityKind.PRODUCT_SOURCE_BIASED is not a user utility",
+        ),
+        (
+            "--config",
+            {"z": 4, "kind_source": "quadratic_user"},
+            "UtilityKind.QUADRATIC_USER is not a source utility",
+        ),
+        ("--config", [{"z": 4}], "{path}: config must be a JSON object"),
+        ("--config", {"z": 4, "bias": {"entries": [["e1", 1]]}}, "bias entries must be an object"),
+        ("--game", [_COMMISSION_GAME], "{path}: game must be a JSON object"),
+        ("--game", _GAME_WITHOUT_INTENTS, "game needs at least one intent"),
+        (
+            "--game",
+            dict(_COMMISSION_GAME, prior=[-0.5, 1.5]),
+            "prior weights must be nonnegative",
+        ),
+        ("--game", dict(_COMMISSION_GAME, prior=[1]), "prior length must match the intents"),
+        ("--m", "0", "bad --m list '0'"),
+        ("--m", ",", "bad --m list ','"),
+    ],
+)
+def test_each_configuration_fault_exits_two_naming_it(
+    tmp_path, capsys, flag, document, message
+):
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))
+    beta = _write_order(tmp_path, "beta.json", [["a"]])
+    argv = {
+        "--config": ["trust", "--beta", str(beta), "--config", str(path)],
+        "--game": ["equilibrium", "--game", str(path)],
+        "--m": ["bench", "--suite", "dp", "--m", document],
+    }[flag]
+    assert run_command(argv) == 2
+    expected = message.format(path=path)
+    assert capsys.readouterr() == ("", f"configuration error: {expected}\n")
+
+
 def _ten_value_attributes(count):
     """``count`` attributes of ten values each: a 10**count-element product."""
     return [{"name": f"a{i}", "values": list(range(10))} for i in range(count)]
@@ -1363,6 +1417,44 @@ def test_analysis_errors_exit_one(tmp_path, capsys):
     path.write_text(json.dumps(game))
     assert run_command(["equilibrium", "--game", str(path)]) == 1
     capsys.readouterr()
+
+
+# --------------------------------------------------------------------------- #
+# Logging
+# --------------------------------------------------------------------------- #
+
+
+_MULTIPLICITY_RECORD = (
+    "DEBUG coiquery.influence: 2 separations cover bias gap 1 at universe size 4; "
+    "returning the smallest\n"
+)
+
+
+@pytest.mark.parametrize(
+    "level, logged",
+    [
+        ("DEBUG", _MULTIPLICITY_RECORD),
+        ("debug", _MULTIPLICITY_RECORD),
+        ("CHATTY", ""),  # an unknown level name keeps the WARNING default
+    ],
+)
+def test_coi_log_sets_the_stderr_level_of_a_fresh_process(tmp_path, level, logged):
+    # A subprocess: once pytest has configured logging, basicConfig does nothing.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"z": 4, "bias": {"entries": {"e1": 1, "e2": 0}}}))
+    intent = _write_order(tmp_path, "intent.json", [["e1"], ["e2"]])
+    source = Path(coiquery.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "COI_LOG": level, "PYTHONPATH": str(source)}
+    argv = ["influence", "--config", str(config), "--intent", str(intent)]
+    child = subprocess.run(
+        [sys.executable, "-m", "coiquery.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (0, logged)
+    assert json.loads(child.stdout)["base"] == [["e1"], ["e2"]]
 
 
 # --------------------------------------------------------------------------- #

@@ -61,6 +61,7 @@ def test_equality_ignores_member_order_inside_a_block():
     assert WeakOrder.of(["b", "a"], ["c"]) == WeakOrder.of(["a", "b"], ["c"])
     assert hash(WeakOrder.of(["b", "a"])) == hash(WeakOrder.of(["a", "b"]))
     assert WeakOrder.of(["a"], ["b"]) != WeakOrder.of(["b"], ["a"])
+    assert repr(WeakOrder.of(["b", "a"], ["c"])) == "WeakOrder[b~a < c]"
 
 
 def test_from_lists_round_trips_and_validates():
@@ -195,6 +196,7 @@ def test_bias_function_lookup_and_default():
     bias = BiasFunction({"a": Fraction(1, 2)}, default=Fraction(1, 4))
     assert bias("a") == Fraction(1, 2)
     assert bias("anything else") == Fraction(1, 4)
+    assert repr(bias) == "BiasFunction(1 entries, range [1/4, 1/2])"
 
 
 def test_bias_function_rejects_inverted_bounds():

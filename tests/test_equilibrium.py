@@ -53,6 +53,12 @@ def test_build_validates_prior_and_shapes():
         )
     with pytest.raises(ConfigurationError):
         FiniteGame.build(["t"], ["q"], ["b"], [[1, 2]], [[1]], [1])
+    # Built directly, the game checks the cells and labels ``build`` derives.
+    one = {("t", "b"): Fraction(1)}
+    with pytest.raises(ConfigurationError, match="user payoff table does not cover"):
+        FiniteGame(("t",), ("q",), ("b",), {}, one, {"t": Fraction(1)})
+    with pytest.raises(ConfigurationError, match="prior must weight exactly the intents"):
+        FiniteGame(("t",), ("q",), ("b",), one, one, {"u": Fraction(1)})
 
 
 # --------------------------------------------------------------------------- #

@@ -30,6 +30,7 @@ from coiquery import (
     BiasFunction,
     ConfigurationError,
     DeltaQuery,
+    DomainError,
     InfeasibleQueryError,
     RankingSetKind,
     RankingSetSummary,
@@ -77,6 +78,14 @@ def test_threshold_windows_at_z_ten():
     assert delta_star_for_gap(-2, 10) is None
 
 
+def test_a_one_position_universe_has_no_separation_to_solve():
+    with pytest.raises(DomainError, match="universe of size >= 2"):
+        delta_star_for_gap(1, 1)
+    two_keys = WeakOrder.total(["e1", "e2"])
+    with pytest.raises(DomainError, match="universe of size >= 2"):
+        build_delta_query(two_keys, BiasFunction({"e1": 1}), 1)
+
+
 def test_bias_gap_is_subject_minus_rival():
     bias = BiasFunction({"s": Fraction(1)})
     assert delta_star_for_gap(bias("s") - bias("r"), 4) == 2
@@ -117,7 +126,7 @@ def test_returned_separation_satisfies_its_window():
             assert window.gap - 1 < gap <= window.gap
 
 
-def test_multiplicity_is_surfaced_as_a_warning(caplog):
+def test_multiplicity_is_logged_at_debug(caplog):
     with caplog.at_level(logging.DEBUG, logger="coiquery.influence"):
         assert delta_star_for_gap(1, 4) == 2
     assert any(
@@ -403,6 +412,43 @@ def test_infeasible_windows_are_none(constraints, universe):
     summary = classify_ranking_set(query)
     assert (summary.kind, summary.nodes) == (RankingSetKind.EMPTY, 0)
     assert position_windows_oracle(query.constraints, universe) is None
+
+
+def _drawn_constraints(n, low, high):
+    """Up to 3n gaps in ``low..high`` between distinct keys of 1..n, one a pair."""
+    return st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n), st.integers(low, high)),
+        max_size=3 * n,
+        unique_by=lambda c: (c[0], c[1]),
+    ).map(lambda cs: [c for c in cs if c[0] != c[1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            _drawn_constraints(n, -4, 4),
+            st.sampled_from([1, 2, influence._COUNT_CAP]),
+        )
+    )
+)
+def test_settle_lowers_no_window_below_its_floor(case):
+    # ``_settle`` has no emptiness test in its falling half: this is why.
+    size, picked, cap = case
+    universe = [f"e{i}" for i in range(1, size + 1)]
+    query = _query([(f"e{a}", f"e{b}", gap) for a, b, gap in picked], universe)
+    settle = influence._settle
+
+    def checked(after, before, lo, hi, rising, falling):
+        start = hi[:]
+        moved = settle(after, before, lo, hi, rising, falling)
+        assert all(lo[k] <= hi[k] for k in range(size) if hi[k] < start[k])
+        return moved
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(influence, "_settle", checked)
+        influence._search(query, cap)
 
 
 # --------------------------------------------------------------------------- #
@@ -710,14 +756,7 @@ def _probe(query):
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(2, 7).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.tuples(st.integers(1, n), st.integers(1, n), st.integers(-3, 4)),
-                max_size=3 * n,
-                unique_by=lambda c: (c[0], c[1]),
-            ).map(lambda cs: [c for c in cs if c[0] != c[1]]),
-        )
+        lambda n: st.tuples(st.just(n), _drawn_constraints(n, -3, 4))
     )
 )
 def test_search_agrees_with_the_permutation_oracle(case):

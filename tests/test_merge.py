@@ -131,6 +131,8 @@ def _quad_ctx(entries, z=4, top_k=None, default=0):
 def test_singleton_interval_with_no_bias_scores_zero():
     base = WeakOrder.total(["a", "b", "c", "d"])
     assert interval_score(3, 3, _quad_ctx({}), base) == 0
+    with pytest.raises(DomainError, match="interval 0..1 outside 1..4"):
+        interval_score(0, 1, _quad_ctx({}), base)
 
 
 def test_two_tuple_interval_doubles_the_block_utility():
@@ -217,6 +219,7 @@ def test_sales_dp_merges_the_top_two():
     result = maximize_merge_dp(intent, _sales_ctx(), base=intent)
     assert result.opt_value == -38
     assert result.partition.intervals == ((1, 2), (3, 3), (4, 4))
+    assert result.partition.size == 4  # the block count the benchmark's trace reads
     assert result.ranking == WeakOrder.of(["e3", "e2"], ["e1"], ["e4"])
 
 
@@ -500,3 +503,5 @@ def test_empty_base_rejected():
     ctx = _quad_ctx({}, z=2)
     with pytest.raises(DomainError):
         maximize_merge_dp(WeakOrder.of(), ctx, base=WeakOrder.of())
+    with pytest.raises(DomainError, match="base ranking is empty"):
+        brute_force_merge_opt(WeakOrder.of(), ctx, base=WeakOrder.of())

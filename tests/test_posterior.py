@@ -89,6 +89,8 @@ def test_out_of_range_separation_rejected():
         region_means(4, 0, FAVORED)
     with pytest.raises(DomainError):
         region_means(4, 4, FAVORED)
+    with pytest.raises(DomainError, match="universe of size >= 2"):
+        region_means(1, 1, FAVORED)
 
 
 # --------------------------------------------------------------------------- #
@@ -100,6 +102,8 @@ def test_best_response_shifts_by_bias_then_projects():
     assert best_response_rank("19/4", 2, 10) == 3
     assert best_response_rank("3/2", 0, 10) == 1
     assert best_response_rank(1, 3, 4) == 1
+    with pytest.raises(DomainError, match="universe size must be at least 1"):
+        best_response_rank(1, 0, 0)
 
 
 def test_projected_best_response_matches_full_scan():

@@ -76,6 +76,8 @@ def test_denominator_positive_and_separation_range_enforced():
         gsd_values(5, 0)
     with pytest.raises(DomainError):
         gsd_values(5, 5)
+    with pytest.raises(DomainError, match="universe of size >= 2"):
+        gsd_values(1, 1)
 
 
 def test_thresholds_match_longhand_formulas():
