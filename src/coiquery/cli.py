@@ -66,7 +66,6 @@ import os
 import sys
 from typing import Sequence
 
-from . import bench as bench_mod
 from .core import (
     BiasFunction,
     ConfigurationError,
@@ -397,6 +396,8 @@ def _cmd_equilibrium(args: argparse.Namespace) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> str:
+    from . import bench as bench_mod  # only here: it loads csv and statistics
+
     if args.runs < 1:
         raise ConfigurationError(f"--runs must be at least 1, got {args.runs}")
     sizes = None

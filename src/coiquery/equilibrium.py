@@ -47,14 +47,14 @@ _PRIOR_TOLERANCE = Fraction(1, 10**12)
 
 @dataclass(frozen=True, eq=False)
 class FiniteGame:
-    """Explicit payoff tables over intents, queries, and interpretations."""
+    """Payoff matrices (rows: intents, columns: interpretations) and a prior."""
 
     intents: tuple[str, ...]
     queries: tuple[str, ...]
     interpretations: tuple[str, ...]
-    payoff_user: dict[tuple[str, str], Fraction]
-    payoff_source: dict[tuple[str, str], Fraction]
-    prior: dict[str, Fraction]
+    payoff_user: tuple[tuple[Fraction, ...], ...]
+    payoff_source: tuple[tuple[Fraction, ...], ...]
+    prior: tuple[Fraction, ...]
     set_equivalent: bool = False
 
     def __post_init__(self) -> None:
@@ -67,19 +67,14 @@ class FiniteGame:
                 raise ConfigurationError(f"game needs at least one {label}")
             if len(set(values)) != len(values):
                 raise ConfigurationError(f"duplicate {label} labels")
-        cells = set(itertools.product(self.intents, self.interpretations))
-        for name, table in (
-            ("user", self.payoff_user),
-            ("source", self.payoff_source),
-        ):
-            if set(table) != cells:
-                raise ConfigurationError(
-                    f"{name} payoff table does not cover intents x interpretations"
-                )
-        if set(self.prior) != set(self.intents):
-            raise ConfigurationError("prior must weight exactly the intents")
-        total = sum(self.prior.values(), start=Fraction(0))
-        if any(weight < 0 for weight in self.prior.values()):
+        rows, columns = len(self.intents), len(self.interpretations)
+        if len(self.prior) != rows:
+            raise ConfigurationError("prior length must match the intents")
+        for name, matrix in ("user", self.payoff_user), ("source", self.payoff_source):
+            if len(matrix) != rows or any(len(row) != columns for row in matrix):
+                raise ConfigurationError(f"{name} matrix must be {rows} x {columns}")
+        total = sum(self.prior, start=Fraction(0))
+        if any(weight < 0 for weight in self.prior):
             raise ConfigurationError("prior weights must be nonnegative")
         if abs(total - 1) > _PRIOR_TOLERANCE:
             try:
@@ -101,28 +96,16 @@ class FiniteGame:
     ) -> FiniteGame:
         """Assemble a game from payoff matrices (rows: intents)."""
 
-        def as_table(rows: Sequence[Sequence], name: str) -> dict:
-            if len(rows) != len(intents) or any(
-                len(row) != len(interpretations) for row in rows
-            ):
-                raise ConfigurationError(
-                    f"{name} matrix must be {len(intents)} x {len(interpretations)}"
-                )
-            return {
-                (intent, interpretation): as_fraction(rows[i][j])
-                for i, intent in enumerate(intents)
-                for j, interpretation in enumerate(interpretations)
-            }
+        def matrix(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
+            return tuple(tuple(map(as_fraction, row)) for row in rows)
 
-        if len(prior) != len(intents):
-            raise ConfigurationError("prior length must match the intents")
         return cls(
             tuple(intents),
             tuple(queries),
             tuple(interpretations),
-            as_table(payoff_user, "user"),
-            as_table(payoff_source, "source"),
-            {intent: as_fraction(w) for intent, w in zip(intents, prior)},
+            matrix(payoff_user),
+            matrix(payoff_source),
+            tuple(map(as_fraction, prior)),
             set_equivalent,
         )
 
@@ -170,15 +153,16 @@ def influential_witness(
             "witness search applies only to set-equivalent intents"
         )
     user, source = game.payoff_user, game.payoff_source
-    for a, b in itertools.permutations(game.intents, 2):
-        for x, y in itertools.permutations(game.interpretations, 2):
+    intents, answers = game.intents, game.interpretations
+    for a, b in itertools.permutations(range(len(intents)), 2):
+        for x, y in itertools.permutations(range(len(answers)), 2):
             if (
-                user[a, x] >= user[a, y]
-                and user[b, y] >= user[b, x]
-                and source[a, x] >= source[a, y]
-                and source[b, y] >= source[b, x]
+                user[a][x] >= user[a][y]
+                and user[b][y] >= user[b][x]
+                and source[a][x] >= source[a][y]
+                and source[b][y] >= source[b][x]
             ):
-                return (a, b, x, y)
+                return (intents[a], intents[b], answers[x], answers[y])
     return None
 
 
@@ -216,7 +200,7 @@ def _integers(values: Sequence[Fraction]) -> list[int]:
 def _best_replies(weights: list[list[int]], senders: int) -> tuple[int, ...]:
     """Indices of the interpretations best for the source, ascending.
 
-    ``weights[b][t]`` is ``prior[t] * payoff_source[t, b]``, an integer
+    ``weights[b][t]`` is ``prior[t] * payoff_source[t][b]``, an integer
     over the table's common denominator, summed over the intents t whose
     bit is set in ``senders``.  The Bayes posterior would also divide by
     the senders' mass, which does not change which interpretation is best.
@@ -249,12 +233,12 @@ def enumerate_pure_equilibria(game: FiniteGame) -> list[ClassifiedEquilibrium]:
     profile_count = stride ** len(intents) * len(answers) ** stride
     if profile_count > _PROFILE_CAP:
         raise DomainError(f"{profile_count} pure profiles exceed the enumeration cap")
-    prior = _integers([game.prior[t] for t in intents])
-    cells = iter(_integers([game.payoff_source[t, b] for b in answers for t in intents]))
+    prior = _integers(game.prior)
+    cells = iter(_integers([v for column in zip(*game.payoff_source) for v in column]))
     weights = [[w * next(cells) for w in prior] for _ in answers]  # W[b][t]
     positive = sum(1 << t for t, weight in enumerate(prior) if weight)
     # Deviations compare one intent's payoffs: each row is scaled alone.
-    user_payoff = [_integers([game.payoff_user[t, b] for b in answers]) for t in intents]
+    user_payoff = [_integers(row) for row in game.payoff_user]
     best_by_senders: dict[int, tuple[int, ...]] = {}
     # Per source map, bit t * stride + q is set when the answer to query
     # q reaches intent t's best payoff among the map's answers.

@@ -161,37 +161,24 @@ class TrustReport:
         return f'{{"flagged":[{flagged}],"trustworthy":[{trustworthy}]}}'
 
 
-class _Window(NamedTuple):
-    """A separation with its gap and window floor, feasible if floor < gap."""
-
-    separation: int
-    gap: Fraction
-    floor: Fraction  # max(gap - 1, shift)
-
-
-def _window(universe_size: int, separation: int) -> _Window:
-    gap, shift, scale = _threshold_numerators(universe_size, separation)
-    return _Window(
-        separation, Fraction(gap, scale), Fraction(max(gap - scale, shift), scale)
-    )
-
-
 def _first_where(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
-    """Least d in ``[lo, hi)`` where a monotone ``holds`` is true, else hi."""
-    while lo < hi:
+    """Least d in ``[lo, hi)`` where a monotone ``holds`` is true, else hi.
+    Each step at least halves the range, so no comparison ends the loop; a
+    step past empty may test ``holds(hi)`` and leave ``lo = hi + 1``."""
+    for _ in range((hi - lo).bit_length()):
         mid = (lo + hi) // 2
         if holds(mid):
             hi = mid
         else:
             lo = mid + 1
-    return lo
+    return min(lo, hi)
 
 
 @lru_cache(maxsize=16)
-def _floor_pivot(universe_size: int) -> _Window | None:
-    """Rightmost minimum of the window floor; None only at z = 1.  Of the
-    crossing ``c`` (feasible) and ``c - 1``, min never picks an empty window:
-    ``floor(c - 1) = shift(c - 1) >= gap(c - 1) > gap(c) - 1 = floor(c)``,
+def _floor_pivot(universe_size: int) -> int | None:
+    """Separation of the window floor's rightmost minimum; None only at z = 1.
+    Of the crossing ``c`` (feasible) and ``c - 1``, min never picks an empty
+    window: ``floor(c - 1) = shift(c - 1) >= gap(c - 1) > gap(c) - 1 = floor(c)``,
     as the gap rises by less than 1 per step.  Uncrossed, ``z - 1`` is feasible."""
     z = universe_size
 
@@ -199,10 +186,14 @@ def _floor_pivot(universe_size: int) -> _Window | None:
         gap, shift, scale = _threshold_numerators(z, d)
         return gap - scale >= shift
 
+    def floor(d: int) -> Fraction:  # max(gap - 1, shift)
+        gap, shift, scale = _threshold_numerators(z, d)
+        return Fraction(max(gap - scale, shift), scale)
+
     crossing = _first_where(1, z, crossed)
     # Crossing first, so that min keeps the rightmost separation on ties.
-    windows = [_window(z, d) for d in (crossing, crossing - 1) if 1 <= d < z]
-    return min(windows, key=lambda w: w.floor, default=None)
+    candidates = [d for d in (crossing, crossing - 1) if 1 <= d < z]
+    return min(candidates, key=floor, default=None)
 
 
 def _bounds(bias: int | Fraction, universe_size: int, separation: int) -> _Bounds:
@@ -216,7 +207,7 @@ def _bounds(bias: int | Fraction, universe_size: int, separation: int) -> _Bound
 def _witness(
     bias_value: int | Fraction,
     universe_size: int,
-    pivot: _Window,
+    pivot: int,
     range_high: int | Fraction,
 ) -> _Bounds | None:
     """Witness for a bias at or above the high cut: the first separation
@@ -227,7 +218,7 @@ def _witness(
         gap, _, scale = _threshold_numerators(universe_size, d)
         return gap * cut.denominator > cut.numerator * scale
 
-    at = _first_where(pivot.separation + 1, universe_size, clears)
+    at = _first_where(pivot + 1, universe_size, clears)
     if at == universe_size:
         return None
     return _bounds(bias_value, universe_size, at)
@@ -243,31 +234,33 @@ def detect_trustworthy(beta: WeakOrder, ctx: UtilityContext) -> TrustReport:
     ``bias - range_low``.  Each flagged key reports one witness: among
     the separations whose gap clears ``bias - range_high``, the one with
     the least window floor, the rightmost on ties.  Each bias is compared
-    with two cuts from the cached pivot: at or below ``range_low +
-    pivot.floor`` it is trustworthy, below ``range_high + pivot.gap`` the
-    pivot is its witness, and otherwise (a default above the range) it
-    binary-searches past the pivot, once per request.  An ``int`` meets
-    the cuts as two integer thresholds, a ``Fraction`` cross-multiplied.
-    Witnesses stay integers (see ``TrustReport``).
+    with two cuts from the cached pivot: at or below ``range_low + floor``
+    it is trustworthy, below ``range_high + gap`` the pivot is its witness,
+    and otherwise (a default above the range) it binary-searches past the
+    pivot, once per request.  The cuts are unreduced integer ratios over
+    the pivot's scale: an ``int`` meets them as two integer thresholds, a
+    ``Fraction`` cross-multiplied.  Witnesses stay integers (see
+    ``TrustReport``).
     """
     range_low, range_high = ctx.bias.lower, ctx.bias.upper
     assert range_low is not None and range_high is not None  # BiasFunction derives bounds
     z = ctx.universe_size
-    pivot = _floor_pivot(z)
-    if pivot is None or range_low >= range_high:
+    at = _floor_pivot(z)
+    if at is None or range_low >= range_high:
         return TrustReport(beta.keys(), {})
-    low_n, low_d = (range_low + pivot.floor).as_integer_ratio()
-    high_n, high_d = (range_high + pivot.gap).as_integer_ratio()
-    # The greatest ints n <= low_n / low_d and n < high_n / high_d.
-    low_int, high_int = low_n // low_d, (high_n - 1) // high_d
-    at = pivot.separation
     gap, shift, scale = _threshold_numerators(z, at)  # ``_bounds``'s terms, once
     floor = max(gap - scale, shift)
+    rl_n, rl_d = range_low.as_integer_ratio()
+    rh_n, rh_d = range_high.as_integer_ratio()
+    low_n, low_d = rl_n * scale + floor * rl_d, rl_d * scale
+    high_n, high_d = rh_n * scale + gap * rh_d, rh_d * scale
+    # The greatest ints n <= low_n / low_d and n < high_n / high_d.
+    low_int, high_int = low_n // low_d, (high_n - 1) // high_d
     lookup, default = ctx.bias.entries.get, ctx.bias.default
     trustworthy: list[Key] = []
     flagged: dict[Key, _Bounds] = {}
     # Entries lie in the range, so only the default gets past the pivot.
-    beyond = cache(lambda value: _witness(value, z, pivot, range_high))
+    beyond = cache(lambda value: _witness(value, z, at, range_high))
     for key in beta.keys():
         bias_value = lookup(key, default)
         if type(bias_value) is int:

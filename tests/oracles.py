@@ -705,6 +705,38 @@ def saturation_oracle(ctx: UtilityContext, keys=None) -> SaturationOutcome:
 # --------------------------------------------------------------------------- #
 
 
+class LabelledGame(NamedTuple):
+    """A game's labels, with payoffs keyed ``(intent, interpretation)`` and
+    the prior keyed by intent."""
+
+    intents: tuple[str, ...]
+    queries: tuple[str, ...]
+    interpretations: tuple[str, ...]
+    payoff_user: dict[tuple[str, str], Fraction]
+    payoff_source: dict[tuple[str, str], Fraction]
+    prior: dict[str, Fraction]
+
+
+def labelled(game) -> LabelledGame:
+    """Read a ``FiniteGame``'s matrices and prior through its labels."""
+
+    def table(matrix):
+        return {
+            (t, b): value
+            for t, row in zip(game.intents, matrix)
+            for b, value in zip(game.interpretations, row)
+        }
+
+    return LabelledGame(
+        game.intents,
+        game.queries,
+        game.interpretations,
+        table(game.payoff_user),
+        table(game.payoff_source),
+        dict(zip(game.intents, game.prior)),
+    )
+
+
 def pure_equilibria_oracle(game):
     """Every pure profile of ``game`` checked longhand, in enumeration order.
 
@@ -714,6 +746,7 @@ def pure_equilibria_oracle(game):
     senders carry no prior mass) and no intent gains by switching
     queries.  Returns ``(user, source, classification value)`` triples.
     """
+    game = labelled(game)
     found = []
     for user_choice in itertools.product(game.queries, repeat=len(game.intents)):
         user = dict(zip(game.intents, user_choice))

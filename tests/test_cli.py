@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coiquery.bench
 import coiquery.cli
 import coiquery.equilibrium as equilibrium
 import coiquery.influence as influence
@@ -835,7 +836,7 @@ def test_bench_refuses_a_dp_size_over_its_bound_before_building(capsys, monkeypa
     def unreachable(*args, **kwargs):
         raise AssertionError("the dp suite ran past its size bound")
 
-    monkeypatch.setattr(coiquery.cli.bench_mod, "run_dp_suite", unreachable)
+    monkeypatch.setattr(coiquery.bench, "run_dp_suite", unreachable)
     bound = coiquery.cli._MAX_DP_SIZE
     for sizes in (f"{bound + 1}", f"8,{10**6}"):
         assert run_command(["bench", "--suite", "dp", "--m", sizes]) == 2
@@ -1455,6 +1456,47 @@ def test_coi_log_sets_the_stderr_level_of_a_fresh_process(tmp_path, level, logge
     )
     assert (child.returncode, child.stderr) == (0, logged)
     assert json.loads(child.stdout)["base"] == [["e1"], ["e2"]]
+
+
+#: Runs each argv of ``sys.argv[1]`` in turn and prints, per subcommand, its
+#: exit code and whether ``coiquery.bench`` and ``csv`` are loaded after it.
+_MODULES_AFTER_EACH_RUN = """
+import contextlib, io, json, sys
+from coiquery.cli import run_command
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run_command(argv)
+    loaded[argv[0]] = [code, "coiquery.bench" in sys.modules, "csv" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_bench_loads_the_bench_module_and_csv(tmp_path, mixed_config):
+    # A fresh process: this test session has imported ``coiquery.bench`` itself.
+    order = str(_write_order(tmp_path, "order.json", [["a"], ["b"], ["c"], ["d"]]))
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(_COMMISSION_GAME))
+    config = str(mixed_config)
+    runs = [
+        ["trust", "--config", config, "--beta", order],
+        ["influence", "--config", config, "--intent", order],
+        ["maximize", "--config", config, "--intent", order],
+        ["equilibrium", "--game", str(game)],
+        ["bench", "--suite", "dp", "--m", "4", "--runs", "1"],
+    ]
+    source = Path(coiquery.cli.__file__).resolve().parent.parent
+    child = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_EACH_RUN, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(source)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    analyses = ("trust", "influence", "maximize", "equilibrium")
+    expected = {command: [0, False, False] for command in analyses}
+    assert json.loads(child.stdout) == {**expected, "bench": [0, True, True]}
 
 
 # --------------------------------------------------------------------------- #

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import pure_equilibria_oracle
+from oracles import labelled, pure_equilibria_oracle
 
 import coiquery.equilibrium as equilibrium
 from coiquery import (
@@ -35,11 +35,14 @@ def test_commission_game_shape():
     assert game.queries == ("q", "q_prime")
     assert game.interpretations == ("beta", "beta_prime")
     assert game.set_equivalent
-    assert game.prior == {"tau": Fraction(1, 2), "tau_prime": Fraction(1, 2)}
-    assert game.payoff_user["tau", "beta"] == 0
-    assert game.payoff_user["tau", "beta_prime"] == 2
-    assert game.payoff_source["tau", "beta"] == -1  # commission minus loss
-    assert game.payoff_source["tau_prime", "beta_prime"] == -2
+    assert game.prior == (Fraction(1, 2), Fraction(1, 2))
+    assert game.payoff_user == ((0, 2), (2, 0))
+    tables = labelled(game)
+    assert tables.prior == {"tau": Fraction(1, 2), "tau_prime": Fraction(1, 2)}
+    assert tables.payoff_user["tau", "beta"] == 0
+    assert tables.payoff_user["tau", "beta_prime"] == 2
+    assert tables.payoff_source["tau", "beta"] == -1  # commission minus loss
+    assert tables.payoff_source["tau_prime", "beta_prime"] == -2
 
 
 def test_build_validates_prior_and_shapes():
@@ -51,14 +54,19 @@ def test_build_validates_prior_and_shapes():
         FiniteGame.build(
             ["t", "t"], ["q"], ["b"], [[1], [1]], [[1], [1]], [1, 0]
         )
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="user matrix must be 1 x 1"):
         FiniteGame.build(["t"], ["q"], ["b"], [[1, 2]], [[1]], [1])
-    # Built directly, the game checks the cells and labels ``build`` derives.
-    one = {("t", "b"): Fraction(1)}
-    with pytest.raises(ConfigurationError, match="user payoff table does not cover"):
-        FiniteGame(("t",), ("q",), ("b",), {}, one, {"t": Fraction(1)})
-    with pytest.raises(ConfigurationError, match="prior must weight exactly the intents"):
-        FiniteGame(("t",), ("q",), ("b",), one, one, {"u": Fraction(1)})
+    # Built directly, the game checks each matrix's shape and the prior's length.
+    one = ((Fraction(1),),)
+    prior = (Fraction(1),)
+    for user, source, weights, message in [
+        ((), one, prior, "user matrix must be 1 x 1"),
+        (one, ((),), prior, "source matrix must be 1 x 1"),
+        (one, one + one, prior, "source matrix must be 1 x 1"),
+        (one, one, prior * 2, "prior length must match the intents"),
+    ]:
+        with pytest.raises(ConfigurationError, match=message):
+            FiniteGame(("t",), ("q",), ("b",), user, source, weights)
 
 
 # --------------------------------------------------------------------------- #
@@ -120,6 +128,7 @@ def _expected_source_value(game, posterior, interp):
 
 def _is_equilibrium_longhand(pair, game):
     """Re-derive the equilibrium conditions without the package's checker."""
+    game = labelled(game)
     for query in game.queries:
         supporters = [t for t in game.intents if pair.user[t] == query]
         if supporters:

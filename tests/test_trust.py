@@ -7,6 +7,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ import coiquery.core
 import coiquery.trust
 import coiquery.utility
 from coiquery.cli import run_command
-from coiquery.trust import _floor_pivot, _threshold_numerators
+from coiquery.trust import _first_where, _floor_pivot, _threshold_numerators
 from oracles import (
     _feasible_windows,
     closed_form_gap_shift,
@@ -257,6 +258,37 @@ def test_default_reports_match_the_witness_oracle_on_small_universes():
             assert (key in report.trustworthy) == (expected is None)
 
 
+class _Pivot(NamedTuple):
+    separation: int
+    gap: Fraction
+    floor: Fraction  # max(gap - 1, shift)
+
+
+def _pivot(z):
+    """The cached pivot's separation, with its gap and window floor read off
+    the longhand thresholds."""
+    separation = _floor_pivot(z)
+    gap, shift = closed_form_gap_shift(z, separation)
+    return _Pivot(separation, gap, max(gap - 1, shift))
+
+
+def test_first_where_matches_a_linear_scan_on_every_small_range():
+    for lo in (-3, 0, 7):
+        for size in range(41):
+            hi = lo + size
+            for threshold in range(lo - 1, hi + 2):
+                tested = []
+
+                def holds(d):
+                    tested.append(d)
+                    return d >= threshold
+
+                expected = next((d for d in range(lo, hi) if d >= threshold), hi)
+                assert _first_where(lo, hi, holds) == expected, (lo, hi, threshold)
+                assert len(tested) == size.bit_length()
+                assert all(lo <= d <= hi for d in tested)
+
+
 def test_past_pivot_search_matches_the_scan_oracle_exactly():
     rng = random.Random(23)
     universes = [2, 3, 4, 10, 97, 4096, 4097, 20_000]
@@ -277,7 +309,7 @@ def test_past_pivot_search_matches_the_scan_oracle_exactly():
             expected = trust_witness_oracle(bias(key), z, Fraction(0), high)
             assert report.flagged.get(key) == ((expected,) if expected else None)
             assert (key in report.trustworthy) == (expected is None)
-            searched += expected is not None and bias(key) - high >= _floor_pivot(z).gap
+            searched += expected is not None and bias(key) - high >= _pivot(z).gap
     assert searched > 0
 
 
@@ -288,7 +320,7 @@ def test_a_default_past_the_pivot_is_searched_once_per_request():
     keys = [f"e{i}" for i in range(1, 1001)]
     bias = BiasFunction({"e0": 1}, default=2 * 10**299, lower=0, upper=3)
     ctx = UtilityContext(z, z, bias)
-    assert bias.default - bias.upper >= _floor_pivot(z).gap
+    assert bias.default - bias.upper >= _pivot(z).gap
     alone = detect_trustworthy(WeakOrder.total(keys[:1]), ctx).flagged[keys[0]]
     started = time.perf_counter()
     report = detect_trustworthy(WeakOrder.total(keys), ctx)
@@ -356,7 +388,7 @@ def _witness_near_pivot(value, z, low, high):
     """The default witness of a bias near the two cuts, read off the
     longhand thresholds from the pivot up to the first gap that clears
     ``value - high``: a few separations when ``value`` is near the cuts."""
-    for separation in range(_floor_pivot(z).separation, z):
+    for separation in range(_floor_pivot(z), z):
         gap, shift = closed_form_gap_shift(z, separation)
         if gap > value - high:
             floor = max(gap - 1, shift)
@@ -368,7 +400,7 @@ def _witness_near_pivot(value, z, low, high):
 
 @pytest.mark.parametrize("z", [2, 3, 4, 10, 4097, 10**6])
 def test_biases_on_and_beside_the_two_cuts(z):
-    pivot = _floor_pivot(z)
+    pivot = _pivot(z)
     step = Fraction(1, 10**15)
     ranges = [
         (Fraction(0), Fraction(3)),
@@ -414,7 +446,7 @@ def test_defaults_exactly_at_a_gap_or_a_floor_past_the_pivot(z):
     # ``high + gap(d)`` is not cleared by ``d`` (the gap must exceed
     # ``bias - high``).  One at ``low + floor(d)`` is cleared left of ``d``,
     # where the floor lies below ``bias - low`` (module docstring).
-    pivot = _floor_pivot(z)
+    pivot = _pivot(z)
     low, high = Fraction(0), Fraction(1, 3)
     searched = {"gap": 0, "floor": 0}
     for separation in range(pivot.separation + 1, min(z, pivot.separation + 6)):
@@ -636,5 +668,5 @@ def test_pivot_flagged_keys_build_no_fraction(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert len(report["flagged"]) > 300
-    assert {entry["delta"] for entry in report["flagged"]} == {pivot.separation}
+    assert {entry["delta"] for entry in report["flagged"]} == {pivot}
     assert _CountedFraction.made == 0
