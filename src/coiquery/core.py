@@ -210,14 +210,9 @@ class WeakOrder:
         """All keys, best block first, preserving within-block order."""
         return tuple(chain.from_iterable(self.blocks))
 
-    def rank_of(self, key: Key, omitted: Rank | None = None) -> Rank:
-        """Rank of ``key``; ``omitted`` for absent keys (else KeyError)."""
-        rank = self._rank_by_key.get(key)
-        if rank is not None:
-            return rank
-        if omitted is not None:
-            return omitted
-        raise KeyError(key)
+    def rank_of(self, key: Key) -> Rank:
+        """Rank of ``key`` (KeyError when absent)."""
+        return self._rank_by_key[key]
 
     def __len__(self) -> int:
         return sum(len(b) for b in self.blocks)

@@ -171,8 +171,7 @@ def influential_witness(
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, eq=False)
-class StrategyPair:
+class StrategyPair(NamedTuple):
     """Pure strategies: intent -> query for the user, query ->
     interpretation for the source."""
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -177,8 +176,7 @@ class RelativeRankConstraint(NamedTuple):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DeltaQuery:
+class DeltaQuery(NamedTuple):
     """A conjunction of relative-rank constraints over a key universe."""
 
     constraints: tuple[RelativeRankConstraint, ...]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul, sub
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
+class IntervalPartition(NamedTuple):
     """Consecutive intervals covering positions 1..m without gaps; unchecked,
     as only the DP and the oracle build one, from the int tilings they walk."""
 
@@ -63,8 +61,7 @@ class IntervalPartition:
         return self.intervals[-1][1]
 
 
-@dataclass(frozen=True, eq=False)
-class MergeResult:
+class MergeResult(NamedTuple):
     """Optimal merge reformulation: the ranking, its partition, its value."""
 
     ranking: WeakOrder

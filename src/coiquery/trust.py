@@ -12,8 +12,8 @@ placement strategic.
 Detection's witness rule: among the feasible separations whose gap
 exceeds ``bias - range_high``, the one with the least window floor, the
 rightmost on ties.  It finds the *pivot* (below) in O(log z) integer
-steps per universe size; two cuts there settle each key by integer
-comparisons, and only a bias at or above the high one is searched.
+steps; two cuts there settle each key by integer comparisons, and only
+a bias at or above the high one is searched.
 Witnesses stay integers, so a key settled at the pivot builds no
 ``Fraction``.
 
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
@@ -143,9 +143,9 @@ class TrustReport:
     _bounds: dict[Key, _Bounds]
 
     @cached_property
-    def flagged(self) -> dict[Key, tuple[TrustWitness]]:
+    def flagged(self) -> dict[Key, TrustWitness]:
         return {
-            key: (TrustWitness(separation, Fraction(low, den), Fraction(high, den)),)
+            key: TrustWitness(separation, Fraction(low, den), Fraction(high, den))
             for key, (separation, low, high, den) in self._bounds.items()
         }
 
@@ -174,26 +174,28 @@ def _first_where(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
     return min(lo, hi)
 
 
-@lru_cache(maxsize=16)
 def _floor_pivot(universe_size: int) -> int | None:
     """Separation of the window floor's rightmost minimum; None only at z = 1.
-    Of the crossing ``c`` (feasible) and ``c - 1``, min never picks an empty
-    window: ``floor(c - 1) = shift(c - 1) >= gap(c - 1) > gap(c) - 1 = floor(c)``,
-    as the gap rises by less than 1 per step.  Uncrossed, ``z - 1`` is feasible."""
+    Of the crossing ``c`` (feasible, floor ``gap - 1``) and ``c - 1`` (floor
+    ``shift``), ``c - 1`` only when its floor is strictly less, so ties keep
+    the rightmost.  An empty ``c - 1`` never wins: ``floor(c - 1) = shift(c - 1)
+    >= gap(c - 1) > gap(c) - 1 = floor(c)``, as the gap rises by less than 1 per
+    step.  ``gap(1) = 2/3`` for every z, so ``c >= 2``; uncrossed, ``z - 1`` is
+    feasible."""
     z = universe_size
 
     def crossed(d: int) -> bool:  # implies feasible
         gap, shift, scale = _threshold_numerators(z, d)
         return gap - scale >= shift
 
-    def floor(d: int) -> Fraction:  # max(gap - 1, shift)
-        gap, shift, scale = _threshold_numerators(z, d)
-        return Fraction(max(gap - scale, shift), scale)
-
     crossing = _first_where(1, z, crossed)
-    # Crossing first, so that min keeps the rightmost separation on ties.
-    candidates = [d for d in (crossing, crossing - 1) if 1 <= d < z]
-    return min(candidates, key=floor, default=None)
+    if crossing == z:
+        return z - 1 if z > 1 else None
+    gap, _, scale = _threshold_numerators(z, crossing)
+    _, shift_before, scale_before = _threshold_numerators(z, crossing - 1)
+    if shift_before * scale < (gap - scale) * scale_before:
+        return crossing - 1
+    return crossing
 
 
 def _bounds(bias: int | Fraction, universe_size: int, separation: int) -> _Bounds:
@@ -234,7 +236,7 @@ def detect_trustworthy(beta: WeakOrder, ctx: UtilityContext) -> TrustReport:
     ``bias - range_low``.  Each flagged key reports one witness: among
     the separations whose gap clears ``bias - range_high``, the one with
     the least window floor, the rightmost on ties.  Each bias is compared
-    with two cuts from the cached pivot: at or below ``range_low + floor``
+    with two cuts from the pivot: at or below ``range_low + floor``
     it is trustworthy, below ``range_high + gap`` the pivot is its witness,
     and otherwise (a default above the range) it binary-searches past the
     pivot, once per request.  The cuts are unreduced integer ratios over

@@ -53,10 +53,6 @@ def iter_weak_orders(keys):
     yield from rec(items)
 
 
-def count_weak_orders(size: int) -> int:
-    return sum(1 for _ in iter_weak_orders(range(size)))
-
-
 def iter_coarsenings(keys):
     """Every merge of consecutive positions of a total order, in block form."""
     items = tuple(keys)
@@ -253,7 +249,7 @@ def trust_report_jsonable(report) -> dict:
             "delta": witness.separation,
             "interval": [float(witness.interval_low), float(witness.interval_high)],
         }
-        for key, (witness,) in report.flagged.items()
+        for key, witness in report.flagged.items()
     ]
     return {"trustworthy": list(report.trustworthy), "flagged": flagged}
 
@@ -547,7 +543,9 @@ def aggregate_utility(
     total = Fraction(0)
     for key in intent.keys():
         intent_rank = intent.rank_of(key)
-        response_rank = response.rank_of(key, omitted=ctx.omitted_rank)
+        response_rank = (
+            response.rank_of(key) if key in response.key_set else ctx.omitted_rank
+        )
         bias = ctx.bias(key) if side == "source" else Fraction(0)
         total += per_tuple_utility(kind, intent_rank, response_rank, bias)
     return total

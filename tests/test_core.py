@@ -38,10 +38,8 @@ def test_total_order_ranks_are_positions():
     assert order.as_lists() == [["x"], ["y"], ["z"]]
 
 
-def test_rank_of_missing_key_uses_omitted_or_raises():
+def test_rank_of_missing_key_raises():
     order = WeakOrder.total(["x", "y"])
-    assert order.rank_of("w", omitted=3) == 3
-    assert order.rank_of("w", 3) == 3
     with pytest.raises(KeyError):
         order.rank_of("w")
 

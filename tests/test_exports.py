@@ -146,3 +146,50 @@ def test_only_the_entry_points_read_and_write_json():
         if path.name not in BOUNDARY
     ]
     assert set().union(*map(_json_methods, library)) == JSON_METHODS
+
+
+def _decorator_names(node: ast.AST) -> set[str]:
+    """The names a definition's decorators call, ``functools.`` or bare."""
+    names = set()
+    for decorator in getattr(node, "decorator_list", ()):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        names.add(getattr(target, "attr", getattr(target, "id", None)))
+    return names
+
+
+def test_no_library_function_is_cached_across_calls():
+    # A module-level cache keeps results between requests; each analysis
+    # recomputes what it needs.  The CLI's parser cache stays: it spares
+    # every request the parser's construction.
+    cached = [
+        (name, node.name)
+        for name in REEXPORTED
+        for node in ast.parse(
+            Path(importlib.import_module(name).__file__).read_text(encoding="utf-8")
+        ).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _decorator_names(node) & {"cache", "lru_cache"}
+    ]
+    assert cached == []
+
+
+def _builds_on_construction(node: ast.ClassDef) -> bool:
+    """Whether a class defines ``__post_init__`` or a ``cached_property``."""
+    return any(
+        item.name == "__post_init__" or "cached_property" in _decorator_names(item)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+    )
+
+
+def test_every_dataclass_validates_or_caches_on_construction():
+    # A record that does neither is a ``NamedTuple``.
+    plain = [
+        (path.name, node.name)
+        for path in sorted((ROOT / "src" / "coiquery").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and "dataclass" in _decorator_names(node)
+        and not _builds_on_construction(node)
+    ]
+    assert plain == []

@@ -189,6 +189,70 @@ def test_astronomical_universes_answer_at_once():
 
 
 # --------------------------------------------------------------------------- #
+# Window relaxation
+# --------------------------------------------------------------------------- #
+
+
+def _drawn_constraints(n, low, high):
+    """Up to 3n gaps in ``low..high`` between distinct keys of 1..n, one a pair."""
+    return st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n), st.integers(low, high)),
+        max_size=3 * n,
+        unique_by=lambda c: (c[0], c[1]),
+    ).map(lambda cs: [c for c in cs if c[0] != c[1]])
+
+
+class _CountedRows(list):
+    """An adjacency list that counts how often ``_settle`` iterates one, and
+    fails once a call iterates more than its moves allow."""
+
+    def __init__(self, row, tally, limit):
+        super().__init__(row)
+        self.tally, self.limit = tally, limit
+
+    def __iter__(self):
+        self.tally[0] += 1
+        assert self.tally[0] <= self.limit, "relaxation passed its move bound"
+        return super().__iter__()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            _drawn_constraints(n, -4, 4),
+            st.sampled_from([1, 2, influence._COUNT_CAP]),
+        )
+    )
+)
+def test_settle_lowers_no_window_below_its_floor(case):
+    # ``_settle`` has no emptiness test in its falling half: this is why.
+    # It also ends: bounds stay in 1..n and each move shifts one by at least
+    # 1, so a half pops at most n + n(n - 1) keys, each reading one adjacency
+    # list.  A relaxation that loops fails here instead of hanging the search
+    # below, so this runs before the first test that searches.
+    size, picked, cap = case
+    universe = [f"e{i}" for i in range(1, size + 1)]
+    query = _query([(f"e{a}", f"e{b}", gap) for a, b, gap in picked], universe)
+    settle = influence._settle
+
+    def checked(after, before, lo, hi, rising, falling):
+        start, tally = hi[:], [0]
+        after, before = (
+            [_CountedRows(row, tally, 2 * size * size) for row in rows]
+            for rows in (after, before)
+        )
+        moved = settle(after, before, lo, hi, rising, falling)
+        assert all(lo[k] <= hi[k] for k in range(size) if hi[k] < start[k])
+        return moved
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(influence, "_settle", checked)
+        influence._search(query, cap)
+
+
+# --------------------------------------------------------------------------- #
 # Building forcing queries
 # --------------------------------------------------------------------------- #
 
@@ -412,43 +476,6 @@ def test_infeasible_windows_are_none(constraints, universe):
     summary = classify_ranking_set(query)
     assert (summary.kind, summary.nodes) == (RankingSetKind.EMPTY, 0)
     assert position_windows_oracle(query.constraints, universe) is None
-
-
-def _drawn_constraints(n, low, high):
-    """Up to 3n gaps in ``low..high`` between distinct keys of 1..n, one a pair."""
-    return st.lists(
-        st.tuples(st.integers(1, n), st.integers(1, n), st.integers(low, high)),
-        max_size=3 * n,
-        unique_by=lambda c: (c[0], c[1]),
-    ).map(lambda cs: [c for c in cs if c[0] != c[1]])
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 9).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            _drawn_constraints(n, -4, 4),
-            st.sampled_from([1, 2, influence._COUNT_CAP]),
-        )
-    )
-)
-def test_settle_lowers_no_window_below_its_floor(case):
-    # ``_settle`` has no emptiness test in its falling half: this is why.
-    size, picked, cap = case
-    universe = [f"e{i}" for i in range(1, size + 1)]
-    query = _query([(f"e{a}", f"e{b}", gap) for a, b, gap in picked], universe)
-    settle = influence._settle
-
-    def checked(after, before, lo, hi, rising, falling):
-        start = hi[:]
-        moved = settle(after, before, lo, hi, rising, falling)
-        assert all(lo[k] <= hi[k] for k in range(size) if hi[k] < start[k])
-        return moved
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(influence, "_settle", checked)
-        influence._search(query, cap)
 
 
 # --------------------------------------------------------------------------- #

@@ -135,7 +135,7 @@ def test_library_snippet_returns_the_values_its_comments_state():
     assert checked == ["gsd_values(10, 4)", "report.trustworthy", "report.flagged['a']"]
     report = namespace["report"]
     assert report.trustworthy == ("c",)
-    (witness,) = report.flagged["a"]
+    witness = report.flagged["a"]
     assert (witness.interval_low, witness.interval_high) == (
         Fraction(74, 39),
         Fraction(32, 13),

@@ -216,9 +216,7 @@ def test_max_bias_key_is_flagged_with_the_least_floor_witness():
     beta = WeakOrder.total(["e"])
     report = detect_trustworthy(beta, _detect_ctx(10, {"e": 3}, 0, 3))
     assert report.trustworthy == ()
-    assert report.flagged["e"] == (
-        TrustWitness(5, Fraction(31, 51), Fraction(82, 51)),
-    )
+    assert report.flagged["e"] == TrustWitness(5, Fraction(31, 51), Fraction(82, 51))
 
 
 def test_unbiased_answers_are_certified_wholesale():
@@ -254,7 +252,7 @@ def test_default_reports_match_the_witness_oracle_on_small_universes():
         report = detect_trustworthy(WeakOrder.total(keys), ctx)
         for key in keys:
             expected = trust_witness_oracle(entries[key], z, Fraction(0), Fraction(3))
-            assert report.flagged.get(key) == ((expected,) if expected else None)
+            assert report.flagged.get(key) == expected
             assert (key in report.trustworthy) == (expected is None)
 
 
@@ -265,7 +263,7 @@ class _Pivot(NamedTuple):
 
 
 def _pivot(z):
-    """The cached pivot's separation, with its gap and window floor read off
+    """The pivot's separation, with its gap and window floor read off
     the longhand thresholds."""
     separation = _floor_pivot(z)
     gap, shift = closed_form_gap_shift(z, separation)
@@ -307,7 +305,7 @@ def test_past_pivot_search_matches_the_scan_oracle_exactly():
         report = detect_trustworthy(WeakOrder.total(keys), ctx)
         for key in keys:
             expected = trust_witness_oracle(bias(key), z, Fraction(0), high)
-            assert report.flagged.get(key) == ((expected,) if expected else None)
+            assert report.flagged.get(key) == expected
             assert (key in report.trustworthy) == (expected is None)
             searched += expected is not None and bias(key) - high >= _pivot(z).gap
     assert searched > 0
@@ -361,8 +359,7 @@ def test_default_reports_match_the_oracle_on_every_range_shape():
         report = detect_trustworthy(WeakOrder.total(keys), UtilityContext(z, z, bias))
         for key in keys:
             witness = trust_witness_oracle(bias(key), z, low, high)
-            expected = (witness,) if witness else None
-            assert report.flagged.get(key) == expected, (z, key)
+            assert report.flagged.get(key) == witness, (z, key)
             assert (key in report.trustworthy) == (witness is None)
             reported += witness is not None
     assert reported > 100
@@ -379,7 +376,7 @@ def _screen_one(value, z, low, high, *, as_default=False):
     else:
         bias = BiasFunction({"k": value}, default=high + 1, lower=low, upper=high)
     report = detect_trustworthy(WeakOrder.total(["k"]), UtilityContext(z, z, bias))
-    (witness,) = report.flagged.get("k", (None,))
+    witness = report.flagged.get("k")
     assert ("k" in report.trustworthy) == (witness is None)
     return witness
 
@@ -488,7 +485,7 @@ def test_default_reports_match_the_oracle_on_drawn_inputs(
     report = detect_trustworthy(WeakOrder.total(keys), UtilityContext(z, z, bias))
     for key in keys:
         expected = trust_witness_oracle(bias(key), z, low, high)
-        assert report.flagged.get(key) == ((expected,) if expected else None)
+        assert report.flagged.get(key) == expected
         assert (key in report.trustworthy) == (expected is None)
 
 
@@ -610,8 +607,7 @@ def test_report_floats_are_those_of_the_reduced_witnesses(screen):
     report = detect_trustworthy(beta, ctx)
     expected = [
         [key, w.separation, float(w.interval_low).hex(), float(w.interval_high).hex()]
-        for key, witnesses in report.flagged.items()
-        for w in witnesses
+        for key, w in report.flagged.items()
     ]
     written = [
         [entry["key"], entry["delta"], *(end.hex() for end in entry["interval"])]
@@ -620,9 +616,9 @@ def test_report_floats_are_those_of_the_reduced_witnesses(screen):
     assert written == expected
     for key in keys:
         witness = trust_witness_oracle(bias(key), z, low, high)
-        assert report.flagged.get(key, ()) == ((witness,) if witness else ())
-        for w in report.flagged.get(key, ()):
-            for end in (w.interval_low, w.interval_high):
+        assert report.flagged.get(key) == witness
+        if witness:
+            for end in (witness.interval_low, witness.interval_high):
                 assert type(end) is Fraction
                 assert math.gcd(end.numerator, end.denominator) == 1
 
@@ -659,7 +655,7 @@ def test_pivot_flagged_keys_build_no_fraction(tmp_path, capsys, monkeypatch):
     )
     beta = tmp_path / "beta.json"
     beta.write_text(json.dumps([[key] for key in keys]))
-    pivot = _floor_pivot(z)  # per universe, not per key
+    pivot = _floor_pivot(z)  # once per request, not per key
     for module in (coiquery.cli, coiquery.core, coiquery.trust, coiquery.utility):
         if hasattr(module, "Fraction"):
             monkeypatch.setattr(module, "Fraction", _CountedFraction)
