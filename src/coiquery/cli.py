@@ -12,7 +12,7 @@ equilibrium  analyze a finite game: witness search plus every
 bench        timing sweeps (trust filter or merge DP) as CSV
 
 This module is the package's JSON boundary: it reads every document and
-writes every report but trust's, whose text ``TrustReport.as_json`` writes.
+writes every report.
 
 Reports go to standard output (or the ``--output`` file) as one line of
 compact JSON with sorted keys and a trailing newline (CSV for bench);
@@ -64,6 +64,7 @@ import logging
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .core import (
@@ -87,7 +88,7 @@ from .influence import (
     order_by_case_sketch,
 )
 from .merge import brute_force_merge_opt, maximize_merge_dp
-from .trust import detect_trustworthy
+from .trust import TrustReport, detect_trustworthy
 from .utility import UtilityContext, UtilityKind
 
 __all__ = ["load_config", "main", "run_command"]
@@ -226,11 +227,12 @@ def _read_bias(raw: object) -> BiasFunction:
 
 
 def _read_game(data: dict) -> FiniteGame:
-    """A game document, with every value checked before the game is built.
+    """A game document, its shape checked before the game is built.
 
-    Labels must be lists of strings, payoffs lists of rows and the prior
-    a list, with numbers or decimal strings as entries (never booleans),
-    and ``set_equivalent`` a JSON boolean.
+    Labels must be lists of strings, payoffs lists of rows, the prior a
+    list and ``set_equivalent`` a JSON boolean.  ``FiniteGame.build``
+    refuses an entry that is neither a number nor a decimal string (a
+    boolean among them).
     """
     try:
         labels = [data["intents"], data["queries"], data["interpretations"]]
@@ -248,9 +250,6 @@ def _read_game(data: dict) -> FiniteGame:
         for rows in matrices
     ):
         raise ConfigurationError("payoffs must be lists of rows, the prior a list")
-    entries = itertools.chain(prior, *matrices[0], *matrices[1])
-    if any(isinstance(x, bool) for x in entries):
-        raise ConfigurationError("payoff and prior entries must be numbers")
     set_equivalent = data.get("set_equivalent", False)
     if not isinstance(set_equivalent, bool):
         raise ConfigurationError("set_equivalent must be true or false")
@@ -317,10 +316,22 @@ def _read_intent(path: str, ctx: UtilityContext) -> WeakOrder:
 # --------------------------------------------------------------------------- #
 
 
+def _trust_json(report: TrustReport) -> str:
+    """Compact sorted-key JSON in one pass; interval ends are ``low / den``
+    floats (``OverflowError`` beyond the float range)."""
+    flagged = ",".join(
+        f'{{"delta":{separation},"interval":[{low / den!r},{high / den!r}],'
+        f'"key":{_quote(key)}}}'
+        for key, (separation, low, high, den) in report.witnesses.items()
+    )
+    trustworthy = ",".join(map(_quote, report.trustworthy))
+    return f'{{"flagged":[{flagged}],"trustworthy":[{trustworthy}]}}'
+
+
 def _cmd_trust(args: argparse.Namespace) -> str:
     ctx = load_config(args.config)
     beta = WeakOrder.from_lists(_read_json(args.beta))
-    return detect_trustworthy(beta, ctx).as_json() + "\n"
+    return _trust_json(detect_trustworthy(beta, ctx)) + "\n"
 
 
 def _cmd_influence(args: argparse.Namespace) -> dict:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import lcm
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -112,6 +113,15 @@ def _exact(value: int | float | str | Fraction) -> int | Fraction:
     """``as_fraction(value)``, as an ``int`` when integral: bias values' form."""
     value = value if type(value) is int else as_fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def _over_common_denominator(
+    values: Iterable[int | Fraction],
+) -> tuple[list[int], int]:
+    """``values`` over their least common denominator: (numerators, denominator)."""
+    ratios = [value.as_integer_ratio() for value in values]
+    denominator = lcm(*(d for _, d in ratios))
+    return [n * (denominator // d) for n, d in ratios], denominator
 
 
 # --------------------------------------------------------------------------- #

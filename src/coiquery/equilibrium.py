@@ -23,13 +23,12 @@ falls back to the prior (see ``enumerate_pure_equilibria``).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import ConfigurationError, DomainError, as_fraction
+from .core import ConfigurationError, DomainError, _over_common_denominator, as_fraction
 
 __all__ = [
     "ClassifiedEquilibrium",
@@ -189,13 +188,6 @@ class ClassifiedEquilibrium(NamedTuple):
     classification: EquilibriumClass
 
 
-def _integers(values: Sequence[Fraction]) -> list[int]:
-    """``values`` times their least common denominator: exact ints."""
-    ratios = [value.as_integer_ratio() for value in values]
-    scale = math.lcm(*(denominator for _, denominator in ratios))
-    return [numerator * (scale // denominator) for numerator, denominator in ratios]
-
-
 def _best_replies(weights: list[list[int]], senders: int) -> tuple[int, ...]:
     """Indices of the interpretations best for the source, ascending.
 
@@ -232,12 +224,13 @@ def enumerate_pure_equilibria(game: FiniteGame) -> list[ClassifiedEquilibrium]:
     profile_count = stride ** len(intents) * len(answers) ** stride
     if profile_count > _PROFILE_CAP:
         raise DomainError(f"{profile_count} pure profiles exceed the enumeration cap")
-    prior = _integers(game.prior)
-    cells = iter(_integers([v for column in zip(*game.payoff_source) for v in column]))
+    prior, _ = _over_common_denominator(game.prior)
+    by_column = [v for column in zip(*game.payoff_source) for v in column]
+    cells = iter(_over_common_denominator(by_column)[0])
     weights = [[w * next(cells) for w in prior] for _ in answers]  # W[b][t]
     positive = sum(1 << t for t, weight in enumerate(prior) if weight)
     # Deviations compare one intent's payoffs: each row is scaled alone.
-    user_payoff = [_integers(row) for row in game.payoff_user]
+    user_payoff = [_over_common_denominator(row)[0] for row in game.payoff_user]
     best_by_senders: dict[int, tuple[int, ...]] = {}
     # Per source map, bit t * stride + q is set when the answer to query
     # q reaches intent t's best payoff among the map's answers.

@@ -41,7 +41,6 @@ from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -52,6 +51,7 @@ from .core import (
     Key,
     SearchBudgetError,
     WeakOrder,
+    _over_common_denominator,
     as_fraction,
 )
 from .trust import _threshold_numerators
@@ -213,11 +213,7 @@ def build_delta_query(
     if not keys:
         raise ConfigurationError("query universe is empty")
     ranks = [intent.rank_of(key) for key in keys]
-    biases = [bias(key) for key in keys]
-    denominator = lcm(*(value.denominator for value in biases))
-    numerators = [
-        value.numerator * (denominator // value.denominator) for value in biases
-    ]
+    numerators, denominator = _over_common_denominator(map(bias, keys))
     # Ranks never decrease along ``keys``: key i's untied rivals are a suffix.
     starts = [bisect_right(ranks, rank) for rank in ranks]
     gaps: set[int] = set()

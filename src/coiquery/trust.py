@@ -52,15 +52,14 @@ Conventions
 All thresholds are exact :class:`fractions.Fraction` values.  Witness
 intervals are half-open ``[low, high)`` and compared strictly against
 the closed bias range, so grazing contact at a single point does not
-flag.
+flag.  A :class:`TrustReport` is a record of integer witnesses; it
+renders nothing, and ``coiquery.cli`` writes its JSON text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from json.encoder import encode_basestring_ascii as _quote
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .core import DomainError, Key, WeakOrder
@@ -130,35 +129,25 @@ class TrustWitness(NamedTuple):
 _Bounds = tuple[int, int, int, int]  # separation, low and high over a denominator
 
 
-@dataclass(frozen=True, eq=False)
-class TrustReport:
+class TrustReport(NamedTuple):
     """Partition of a returned ranking into trustworthy and flagged keys.
 
-    Each flagged key carries its least-floor witness (the rightmost on
-    ties among separations whose gap clears ``bias - range_high``).  It
-    is held as integers; ``flagged`` builds reduced fractions on first use.
+    ``witnesses`` maps each flagged key to its least-floor witness (the
+    rightmost on ties among separations whose gap clears
+    ``bias - range_high``) as integers: ``(separation, low, high,
+    denominator)``.  ``flagged`` builds the reduced fractions of each on
+    every read.
     """
 
     trustworthy: tuple[Key, ...]
-    _bounds: dict[Key, _Bounds]
+    witnesses: dict[Key, _Bounds]
 
-    @cached_property
+    @property
     def flagged(self) -> dict[Key, TrustWitness]:
         return {
             key: TrustWitness(separation, Fraction(low, den), Fraction(high, den))
-            for key, (separation, low, high, den) in self._bounds.items()
+            for key, (separation, low, high, den) in self.witnesses.items()
         }
-
-    def as_json(self) -> str:
-        """Compact sorted-key JSON in one pass; interval ends are ``low / den``
-        floats (``OverflowError`` beyond the float range)."""
-        flagged = ",".join(
-            f'{{"delta":{separation},"interval":[{low / den!r},{high / den!r}],'
-            f'"key":{_quote(key)}}}'
-            for key, (separation, low, high, den) in self._bounds.items()
-        )
-        trustworthy = ",".join(map(_quote, self.trustworthy))
-        return f'{{"flagged":[{flagged}],"trustworthy":[{trustworthy}]}}'
 
 
 def _first_where(lo: int, hi: int, holds: Callable[[int], bool]) -> int:

@@ -242,7 +242,7 @@ def trust_witness_oracle(value, z: int, low, high) -> TrustWitness | None:
 def trust_report_jsonable(report) -> dict:
     """A trust report's dict form, interval ends as ``float`` of the reduced
     witnesses: ``json.dumps`` of it, with sorted keys and compact
-    separators, is the text ``TrustReport.as_json`` writes."""
+    separators, is the text ``cli._trust_json`` writes."""
     flagged = [
         {
             "key": key,

@@ -1313,6 +1313,15 @@ def test_malformed_game_values_exit_two(tmp_path, capsys, change):
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize("change", [{"prior": [0, True]}, {"payoff_user": [[1, 0], [0, True]]}])
+def test_a_boolean_game_entry_is_refused_as_not_rational(tmp_path, capsys, change):
+    # ``FiniteGame.build`` refuses it like any other entry that is no number.
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(dict(_COMMISSION_GAME, **change)))
+    assert run_command(["equilibrium", "--game", str(path)]) == 2
+    assert capsys.readouterr() == ("", "configuration error: not a rational value: True\n")
+
+
 @pytest.mark.parametrize(
     "prior, total",
     [

@@ -120,9 +120,8 @@ def test_no_function_in_the_package_calls_itself():
 
 #: The entry points: the CLI reads every JSON document and writes every report.
 BOUNDARY = {"cli.py", "bench.py"}
-#: The one library method that writes JSON: the trust report's text, from
-#: witnesses it never builds as objects.
-JSON_METHODS = {("trust.py", "TrustReport", "as_json")}
+#: Library methods that read or write JSON: none.
+JSON_METHODS: set[tuple[str, str, str]] = set()
 
 
 def _json_methods(path: Path) -> set[tuple[str, str, str]]:
@@ -146,6 +145,32 @@ def test_only_the_entry_points_read_and_write_json():
         if path.name not in BOUNDARY
     ]
     assert set().union(*map(_json_methods, library)) == JSON_METHODS
+
+
+def _json_imports(path: Path) -> set[str]:
+    """The ``json`` modules (``json`` or a submodule) a file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        found.update(name for name in names if name.split(".")[0] == "json")
+    return found
+
+
+def test_only_the_entry_points_import_json():
+    # Escaping a key or printing a float is the report writer's job, and
+    # the writer is the CLI's.
+    importing = {
+        path.name
+        for path in (ROOT / "src" / "coiquery").glob("*.py")
+        if _json_imports(path)
+    }
+    assert importing <= BOUNDARY
+    assert "cli.py" in importing
 
 
 def _decorator_names(node: ast.AST) -> set[str]:

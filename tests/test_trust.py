@@ -26,7 +26,7 @@ import coiquery.cli
 import coiquery.core
 import coiquery.trust
 import coiquery.utility
-from coiquery.cli import run_command
+from coiquery.cli import _trust_json, run_command
 from coiquery.trust import _first_where, _floor_pivot, _threshold_numerators
 from oracles import (
     _feasible_windows,
@@ -268,6 +268,16 @@ def _pivot(z):
     separation = _floor_pivot(z)
     gap, shift = closed_form_gap_shift(z, separation)
     return _Pivot(separation, gap, max(gap - 1, shift))
+
+
+def test_a_floor_tie_at_the_crossing_keeps_the_rightmost_pivot(monkeypatch):
+    # No z up to 20,000 makes floor(c - 1) = shift(c - 1) equal floor(c) =
+    # gap(c) - 1, so stand-in numerators (gap, shift, scale) make the tie.
+    numerators = {1: (0, 5, 1), 2: (6, 0, 1), 3: (10, 0, 1)}
+    monkeypatch.setattr(
+        coiquery.trust, "_threshold_numerators", lambda z, d: numerators[d]
+    )
+    assert _floor_pivot(4) == 2
 
 
 def test_first_where_matches_a_linear_scan_on_every_small_range():
@@ -517,7 +527,7 @@ def test_filter_agrees_with_witness_search_smoke():
 def test_report_serialization_shape():
     beta = WeakOrder.total(["e", "f"])
     ctx = _detect_ctx(10, {"e": 3, "f": 0}, 0, 3)
-    payload = json.loads(detect_trustworthy(beta, ctx).as_json())
+    payload = json.loads(_trust_json(detect_trustworthy(beta, ctx)))
     assert payload["trustworthy"] == ["f"]
     (entry,) = payload["flagged"]
     assert entry["key"] == "e"
@@ -562,11 +572,11 @@ def test_report_text_is_json_dumps_of_the_reference_form(report):
         reference = trust_report_jsonable(report)
     except OverflowError as exc:
         with pytest.raises(OverflowError) as caught:
-            report.as_json()
+            _trust_json(report)
         assert str(caught.value) == str(exc)
         return
     expected = json.dumps(reference, sort_keys=True, separators=(",", ":"))
-    assert report.as_json() == expected
+    assert _trust_json(report) == expected
 
 
 # Bias spellings a config may hold: integers, decimal strings, and
@@ -611,7 +621,7 @@ def test_report_floats_are_those_of_the_reduced_witnesses(screen):
     ]
     written = [
         [entry["key"], entry["delta"], *(end.hex() for end in entry["interval"])]
-        for entry in json.loads(report.as_json())["flagged"]
+        for entry in json.loads(_trust_json(report))["flagged"]
     ]
     assert written == expected
     for key in keys:
