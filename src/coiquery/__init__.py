@@ -12,8 +12,8 @@ result quality, and a small game-theory lab for the equilibrium
 characterization behind it all.
 
 All analysis arithmetic is exact (``fractions.Fraction``); floats only
-appear at the JSON boundary.  See the per-module documentation for the
-mathematics each piece implements.
+appear in the reports the CLI writes.  See the per-module documentation
+for the mathematics each piece implements.
 """
 
 from __future__ import annotations

@@ -50,12 +50,15 @@ matches), for products of at most ``10**6`` elements.  An explicit
 Other keys are ignored.  ``z`` and every bias value (entries,
 ``default``, ``lower``, ``upper``, a rule's ``bias`` times ``scale``)
 must have magnitude at most ``10**300``; larger values are configuration
-errors.
+errors.  A JSON number with a fraction or an exponent is read as the
+exact decimal it spells (``2.1`` is 21/10), and refused past 4300 digits
+or an exponent of ±4300, as ``json`` refuses an integer past 4300 digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import io
 import itertools
@@ -72,6 +75,7 @@ from .core import (
     ConfigurationError,
     QueryAnalysisError,
     WeakOrder,
+    _as_written,
     _exact,
     as_fraction,
 )
@@ -110,12 +114,19 @@ _MAX_RULE_ELEMENTS = 10**6
 _MAX_DP_SIZE = 4000
 
 
+#: Reads a JSON number with a fraction or an exponent as the exact
+#: ``Decimal`` it spells; built once, as ``json.load`` would per call.
+_DECODER = json.JSONDecoder(parse_float=decimal.Decimal)
+
+
 def _read_json(path: str) -> object:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return _DECODER.decode(handle.read())
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path!r}: {exc}") from exc
+    except decimal.InvalidOperation as exc:  # as ``1e1000000000000000000``
+        raise ConfigurationError(f"{path}: invalid JSON: exponent out of range") from exc
     # JSONDecodeError, an integer over the digit limit, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
@@ -128,7 +139,7 @@ def _parse_kind(data: dict, key: str, fallback: UtilityKind) -> UtilityKind:
     try:
         return UtilityKind(raw)
     except ValueError as exc:
-        raise ConfigurationError(f"unknown utility kind {raw!r}") from exc
+        raise ConfigurationError(f"unknown utility kind {_as_written(raw)}") from exc
 
 
 def _integer(data: dict, key: str, default: int | None = None) -> int | None:
@@ -137,7 +148,7 @@ def _integer(data: dict, key: str, default: int | None = None) -> int | None:
     value = data.get(key, default)
     if type(value) is int or (value is None and default is None):
         return value
-    raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    raise ConfigurationError(f"{key} must be an integer, got {_as_written(value)}")
 
 
 def _read_attributes(raw: object) -> list[tuple[str, tuple]]:

@@ -16,8 +16,9 @@ Conventions
   a caller-supplied "omitted" rank strictly greater than the number of
   ranked keys.
 * A bias value is held as an ``int`` when integral, else as a reduced
-  ``fractions.Fraction``.  Callers may pass ints, floats, decimal
-  strings or Fractions; floats convert to their exact binary value.
+  ``fractions.Fraction``.  Callers may pass ints, ``Decimal``s (``cli``'s
+  JSON numbers), decimal strings, Fractions or floats; floats convert to
+  their exact binary value, the rest to the decimal they spell.
 
 Everything here is immutable after construction and safe to share
 across threads.
@@ -26,6 +27,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -79,23 +81,38 @@ class SearchBudgetError(QueryAnalysisError):
     """A bounded search ran out of its node budget before it could answer."""
 
 
-# Largest decimal exponent ``as_fraction`` expands: CPython's default
-# int/str digit limit.  ``Fraction("1e10000000")`` would take seconds.
+# Largest decimal exponent ``as_fraction`` expands, and most digits it
+# reads from a ``Decimal``: CPython's default int/str digit limit, which
+# ``json`` applies to integers.  ``Fraction("1e10000000")`` takes seconds.
 _MAX_EXPONENT = 4300
 
 
-def as_fraction(value: int | float | str | Fraction) -> Fraction:
+def _as_written(value: object) -> str:
+    """``value`` for an error message: a ``Decimal`` as JSON spells it."""
+    return str(value) if type(value) is Decimal else repr(value)
+
+
+def as_fraction(value: int | float | str | Decimal | Fraction) -> Fraction:
     """Convert ``value`` to an exact ``Fraction``.
 
-    Decimal strings such as ``"0.1"`` become exact decimals; floats
-    convert to their exact binary expansion.  Booleans, and decimal
-    strings whose exponent exceeds ``±4300``, are rejected.
+    Decimal strings such as ``"0.1"`` and ``Decimal``s become exact
+    decimals; floats convert to their exact binary expansion.  Booleans,
+    decimals whose exponent exceeds ``±4300`` and ``Decimal``s of more
+    than 4300 digits are rejected.
     """
     if type(value) is int:  # the common JSON case: nothing to check
         return Fraction(value)
     if type(value) is Fraction:
         return value
+    # ``str`` holds every digit and costs a seventh of ``as_tuple``.
+    if type(value) is Decimal and len(str(value)) > _MAX_EXPONENT:
+        if len(value.as_tuple().digits) > _MAX_EXPONENT:
+            raise ConfigurationError(f"a number of more than {_MAX_EXPONENT} digits")
     try:
+        if type(value) is Decimal:  # a JSON number with a fraction or an exponent
+            if abs(value.adjusted()) > _MAX_EXPONENT:
+                raise ValueError(f"exponent beyond ±{_MAX_EXPONENT}")
+            return Fraction(*value.as_integer_ratio())
         if type(value) is float:  # exact, without ``Fraction``'s ABC checks
             return Fraction(*value.as_integer_ratio())
         if isinstance(value, bool):
@@ -106,10 +123,10 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
                 raise ValueError(f"exponent beyond ±{_MAX_EXPONENT}")
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ConfigurationError(f"not a rational value: {value!r}") from exc
+        raise ConfigurationError(f"not a rational value: {_as_written(value)}") from exc
 
 
-def _exact(value: int | float | str | Fraction) -> int | Fraction:
+def _exact(value: int | float | str | Decimal | Fraction) -> int | Fraction:
     """``as_fraction(value)``, as an ``int`` when integral: bias values' form."""
     value = value if type(value) is int else as_fraction(value)
     return value.numerator if value.denominator == 1 else value

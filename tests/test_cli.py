@@ -900,13 +900,20 @@ _GAME_WITHOUT_INTENTS = dict(
         ("--game", dict(_COMMISSION_GAME, prior=[1]), "prior length must match the intents"),
         ("--m", "0", "bad --m list '0'"),
         ("--m", ",", "bad --m list ','"),
+        # A JSON number is shown as written, not as a ``Decimal`` repr.
+        ("--config", {"z": 4, "k": 2.5}, "k must be an integer, got 2.5"),
+        (
+            "--config",
+            '{"z": 4, "bias": {"entries": {"e1": 1e10000000}}}',
+            "not a rational value: 1E+10000000",
+        ),
     ],
 )
 def test_each_configuration_fault_exits_two_naming_it(
     tmp_path, capsys, flag, document, message
 ):
     path = tmp_path / "document.json"
-    path.write_text(json.dumps(document))
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
     beta = _write_order(tmp_path, "beta.json", [["a"]])
     argv = {
         "--config": ["trust", "--beta", str(beta), "--config", str(path)],
@@ -970,6 +977,37 @@ def test_oversized_json_integers_exit_two(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert code == 2
     assert "configuration error" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "1e10000000",
+        "1e-10000000",  # a float reads it as 0.0
+        "3." + "1" * 199_999,  # 200,000 digits
+        "1e1000000000000000000",  # past ``Decimal``'s own exponent range
+    ],
+    ids=["huge exponent", "tiny exponent", "200000 digits", "exponent past Decimal"],
+)
+@pytest.mark.parametrize("command", ["trust", "equilibrium"])
+def test_oversized_json_decimals_exit_two_at_once(tmp_path, capsys, command, literal):
+    beta = _write_order(tmp_path, "beta.json", [["a"]])
+    if command == "trust":
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"z": 4, "bias": {{"entries": {{"e1": {literal}}}}}}}')
+        argv = ["trust", "--config", str(path), "--beta", str(beta)]
+    else:
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(_COMMISSION_GAME).replace("[0.5, 0.5]", f"[{literal}, 0.5]"))
+        argv = ["equilibrium", "--game", str(path)]
+    started = time.monotonic()
+    code = run_command(argv)
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("configuration error")
+    assert len(captured.err) < 200  # the digits are not echoed back
     assert "Traceback" not in captured.err + captured.out
 
 
@@ -1220,6 +1258,12 @@ def _spelled(value, spell):
     return spell(value) if type(value) is int else value
 
 
+def _spelled_value(value: object) -> Fraction:
+    """The value a bias spelling names: a float as the decimal ``json.dumps``
+    writes for it (JSON numbers load as decimals), else by ``as_fraction``."""
+    return Fraction(repr(value)) if type(value) is float else as_fraction(value)
+
+
 def _stored_form(value: object) -> bool:
     """A bias value as stored: an ``int``, or a ``Fraction`` that is not integral."""
     return type(value) is int or (type(value) is Fraction and value.denominator > 1)
@@ -1237,7 +1281,7 @@ def test_integral_bias_spellings_are_stored_and_answered_alike(
     values, default, range_kind, drawn, data
 ):
     keys = [f"e{i}" for i in range(1, len(values) + data.draw(st.integers(0, 3)) + 1)]
-    exact = sorted(as_fraction(value) for value in values)
+    exact = sorted(map(_spelled_value, values))
     tight = [int(v) if v.denominator == 1 else str(v) for v in (exact[0], exact[-1])]
     bounds = {"derived": (), "tight": tight, "drawn": drawn}[range_kind]
     bounds = dict(zip(("lower", "upper"), bounds))
@@ -1270,7 +1314,7 @@ def test_integral_bias_spellings_are_stored_and_answered_alike(
                 for name in bounds:
                     given_values.append(spelled[name])
                     stored.append(getattr(bias, name))
-                assert stored == [as_fraction(value) for value in given_values]
+                assert stored == [*map(_spelled_value, given_values)]
                 assert all(map(_stored_form, [*stored, bias.lower, bias.upper]))
             answers.add(
                 (
@@ -1286,6 +1330,93 @@ def test_integral_bias_spellings_are_stored_and_answered_alike(
         code, out, err = run({"z": z, "bias": spelled}, "trust", "--beta", str(order))
         assert (code, out) == (2, "")
         assert err == f"configuration error: not a rational value: {flag}\n"
+
+
+@st.composite
+def _decimal_literals(draw, whole=st.integers(0, 10**6)):
+    """A JSON number with a fraction, an exponent or both, as its text."""
+    text = f"{draw(st.sampled_from(['', '-']))}{draw(whole)}"
+    fraction = draw(st.text("0123456789", min_size=1, max_size=8) | st.none())
+    exponent = draw(st.integers(-20, 20) | st.none())
+    if fraction is not None or exponent is None:
+        text += f".{fraction or 0}"
+    if exponent is not None:
+        sign = draw(st.sampled_from(["", "+"])) if exponent >= 0 else ""
+        text += f"{draw(st.sampled_from('eE'))}{sign}{exponent}"
+    return text
+
+
+@st.composite
+def _priors(draw):
+    """One to four decimal literals of eight places that sum to exactly 1."""
+    cuts = sorted(draw(st.lists(st.integers(0, 10**8), max_size=3)))
+    weights = [b - a for a, b in zip([0, *cuts], [*cuts, 10**8])]
+    return [f"{weight // 10**8}.{weight % 10**8:08d}" for weight in weights]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_decimal_literals(), min_size=1, max_size=4),
+    _decimal_literals(),
+    _decimal_literals(),
+    _decimal_literals(),
+    _priors(),
+    _decimal_literals(whole=st.integers(0, 99)),
+)
+def test_every_decimal_literal_loads_as_the_decimal_it_spells(
+    entries, default, rule_bias, scale, prior, payoff
+):
+    keys = [f"e{i}" for i in range(1, len(entries) + 1)]
+    spelled = ", ".join(f'"{key}": {text}' for key, text in zip(keys, entries))
+    rule = {"when": {"brand": "Sony"}, "bias": "BIAS"}
+    game = dict(
+        _COMMISSION_GAME,
+        intents=[f"t{i}" for i in range(len(prior))],
+        payoff_user=[["PAYOFF", 0]] * len(prior),
+        payoff_source=[[0, 0]] * len(prior),
+        prior="PRIOR",
+    )
+    documents = {
+        "bias": f'{{"z": 4, "bias": {{"entries": {{{spelled}}}, "default": {default}}}}}',
+        "rules": json.dumps(dict(_RULES_CONFIG, bias_rules=[rule], scale="SCALE"))
+        .replace('"BIAS"', rule_bias)
+        .replace('"SCALE"', scale),
+        "game": json.dumps(game)
+        .replace('"PRIOR"', f"[{', '.join(prior)}]")
+        .replace('"PAYOFF"', payoff),
+    }
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = {name: Path(workdir) / f"{name}.json" for name in documents}
+        for name, text in documents.items():
+            paths[name].write_text(text)
+        bias = load_config(str(paths["bias"])).bias
+        rules = load_config(str(paths["rules"])).bias
+        game = coiquery.cli._read_game(coiquery.cli._read_json(str(paths["game"])))
+    assert [*bias.entries.values(), bias.default] == [*map(Fraction, entries), Fraction(default)]
+    sony = Fraction(rule_bias) * Fraction(scale)
+    assert rules.entries == {"e1": 0, "e2": 0, "e3": sony, "e4": sony}
+    assert game.prior == tuple(map(Fraction, prior))
+    assert sum(game.prior) == 1
+    assert {row[0] for row in game.payoff_user} == {Fraction(payoff)}
+
+
+def test_a_float_spelled_bias_and_prior_load_exactly(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"z": 2, "bias": {"entries": {"e1": 2.1}}}')
+    assert load_config(str(config)).bias.entries == {"e1": Fraction(21, 10)}
+    thirds = [0.3333333333333333, 0.3333333333333333, 0.3333333333333334]
+    game = dict(
+        _COMMISSION_GAME,
+        intents=["a", "b", "c"],
+        payoff_user=[[0, 2]] * 3,
+        payoff_source=[[1, 0]] * 3,
+        prior=thirds,
+    )
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game))
+    prior = coiquery.cli._read_game(coiquery.cli._read_json(str(path))).prior
+    assert sum(prior) == 1  # exactly; the nearest binary floats sum to 1 + 2**-54
+    assert run_command(["equilibrium", "--game", str(path)]) == 0
 
 
 @pytest.mark.parametrize(

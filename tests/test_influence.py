@@ -11,7 +11,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coiquery.influence as influence
@@ -44,6 +44,48 @@ from coiquery import (
     gsd_values,
     order_by_case_sketch,
 )
+
+
+# --------------------------------------------------------------------------- #
+# Separation search steps (first in the file: a search that loops fails here
+# instead of hanging the first test that builds a query)
+# --------------------------------------------------------------------------- #
+
+
+class _CountedLookups(dict):
+    """A separation memo that fails past ``limit`` lookups."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit, self.lookups = limit, 0
+
+    def __getitem__(self, separation):
+        self.lookups += 1
+        if self.lookups > self.limit:
+            raise AssertionError(f"more than {self.limit} threshold lookups")
+        return super().__getitem__(separation)
+
+
+@pytest.mark.parametrize("z", [2, 3, 10, 64, 1000, 10**11, 10**300])
+def test_least_reaching_takes_logarithmic_steps_per_target(z):
+    # Gallop then bisect: at most 2 * ceil(log2 z) + 4 lookups per target.
+    rng = random.Random(z)
+    denominator = rng.randint(1, 100)
+
+    def threshold_floor(separation):  # largest target the separation reaches
+        gap, _, scale = influence._threshold_numerators(z, separation)
+        return gap * denominator // scale
+
+    targets = [threshold_floor(1) - 5, threshold_floor(z - 1) + 1]
+    for _ in range(10):
+        targets.append(threshold_floor(rng.randrange(1, z)) + rng.choice([-1, 0, 1]))
+    targets.sort()
+    evaluated = _CountedLookups((2 * (z - 1).bit_length() + 4) * len(targets))
+    answers = influence._least_reaching(z, targets, denominator, evaluated)
+    assert answers[0] == 1 and answers[-1] == z
+    for target, answer in zip(targets, answers):
+        assert answer == z or target <= threshold_floor(answer)
+        assert answer == 1 or target > threshold_floor(answer - 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -226,6 +268,7 @@ class _CountedRows(list):
         )
     )
 )
+@example((3, [(1, 2, 1), (2, 1, -1)], 1))  # a zero-weight cycle, always tried
 def test_settle_lowers_no_window_below_its_floor(case):
     # ``_settle`` has no emptiness test in its falling half: this is why.
     # It also ends: bounds stay in 1..n and each move shifts one by at least
