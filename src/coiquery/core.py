@@ -20,13 +20,13 @@ Conventions
   JSON numbers), decimal strings, Fractions or floats; floats convert to
   their exact binary value, the rest to the decimal they spell.
 
-Everything here is immutable after construction and safe to share
-across threads.
+Nothing in the package changes a weak order or a bias function after
+construction, so both are safe to share across threads.  They are plain
+classes: nothing stops a caller from assigning to their attributes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -146,7 +146,6 @@ def _over_common_denominator(
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, eq=False)
 class WeakOrder:
     """A ranked list with ties over opaque keys.
 
@@ -159,11 +158,10 @@ class WeakOrder:
     the input is untrusted.
     """
 
-    blocks: tuple[tuple[Key, ...], ...]
-
-    def __post_init__(self) -> None:
-        if type(self.blocks) is not tuple or {*map(type, self.blocks)} - {tuple}:
-            object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
+    def __init__(self, blocks: tuple[tuple[Key, ...], ...]) -> None:
+        if type(blocks) is not tuple or {*map(type, blocks)} - {tuple}:
+            blocks = tuple(tuple(b) for b in blocks)
+        self.blocks = blocks
 
     # -- constructors -------------------------------------------------------
 
@@ -268,7 +266,6 @@ class WeakOrder:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, eq=False)
 class BiasFunction:
     """Per-key rational bias offsets with a declared feasible range.
 
@@ -282,24 +279,25 @@ class BiasFunction:
     ``Fraction``; ``min``/``max`` and one pass over the Fractions find extremes.
     """
 
-    entries: Mapping[Key, int | Fraction]
-    default: int | Fraction = 0
-    lower: int | Fraction | None = None
-    upper: int | Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if {*map(type, self.entries.values())} <= {int}:  # all ints: copied as they are
-            entries = dict(self.entries)
+    def __init__(
+        self,
+        entries: Mapping[Key, int | Fraction],
+        default: int | Fraction = 0,
+        lower: int | Fraction | None = None,
+        upper: int | Fraction | None = None,
+    ) -> None:
+        if {*map(type, entries.values())} <= {int}:  # all ints: copied as they are
+            entries = dict(entries)
             fractions: list[Fraction] = []
             integers = entries.values()
         else:
             entries = {
-                k: v if type(v) is int else _exact(v) for k, v in self.entries.items()
+                k: v if type(v) is int else _exact(v) for k, v in entries.items()
             }
             values = entries.values()
             fractions = [v for v in values if type(v) is not int]
             integers = [v for v in values if type(v) is int] if fractions else values
-        default = _exact(self.default)
+        default = _exact(default)
         low = min(integers, default=next(iter(fractions), default))
         high = max(integers, default=low)
         (lo_n, lo_d), (up_n, up_d) = low.as_integer_ratio(), high.as_integer_ratio()
@@ -309,8 +307,8 @@ class BiasFunction:
                 low, lo_n, lo_d = value, n, d
             elif n * up_d > up_n * d:
                 high, up_n, up_d = value, n, d
-        lower = min(low, default) if self.lower is None else _exact(self.lower)
-        upper = max(high, default) if self.upper is None else _exact(self.upper)
+        lower = min(low, default) if lower is None else _exact(lower)
+        upper = max(high, default) if upper is None else _exact(upper)
         if lower > upper:
             raise ConfigurationError(f"bias range is empty: [{lower}, {upper}]")
         if entries and not lower <= low <= high <= upper:
@@ -322,10 +320,8 @@ class BiasFunction:
             raise ConfigurationError(
                 f"default bias {default} outside range [{lower}, {upper}]"
             )
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "default", default)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        self.entries, self.default = entries, default
+        self.lower, self.upper = lower, upper
 
     def __call__(self, key: Key) -> int | Fraction:
         return self.entries.get(key, self.default)

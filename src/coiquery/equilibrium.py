@@ -23,7 +23,6 @@ falls back to the prior (see ``enumerate_pure_equilibria``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -41,46 +40,49 @@ __all__ = [
 ]
 
 _PROFILE_CAP = 10**6
-_PRIOR_TOLERANCE = Fraction(1, 10**12)
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteGame:
     """Payoff matrices (rows: intents, columns: interpretations) and a prior."""
 
-    intents: tuple[str, ...]
-    queries: tuple[str, ...]
-    interpretations: tuple[str, ...]
-    payoff_user: tuple[tuple[Fraction, ...], ...]
-    payoff_source: tuple[tuple[Fraction, ...], ...]
-    prior: tuple[Fraction, ...]
-    set_equivalent: bool = False
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        intents: tuple[str, ...],
+        queries: tuple[str, ...],
+        interpretations: tuple[str, ...],
+        payoff_user: tuple[tuple[Fraction, ...], ...],
+        payoff_source: tuple[tuple[Fraction, ...], ...],
+        prior: tuple[Fraction, ...],
+        set_equivalent: bool = False,
+    ) -> None:
         for label, values in (
-            ("intent", self.intents),
-            ("query", self.queries),
-            ("interpretation", self.interpretations),
+            ("intent", intents),
+            ("query", queries),
+            ("interpretation", interpretations),
         ):
             if not values:
                 raise ConfigurationError(f"game needs at least one {label}")
             if len(set(values)) != len(values):
                 raise ConfigurationError(f"duplicate {label} labels")
-        rows, columns = len(self.intents), len(self.interpretations)
-        if len(self.prior) != rows:
+        rows, columns = len(intents), len(interpretations)
+        if len(prior) != rows:
             raise ConfigurationError("prior length must match the intents")
-        for name, matrix in ("user", self.payoff_user), ("source", self.payoff_source):
+        for name, matrix in ("user", payoff_user), ("source", payoff_source):
             if len(matrix) != rows or any(len(row) != columns for row in matrix):
                 raise ConfigurationError(f"{name} matrix must be {rows} x {columns}")
-        total = sum(self.prior, start=Fraction(0))
-        if any(weight < 0 for weight in self.prior):
+        total = sum(prior, start=Fraction(0))
+        if any(weight < 0 for weight in prior):
             raise ConfigurationError("prior weights must be nonnegative")
-        if abs(total - 1) > _PRIOR_TOLERANCE:
+        if total != 1:
             try:
                 shown = str(total)
             except ValueError:  # a term past the int-to-str digit limit
                 shown = "more than 1" if total > 1 else "less than 1"
             raise ConfigurationError(f"prior sums to {shown}, not 1")
+        self.intents, self.queries = intents, queries
+        self.interpretations = interpretations
+        self.payoff_user, self.payoff_source = payoff_user, payoff_source
+        self.prior, self.set_equivalent = prior, set_equivalent
 
     @classmethod
     def build(

@@ -23,7 +23,6 @@ per distinct bias value, whatever the universe size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -53,7 +52,6 @@ _SOURCE_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True, eq=False)
 class UtilityContext:
     """Shared analysis settings: universe size, top-k cutoff, bias, kinds.
 
@@ -63,31 +61,33 @@ class UtilityContext:
     universe).
     """
 
-    universe_size: int
-    top_k: int
-    bias: BiasFunction
-    omitted_rank: Rank | None = None
-    kind_user: UtilityKind = UtilityKind.QUADRATIC_USER
-    kind_source: UtilityKind = UtilityKind.QUADRATIC_SOURCE_BIASED
-
-    def __post_init__(self) -> None:
-        if self.universe_size < 1:
+    def __init__(
+        self,
+        universe_size: int,
+        top_k: int,
+        bias: BiasFunction,
+        omitted_rank: Rank | None = None,
+        kind_user: UtilityKind = UtilityKind.QUADRATIC_USER,
+        kind_source: UtilityKind = UtilityKind.QUADRATIC_SOURCE_BIASED,
+    ) -> None:
+        if universe_size < 1:
             raise ConfigurationError("universe size must be at least 1")
-        if not 1 <= self.top_k <= self.universe_size:
-            raise ConfigurationError(
-                f"top-k cutoff {self.top_k} outside 1..{self.universe_size}"
-            )
-        if self.omitted_rank is None:
-            object.__setattr__(self, "omitted_rank", self.universe_size + 1)
-        if self.omitted_rank <= self.universe_size:
+        if not 1 <= top_k <= universe_size:
+            raise ConfigurationError(f"top-k cutoff {top_k} outside 1..{universe_size}")
+        if omitted_rank is None:
+            omitted_rank = universe_size + 1
+        if omitted_rank <= universe_size:
             raise ConfigurationError(
                 "omitted rank must exceed the universe size "
-                f"({self.omitted_rank} <= {self.universe_size})"
+                f"({omitted_rank} <= {universe_size})"
             )
-        if self.kind_user not in _USER_KINDS:
-            raise ConfigurationError(f"{self.kind_user} is not a user utility")
-        if self.kind_source not in _SOURCE_KINDS:
-            raise ConfigurationError(f"{self.kind_source} is not a source utility")
+        if kind_user not in _USER_KINDS:
+            raise ConfigurationError(f"{kind_user} is not a user utility")
+        if kind_source not in _SOURCE_KINDS:
+            raise ConfigurationError(f"{kind_source} is not a source utility")
+        self.universe_size, self.top_k, self.bias = universe_size, top_k, bias
+        self.omitted_rank = omitted_rank
+        self.kind_user, self.kind_source = kind_user, kind_source
 
 
 # --------------------------------------------------------------------------- #

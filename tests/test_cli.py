@@ -1460,6 +1460,7 @@ def test_a_boolean_game_entry_is_refused_as_not_rational(tmp_path, capsys, chang
         (["1/3", "1/3"], "2/3"),
         (["9e4299", "9e4299"], "more than 1"),  # a total too long to print
         (["1e-4300", 0], "less than 1"),
+        ([0.4999999999995, 0.5], "1999999999999/2000000000000"),  # no tolerance
     ],
 )
 def test_a_prior_off_one_exits_two_with_its_exact_sum(tmp_path, capsys, prior, total):
@@ -1599,7 +1600,8 @@ def test_coi_log_sets_the_stderr_level_of_a_fresh_process(tmp_path, level, logge
 
 
 #: Runs each argv of ``sys.argv[1]`` in turn and prints, per subcommand, its
-#: exit code and whether ``coiquery.bench`` and ``csv`` are loaded after it.
+#: exit code and whether ``coiquery.bench``, ``csv``, ``dataclasses`` and
+#: ``inspect`` are loaded after it.
 _MODULES_AFTER_EACH_RUN = """
 import contextlib, io, json, sys
 from coiquery.cli import run_command
@@ -1607,7 +1609,8 @@ loaded = {}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = run_command(argv)
-    loaded[argv[0]] = [code, "coiquery.bench" in sys.modules, "csv" in sys.modules]
+    names = ("coiquery.bench", "csv", "dataclasses", "inspect")
+    loaded[argv[0]] = [code, *(name in sys.modules for name in names)]
 print(json.dumps(loaded))
 """
 
@@ -1635,8 +1638,10 @@ def test_only_bench_loads_the_bench_module_and_csv(tmp_path, mixed_config):
     )
     assert child.returncode == 0, child.stderr
     analyses = ("trust", "influence", "maximize", "equilibrium")
-    expected = {command: [0, False, False] for command in analyses}
-    assert json.loads(child.stdout) == {**expected, "bench": [0, True, True]}
+    # No subcommand loads ``dataclasses``, nor the ``inspect`` it imports.
+    expected = {command: [0, False, False, False, False] for command in analyses}
+    expected["bench"] = [0, True, True, False, False]
+    assert json.loads(child.stdout) == expected
 
 
 # --------------------------------------------------------------------------- #

@@ -305,9 +305,11 @@ def _game_document(prior, payoff_source, payoff_user=None):
 
 
 _COMMON_DENOMINATOR_GAMES = {
-    # Binary floats: the exact sum is 1 only within the prior tolerance.
+    # Binary floats; the last weight is their exact complement, as a prior
+    # must sum to exactly 1.
     "binary-float-prior": _game_document(
-        [0.1, 0.2, 0.7], [[0.3, -0.1, 0.2], [0.1, 0.7, -0.3], [0.2, 0.2, 0.2]]
+        [0.1, 0.2, str(1 - Fraction(0.1) - Fraction(0.2))],
+        [[0.3, -0.1, 0.2], [0.1, 0.7, -0.3], [0.2, 0.2, 0.2]],
     ),
     # Payoffs 10^±4000 apart: ties broken only at the smallest scale.
     "huge-exponents": _game_document(
@@ -317,7 +319,7 @@ _COMMON_DENOMINATOR_GAMES = {
         [["1e-4000", "0", "1e-4000"], ["0", "-4e-4000", "0"], ["2e4000", "2e4000", "1"]],
     ),
     "tiny-prior-weight": _game_document(
-        ["1e-4000", "0.5", "0.5"],
+        ["1e-4000", "0.5", "0.4" + "9" * 3999],  # the last weight is 0.5 - 1e-4000
         [["1e4000", "0", "0"], ["0", "1", "1"], ["0", "1", "1"]],
     ),
     # Only the zero-weight intent sends one query: its belief is the prior.

@@ -147,8 +147,8 @@ def test_only_the_entry_points_read_and_write_json():
     assert set().union(*map(_json_methods, library)) == JSON_METHODS
 
 
-def _json_imports(path: Path) -> set[str]:
-    """The ``json`` modules (``json`` or a submodule) a file imports."""
+def _imports(path: Path, package: str) -> set[str]:
+    """The modules of ``package`` (it or a submodule) a file imports."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -157,7 +157,7 @@ def _json_imports(path: Path) -> set[str]:
             names = [node.module or ""]
         else:
             continue
-        found.update(name for name in names if name.split(".")[0] == "json")
+        found.update(name for name in names if name.split(".")[0] == package)
     return found
 
 
@@ -167,7 +167,7 @@ def test_only_the_entry_points_import_json():
     importing = {
         path.name
         for path in (ROOT / "src" / "coiquery").glob("*.py")
-        if _json_imports(path)
+        if _imports(path, "json")
     }
     assert importing <= BOUNDARY
     assert "cli.py" in importing
@@ -198,23 +198,8 @@ def test_no_library_function_is_cached_across_calls():
     assert cached == []
 
 
-def _builds_on_construction(node: ast.ClassDef) -> bool:
-    """Whether a class defines ``__post_init__`` or a ``cached_property``."""
-    return any(
-        item.name == "__post_init__" or "cached_property" in _decorator_names(item)
-        for item in node.body
-        if isinstance(item, ast.FunctionDef)
-    )
-
-
-def test_every_dataclass_validates_or_caches_on_construction():
-    # A record that does neither is a ``NamedTuple``.
-    plain = [
-        (path.name, node.name)
-        for path in sorted((ROOT / "src" / "coiquery").glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ClassDef)
-        and "dataclass" in _decorator_names(node)
-        and not _builds_on_construction(node)
-    ]
-    assert plain == []
+def test_no_module_imports_dataclasses():
+    # The validated types are plain classes: ``dataclasses`` and the
+    # ``inspect`` it loads would add to every one-shot run's import.
+    modules = sorted((ROOT / "src" / "coiquery").glob("*.py"))
+    assert [path.name for path in modules if _imports(path, "dataclasses")] == []
