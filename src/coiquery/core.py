@@ -27,6 +27,7 @@ classes: nothing stops a caller from assigning to their attributes.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -88,15 +89,15 @@ _MAX_EXPONENT = 4300
 
 
 def _as_written(value: object) -> str:
-    """``value`` for an error message: a ``Decimal`` as JSON spells it."""
-    return str(value) if type(value) is Decimal else repr(value)
+    """``value`` for an error message, each ``Decimal`` in it as JSON spells it."""
+    return re.sub(r"Decimal\('([^']*)'\)", r"\1", repr(value))
 
 
 def as_fraction(value: int | float | str | Decimal | Fraction) -> Fraction:
     """Convert ``value`` to an exact ``Fraction``.
 
     Decimal strings such as ``"0.1"`` and ``Decimal``s become exact
-    decimals; floats convert to their exact binary expansion.  Booleans,
+    decimals; ``Fraction`` takes a float's exact binary expansion.  Booleans,
     decimals whose exponent exceeds ``±4300`` and ``Decimal``s of more
     than 4300 digits are rejected.
     """
@@ -112,8 +113,6 @@ def as_fraction(value: int | float | str | Decimal | Fraction) -> Fraction:
         if type(value) is Decimal:  # a JSON number with a fraction or an exponent
             if abs(value.adjusted()) > _MAX_EXPONENT:
                 raise ValueError(f"exponent beyond ±{_MAX_EXPONENT}")
-            return Fraction(*value.as_integer_ratio())
-        if type(value) is float:  # exact, without ``Fraction``'s ABC checks
             return Fraction(*value.as_integer_ratio())
         if isinstance(value, bool):
             raise TypeError("a boolean is not a rational value")
@@ -218,14 +217,19 @@ class WeakOrder:
     # -- lookups ------------------------------------------------------------
 
     @cached_property
-    def _rank_by_key(self) -> dict[Key, int]:
-        ranks: dict[Key, int] = {}
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """Each block's ``(first, last)`` position, best block first."""
+        spans = []
         position = 1
         for block in self.blocks:
-            for key in block:
-                ranks[key] = position
+            spans.append((position, position + len(block) - 1))
             position += len(block)
-        return ranks
+        return tuple(spans)
+
+    @cached_property
+    def _rank_by_key(self) -> dict[Key, int]:
+        pairs = zip(self.blocks, self.spans)
+        return {key: first for block, (first, _) in pairs for key in block}
 
     @cached_property
     def key_set(self) -> frozenset[Key]:

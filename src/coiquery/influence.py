@@ -37,7 +37,6 @@ is always relative to the universe's key order.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -212,10 +211,11 @@ def build_delta_query(
     keys = intent.keys()
     if not keys:
         raise ConfigurationError("query universe is empty")
-    ranks = [intent.rank_of(key) for key in keys]
+    spans = [span for block, span in zip(intent.blocks, intent.spans) for _ in block]
+    ranks = [first for first, _ in spans]
     numerators, denominator = _over_common_denominator(map(bias, keys))
-    # Ranks never decrease along ``keys``: key i's untied rivals are a suffix.
-    starts = [bisect_right(ranks, rank) for rank in ranks]
+    # Key i's untied rivals are ``keys[starts[i]:]``, as positions are 1-based.
+    starts = [last for _, last in spans]
     gaps: set[int] = set()
     for numerator, start in zip(numerators, starts):
         gaps.update(map(numerator.__sub__, numerators[start:]))

@@ -13,8 +13,9 @@ oracle and the tests.
 
 The module also provides the super-rank relation (the partial order of
 admissible reformulations: coarsen ties, never reverse order, append
-only strictly below), a brute-force enumeration oracle over all
-contiguous partitions, and the closed-form count of super-rank queries.
+only strictly below; checked by comparing block ranks), a brute-force
+enumeration oracle over all contiguous partitions, and the closed-form
+count of super-rank queries.
 
 Conventions
 -----------
@@ -91,35 +92,29 @@ def is_super_rank(candidate: WeakOrder, base: WeakOrder) -> SuperRankCheck:
     reverse — collapsing one into a tie is fine, flipping it is not.
     Every ranking is a super-rank of itself.
     """
-    base_keys = base.key_set
-    candidate_keys = candidate.key_set
-    missing = base_keys - candidate_keys
+    missing = base.key_set - candidate.key_set
     if missing:
         return SuperRankCheck(
             False, f"candidate drops base element(s) {sorted(missing)!r}"
         )
-    ordered = list(base.keys())
-    for index, left in enumerate(ordered):
-        for right in ordered[index + 1 :]:
-            left_rank = base.rank_of(left)
-            right_rank = base.rank_of(right)
-            if left_rank == right_rank:
-                if candidate.rank_of(left) != candidate.rank_of(right):
-                    return SuperRankCheck(
-                        False, f"base tie {left!r} ~ {right!r} broken"
-                    )
-            elif candidate.rank_of(left) > candidate.rank_of(right):
-                return SuperRankCheck(
-                    False, f"base order {left!r} < {right!r} reversed"
-                )
-    appended = candidate_keys - base_keys
-    if appended:
-        deepest_original = max(candidate.rank_of(key) for key in base_keys)
-        for key in sorted(appended):
-            if candidate.rank_of(key) <= deepest_original:
-                return SuperRankCheck(
-                    False, f"appended element {key!r} not strictly below originals"
-                )
+    # Each base block must sit at one candidate rank, and those ranks must
+    # never fall from block to block: together these hold every key pair.
+    rank_of = candidate.rank_of
+    deepest, above = 0, None  # the last base block's candidate rank, first key
+    for block in filter(None, base.blocks):
+        head = block[0]
+        rank = rank_of(head)
+        for key in block[1:]:
+            if rank_of(key) != rank:
+                return SuperRankCheck(False, f"base tie {head!r} ~ {key!r} broken")
+        if rank < deepest:
+            return SuperRankCheck(False, f"base order {above!r} < {head!r} reversed")
+        deepest, above = rank, head
+    for key in sorted(candidate.key_set - base.key_set):
+        if rank_of(key) <= deepest:
+            return SuperRankCheck(
+                False, f"appended element {key!r} not strictly below originals"
+            )
     return SuperRankCheck(True, None)
 
 
@@ -151,16 +146,6 @@ def _ordered_weak_orders(size: int) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _position_spans(base: WeakOrder) -> tuple[tuple[int, int], ...]:
-    """Original position span occupied by each base block, in block order."""
-    spans = []
-    position = 1
-    for block in base.blocks:
-        spans.append((position, position + len(block) - 1))
-        position += len(block)
-    return tuple(spans)
-
-
 def interval_score(
     start: int, end: int, ctx: UtilityContext, base: WeakOrder
 ) -> Fraction:
@@ -174,9 +159,8 @@ def interval_score(
     block_count = len(base.blocks)
     if not 1 <= start <= end <= block_count:
         raise DomainError(f"interval {start}..{end} outside 1..{block_count}")
-    spans = _position_spans(base)
-    low = spans[start - 1][0]
-    high = spans[end - 1][1]
+    low = base.spans[start - 1][0]
+    high = base.spans[end - 1][1]
     total = Fraction(0)
     for block in base.blocks[start - 1 : end]:
         for key in block:
@@ -230,11 +214,11 @@ def _score12_table(base: WeakOrder, ctx: UtilityContext) -> array | list[int]:
     is an ``array("q")``, else a list, so no ``z`` or ``omitted_rank``
     overflows it.
     """
-    keys = [key for block in base.blocks for key in block]
+    keys = base.keys()
     size = len(keys)
     starts = [0] * (size + 1)  # position -> block starting there, else 0
     ends = [0] * (size + 1)  # position -> block ending there, else 0
-    for index, (low, high) in enumerate(_position_spans(base), 1):
+    for index, (low, high) in enumerate(base.spans, 1):
         starts[low] = index
         ends[high] = index
     z = ctx.universe_size

@@ -143,15 +143,12 @@ def interpret_query(query: WeakOrder, ctx: UtilityContext) -> WeakOrder:
     each group.
     """
     groups: dict[Rank, list[Key]] = {}
-    position = 1
-    for block in query.blocks:
-        size = len(block)
-        mean = Fraction(2 * position + size - 1, 2)
+    for block, (first, last) in zip(query.blocks, query.spans):
+        mean = Fraction(first + last, 2)
         for key in block:
             assigned = _assigned_rank(mean, ctx.bias(key), ctx)
             if assigned <= ctx.top_k:
                 groups.setdefault(assigned, []).append(key)
-        position += size
     return WeakOrder(tuple(tuple(groups[rank]) for rank in sorted(groups)))
 
 

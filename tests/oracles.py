@@ -98,6 +98,35 @@ def weak_order_from_lists_oracle(data: object) -> WeakOrder:
     return WeakOrder(tuple(blocks))
 
 
+def super_rank_oracle(candidate: WeakOrder, base: WeakOrder) -> bool:
+    """``merge.is_super_rank`` checked key pair by key pair.
+
+    Ranks come from a position count over the blocks, not from
+    ``WeakOrder``: base ties stay ties, base precedences never reverse,
+    no base key is dropped and every new key sits below every base key.
+    """
+    base_rank, candidate_rank = {}, {}
+    for order, ranks in ((base, base_rank), (candidate, candidate_rank)):
+        position = 1
+        for block in order.blocks:
+            for key in block:
+                ranks[key] = position
+            position += len(block)
+    if base_rank.keys() - candidate_rank.keys():
+        return False
+    ordered = list(base_rank)
+    for index, left in enumerate(ordered):
+        for right in ordered[index + 1 :]:
+            if base_rank[left] == base_rank[right]:
+                if candidate_rank[left] != candidate_rank[right]:
+                    return False
+            elif candidate_rank[left] > candidate_rank[right]:
+                return False
+    deepest = max((candidate_rank[key] for key in base_rank), default=0)
+    appended = candidate_rank.keys() - base_rank.keys()
+    return all(candidate_rank[key] > deepest for key in appended)
+
+
 def bias_range_oracle(entries: dict, default=0, lower=None, upper=None):
     """``BiasFunction``'s ``(lower, upper)``, or the message it raises.
 

@@ -907,6 +907,19 @@ _GAME_WITHOUT_INTENTS = dict(
             '{"z": 4, "bias": {"entries": {"e1": 1e10000000}}}',
             "not a rational value: 1E+10000000",
         ),
+        # ... and so is one nested in a list.
+        ("--config", {"z": 4, "kind_user": [1.5]}, "unknown utility kind [1.5]"),
+        ("--config", {"z": 4, "k": [2.5]}, "k must be an integer, got [2.5]"),
+        (
+            "--config",
+            {"z": 4, "bias": {"entries": {"e1": [2.5]}}},
+            "not a rational value: [2.5]",
+        ),
+        (
+            "--game",
+            dict(_COMMISSION_GAME, prior=[[0.5], [0.5]]),
+            "not a rational value: [0.5]",
+        ),
     ],
 )
 def test_each_configuration_fault_exits_two_naming_it(
@@ -1009,6 +1022,30 @@ def test_oversized_json_decimals_exit_two_at_once(tmp_path, capsys, command, lit
     assert captured.err.startswith("configuration error")
     assert len(captured.err) < 200  # the digits are not echoed back
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "literal, code, message",
+    [
+        ("0." + "1" * 4300, 0, ""),
+        ("0." + "1" * 4301, 2, "a number of more than 4300 digits"),
+        ("1e-4300", 0, ""),
+        ("1e-4301", 2, "not a rational value: 1E-4301"),
+        # Read, then refused by the input bound, not by ``as_fraction``.
+        ("1e4300", 2, "z and every bias value must lie within ±10**300"),
+        ("1e4301", 2, "not a rational value: 1E+4301"),
+    ],
+    ids=["4300 digits", "4301 digits", "1e-4300", "1e-4301", "1e4300", "1e4301"],
+)
+def test_json_decimals_reach_4300_digits_and_exponent_4300(
+    tmp_path, capsys, literal, code, message
+):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"z": 4, "bias": {{"entries": {{"e1": {literal}}}}}}}')
+    beta = _write_order(tmp_path, "beta.json", [["e1"], ["e2"]])
+    assert run_command(["trust", "--config", str(path), "--beta", str(beta)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == (f"configuration error: {message}\n" if code else "")
 
 
 @pytest.mark.parametrize("document", ["config", "ranking", "game"])

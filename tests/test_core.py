@@ -38,6 +38,21 @@ def test_total_order_ranks_are_positions():
     assert order.as_lists() == [["x"], ["y"], ["z"]]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=8))
+def test_spans_tile_the_positions_and_give_each_block_its_rank(sizes):
+    keys = iter(f"e{i}" for i in range(sum(sizes)))
+    order = WeakOrder(tuple(tuple(next(keys) for _ in range(size)) for size in sizes))
+    assert len(order.spans) == len(order.blocks)
+    last = 0
+    for block, (first, final) in zip(order.blocks, order.spans):
+        assert (first, final) == (last + 1, last + len(block))
+        assert {order.rank_of(key) for key in block} == {first}
+        last = final
+    assert last == len(order)
+    assert WeakOrder(()).spans == ()
+
+
 def test_rank_of_missing_key_raises():
     order = WeakOrder.total(["x", "y"])
     with pytest.raises(KeyError):

@@ -27,7 +27,12 @@ from coiquery import (
     maximize_merge_dp,
 )
 from coiquery.merge import _score12_table
-from oracles import brute_block_utility, iter_coarsenings, iter_weak_orders
+from oracles import (
+    brute_block_utility,
+    iter_coarsenings,
+    iter_weak_orders,
+    super_rank_oracle,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -75,6 +80,50 @@ def test_merges_are_always_super_ranks():
         tied = sum(blocks[start - 1 : end], ())
         merged = WeakOrder(blocks[: start - 1] + (tied,) + blocks[end:])
         assert is_super_rank(merged, base)
+
+
+def _cut(draw, items):
+    """``items`` cut into consecutive runs at drawn positions."""
+    cuts = draw(st.sets(st.integers(1, len(items) - 1))) if len(items) > 1 else ()
+    bounds = [0, *sorted(cuts), len(items)]
+    return [items[low:high] for low, high in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def _base_and_candidate(draw):
+    """A base weak order and a candidate made from it by coarsening its
+    blocks, then perhaps swapping two of them, breaking ties, dropping
+    base keys and adding new keys anywhere.  With no keys, the base is
+    one empty block, which ``WeakOrder`` accepts unchecked."""
+    size = draw(st.integers(0, 6))
+    keys = draw(st.permutations([f"e{i}" for i in range(1, size + 1)]))
+    base = WeakOrder(_cut(draw, tuple(keys)))
+    blocks = [sum(run, ()) for run in _cut(draw, base.blocks)]
+    if len(blocks) > 1 and draw(st.booleans()):
+        pair = st.sets(st.integers(0, len(blocks) - 1), min_size=2, max_size=2)
+        low, high = draw(pair)
+        blocks[low], blocks[high] = blocks[high], blocks[low]
+    if draw(st.booleans()):
+        blocks = [part for block in blocks for part in _cut(draw, block)]
+    if keys and draw(st.booleans()):
+        dropped = draw(st.sets(st.sampled_from(keys), min_size=1, max_size=2))
+        blocks = [tuple(k for k in block if k not in dropped) for block in blocks]
+    for key in (f"x{i}" for i in range(draw(st.integers(0, 2)))):
+        index = draw(st.integers(0, len(blocks)))
+        if index == len(blocks) or draw(st.booleans()):
+            blocks.insert(index, (key,))
+        else:
+            blocks[index] += (key,)
+    return WeakOrder(tuple(block for block in blocks if block)), base
+
+
+@settings(max_examples=500, deadline=None)
+@given(_base_and_candidate())
+def test_super_rank_agrees_with_the_pairwise_reference(case):
+    candidate, base = case
+    check = is_super_rank(candidate, base)
+    assert bool(check) == super_rank_oracle(candidate, base)
+    assert (check.violation is None) == bool(check)
 
 
 # --------------------------------------------------------------------------- #
